@@ -221,14 +221,9 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
         n = [int(x) for x in document["n"]]
     else:
         raise ValidationError("positivity needs --n or an 'n' field in the input")
-    return _emit(
-        {
-            "n": list(n),
-            "positive": mixedvol.positivity_criterion(polytopes, n),
-            "segments": mixedvol.segments_criterion(polytopes, n),
-        },
-        args,
-    )
+    # the two criteria are one rank test, so the decision is made once
+    positive = mixedvol.positivity_criterion(polytopes, n)
+    return _emit({"n": list(n), "positive": positive, "segments": positive}, args)
 
 
 def _cmd_flag(args: argparse.Namespace) -> int:
@@ -289,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
         p.add_argument("--output", help="also write the JSON result to this path")
         p.add_argument("-v", "--verbose", action="count", default=0)
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker threads for internal loops (never changes output bytes)",
-        )
         if with_input:
             p.add_argument("--input", help="path of the input JSON document ('-' for stdin)")
             p.add_argument("--json", help="inline input JSON document")
@@ -361,8 +350,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
-    if getattr(args, "threads", 1) < 1:
-        return _fail("--threads must be at least 1", EXIT_VALIDATION)
     try:
         return _HANDLERS[args.subcommand](args)
     except ValidationError as exc:

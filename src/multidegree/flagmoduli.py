@@ -16,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import ValidationError
-from .polymatroid import RankFunction, Support, msupp_from_rank
+from .polymatroid import RankFunction, Support, compositions, msupp_from_rank
 
 
 def flag_rank_function(p: int) -> RankFunction:
@@ -76,7 +76,7 @@ def flag_comparator_report(p: int) -> dict:
     only_rank = []
     only_literal = []
     literal_count = 0
-    for point in _compositions(weight, p):
+    for point in compositions(weight, p):
         in_rank = point in members
         in_literal = flag_simple_inequalities(p, point)
         literal_count += in_literal
@@ -92,16 +92,6 @@ def flag_comparator_report(p: int) -> dict:
         "only_rank_route": [list(pt) for pt in only_rank],
         "only_literal_route": [list(pt) for pt in only_literal],
     }
-
-
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 def m0n_rank_function(p: int) -> RankFunction:

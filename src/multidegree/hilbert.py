@@ -126,16 +126,6 @@ def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(kept))
 
 
-def _colon(gens: Sequence[tuple[int, ...]], m: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Generators of (gens) : m, re-minimalized."""
-    quotients = [tuple(max(g_v - m_v, 0) for g_v, m_v in zip(g, m)) for g in gens]
-    nontrivial = [q for q in quotients if any(q)]
-    if len(nontrivial) < len(quotients):
-        # some generator divides m, so the colon ideal is the unit ideal
-        return ((0,) * len(m) * 0,)  # sentinel never used; handled by caller
-    return _minimalize(nontrivial)
-
-
 def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET) -> IntPolynomial:
     """K-polynomial of S/I in the p grading variables.
 

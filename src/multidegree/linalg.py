@@ -3,8 +3,8 @@
 Everything here works on small dense matrices (rows as sequences) and
 uses fraction-free or Fraction arithmetic, so ranks and solutions are
 exact.  Intended for the subspace-dimension computations of the
-polymatroid module and the interpolation solve of the mixed-volume
-module; sizes never exceed a few hundred rows.
+polymatroid module and the dimension tests of the mixed-volume module;
+sizes never exceed a few hundred rows.
 """
 
 from __future__ import annotations

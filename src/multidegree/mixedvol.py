@@ -1,5 +1,5 @@
 """Lattice polytopes in dimension at most 3, exact volumes, Minkowski
-sums, and mixed volumes by interpolation of the volume polynomial.
+sums, and mixed volumes by polarization.
 
 All geometry is exact: coordinates are rationals, scaled to integers
 before hull computations.  Volumes in 3D come from a triangulated
@@ -8,10 +8,9 @@ surface, Euler characteristic 2, every point beneath every facet plane)
 and falls back to an exhaustive supporting-plane search whenever any
 check fails, so a wrong volume is never returned silently.
 
-Mixed volumes follow the definition: the volume of a weighted Minkowski
-sum is a homogeneous polynomial of degree d in the weights; its
-coefficients are recovered exactly from volumes at a deterministic grid
-of integer weight tuples, then normalized by multinomial coefficients.
+Mixed volumes come from the polarization formula (Schneider, *Convex
+Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
+Minkowski sums of the K_i with integer weights m <= n.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from itertools import combinations, product
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError
-from .linalg import rank_rational, solve_rational
+from .linalg import rank_rational
+from .polymatroid import SubspaceFamily, compositions, linear_rank
 
 MAX_AMBIENT_DIM = 3
 
@@ -414,30 +414,15 @@ class MixedVolumeTable:
         }
 
 
-def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return sorted(out)
-
-
-def _multinomial(d: int, n: Sequence[int]) -> int:
-    value = math.factorial(d)
-    for x in n:
-        value //= math.factorial(x)
-    return value
-
-
 def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
-    """Mixed volumes of the tuple, by exact interpolation.
+    """Mixed volumes of the tuple, by polarization (Schneider, *Convex
+    Bodies*, section 5.1):
 
-    Volumes of weighted sums are evaluated on a deterministic subset of
-    the grid {1, ..., d+1}^p chosen greedily for exact full rank of the
-    monomial evaluation matrix; the resulting square system is solved
-    over Q and coefficients are divided by multinomials.
+        V(K; n) = (1/d!) sum_{0 != m <= n} (-1)^(d-|m|)
+                  prod_i binom(n_i, m_i) vol(sum_i m_i K_i).
+
+    Each volume of a weighted Minkowski sum is computed once per weight
+    vector m and shared by every entry that needs it.
     """
     if not polytopes:
         raise ValidationError("mixed volumes of zero polytopes")
@@ -446,33 +431,18 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     if any(k.d != d for k in polytopes):
         raise ValidationError("polytopes have mismatched ambient dimensions")
     canon = [k.canonicalize() for k in polytopes]
-    exponents = _compositions(d, p)
-    nodes: list[tuple[int, ...]] = []
-    rows: list[list[Fraction]] = []
-    reduced: list[list[Fraction]] = []
-    for w in product(range(1, d + 2), repeat=p):
-        row = [
-            Fraction(math.prod(wi**ni for wi, ni in zip(w, n))) for n in exponents
-        ]
-        residual = list(row)
-        for basis in reduced:
-            lead = next((k for k, x in enumerate(basis) if x != 0), None)
-            if lead is not None and residual[lead] != 0:
-                factor = residual[lead] / basis[lead]
-                residual = [a - factor * b for a, b in zip(residual, basis)]
-        if any(residual):
-            nodes.append(w)
-            rows.append(row)
-            reduced.append(residual)
-            if len(nodes) == len(exponents):
-                break
-    if len(nodes) != len(exponents):
-        raise AssertionError("interpolation grid failed to reach full rank")
-    values = [volume(minkowski_sum(canon, w)) for w in nodes]
-    coefficients = solve_rational(rows, values)
+    volumes: dict[tuple[int, ...], Fraction] = {}
     entries: dict[tuple[int, ...], Fraction] = {}
-    for n, c in zip(exponents, coefficients):
-        entries[n] = c / _multinomial(d, n)
+    for n in compositions(d, p):
+        total = Fraction(0)
+        for m in product(*(range(x + 1) for x in n)):
+            if not any(m):
+                continue
+            if m not in volumes:
+                volumes[m] = volume(minkowski_sum(canon, m))
+            coefficient = math.prod(math.comb(x, y) for x, y in zip(n, m))
+            total += (-1) ** (d - sum(m)) * coefficient * volumes[m]
+        entries[n] = total / math.factorial(d)
         if entries[n] < 0:
             raise AssertionError(f"negative mixed volume at {n}: {entries[n]}")
     return MixedVolumeTable(p, d, entries)
@@ -481,9 +451,9 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
 def positivity_criterion(
     polytopes: Sequence[LatticePolytope], n: Sequence[int]
 ) -> bool:
-    """V(K; n) > 0 iff |n| = d and, for every subset J, the partial sum
-    of n over J is at most the dimension of the Minkowski sum of the
-    K_j with j in J."""
+    """V(K; n) > 0 iff |n| = d and n(J) <= r(J) for every subset J, where
+    r(J) = dim(sum_{j in J} K_j) is the rank of the edge directions of
+    the K_j with j in J."""
     if not polytopes:
         raise ValidationError("empty polytope tuple")
     p = len(polytopes)
@@ -495,53 +465,17 @@ def positivity_criterion(
         raise ValidationError(f"type vector {counts} must be in N^{p}")
     if sum(counts) != d:
         return False
-    for mask in range(1, 1 << p):
-        chosen = [j for j in range(p) if mask >> j & 1]
-        needed = sum(counts[j] for j in chosen)
-        if needed == 0:
-            continue
-        sub = minkowski_sum([polytopes[j] for j in chosen])
-        if needed > polytope_dim(sub):
-            return False
-    return True
+    directions = [
+        [[x - y for x, y in zip(v, k.vertices[0])] for v in k.vertices[1:]]
+        for k in polytopes
+    ]
+    r = linear_rank(SubspaceFamily(d, directions))
+    return all(
+        sum(counts[j] for j in range(p) if mask >> j & 1) <= r.of_mask(mask)
+        for mask in range(1, 1 << p)
+    )
 
 
-def segments_criterion(
-    polytopes: Sequence[LatticePolytope], n: Sequence[int]
-) -> bool:
-    """Independent-segments test: one can pick n_i independent directions
-    inside each K_i with all |n| = d directions jointly spanning R^d.
-
-    By the transversal theorem for linear matroids this holds exactly
-    when every subset J satisfies sum_{j in J} n_j <= rank of the joint
-    linear span of the K_j, so the decision is a rank test; the span
-    ranks are computed directly from edge-direction generators rather
-    than through Minkowski sums, keeping this route independent of
-    positivity_criterion.
-    """
-    if not polytopes:
-        raise ValidationError("empty polytope tuple")
-    p = len(polytopes)
-    d = polytopes[0].d
-    if any(k.d != d for k in polytopes):
-        raise ValidationError("polytopes have mismatched ambient dimensions")
-    counts = [int(x) for x in n]
-    if len(counts) != p or any(x < 0 for x in counts):
-        raise ValidationError(f"type vector {counts} must be in N^{p}")
-    if sum(counts) != d:
-        return False
-    spans = []
-    for k in polytopes:
-        base = k.vertices[0]
-        spans.append([[x - y for x, y in zip(v, base)] for v in k.vertices[1:]])
-    for mask in range(1, 1 << p):
-        chosen = [j for j in range(p) if mask >> j & 1]
-        needed = sum(counts[j] for j in chosen)
-        if needed == 0:
-            continue
-        rows: list[list[Fraction]] = []
-        for j in chosen:
-            rows.extend(spans[j])
-        if needed > rank_rational(rows):
-            return False
-    return True
+# By the transversal theorem for linear matroids, n_i independent segments
+# inside each K_i spanning R^d exist exactly when the rank test above holds.
+segments_criterion = positivity_criterion

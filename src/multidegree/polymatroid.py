@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError
 from .linalg import is_prime, rank_mod_p, rank_rational
@@ -40,6 +40,16 @@ def _set_to_mask(subset: Iterable[int], p: int) -> int:
             raise ValidationError(f"element {j} outside ground set 1..{p}")
         mask |= 1 << (j - 1)
     return mask
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All n in N^parts with |n| = total, in lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 @dataclass(frozen=True)

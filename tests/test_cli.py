@@ -202,10 +202,6 @@ class TestDeterminismAndErrors:
         code, _out, _err = run_cli(["schubert", "--perm", "1,1,2"], capsys)
         assert code == 2
 
-    def test_threads_flag_accepted(self, capsys):
-        doc = run_json(["m0n", "--p", "3", "--threads", "4"], capsys)
-        assert doc["count"] == 5
-
 
 class TestConsoleScript:
     def test_module_invocation(self):

@@ -1,11 +1,12 @@
 """Exact polytope geometry: dimensions, volumes, Minkowski sums, mixed
-volumes, and the two positivity criteria.
+volumes, and the positivity criterion.
 
 The exhaustive supporting-plane hull is the reference; the fast
 incremental hull is property-tested against it on degeneracy-rich
 random point sets (many collinear/coplanar configurations).
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -263,6 +264,37 @@ class TestMixedVolumes:
         t_large = mixed_volumes([large, s])
         for (n, v_small), (_n2, v_large) in zip(t_small.entries, t_large.entries):
             assert v_large >= v_small
+
+    def test_volume_polynomial_identity_randomized(self):
+        # the defining identity vol(sum w_i K_i) = sum_{|n|=d} (d!/n!) V(K; n) w^n,
+        # checked at random weights up to 4
+        rng = random.Random(2024)
+        for _ in range(12):
+            d = rng.randint(1, 3)
+            p = rng.randint(1, 3)
+            ks = [
+                LatticePolytope(
+                    d,
+                    [
+                        tuple(rng.randint(-2, 2) for _ in range(d))
+                        for _ in range(rng.randint(1, d + 2))
+                    ],
+                )
+                for _ in range(p)
+            ]
+            table = mixed_volumes(ks)
+            for _ in range(9):
+                w = [0] * p
+                while not any(w):
+                    w = [rng.randint(0, 4) for _ in range(p)]
+                expected = sum(
+                    math.factorial(d)
+                    // math.prod(math.factorial(x) for x in n)
+                    * value
+                    * math.prod(wi**ni for wi, ni in zip(w, n))
+                    for n, value in table.entries
+                )
+                assert volume(minkowski_sum(ks, w)) == expected
 
     def test_table_json(self):
         table = mixed_volumes([segment((1, 0)), segment((0, 1))])
