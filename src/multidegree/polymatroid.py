@@ -13,11 +13,16 @@ The central operation is the enumeration of the lattice points
 
 for a valid rank function r.  These are the points whose multidegree is
 positive, and they form the lattice points of a base polymatroid
-polytope (equivalently, an M-convex set).
+polytope B(r) (equivalently, an M-convex set).  Every slice of B(r) is
+again a base polytope: fixing n_1 = v leaves B(r_v) on the elements
+2..p, with r_v(A) = min(r(A), r(A + 1) - v), and it is nonempty exactly
+for r([p]) - r([p] - 1) <= v <= r({1}) (Murota, *Discrete Convex
+Analysis*, 2003).  The enumeration recurses on these slices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -40,6 +45,19 @@ def _set_to_mask(subset: Iterable[int], p: int) -> int:
             raise ValidationError(f"element {j} outside ground set 1..{p}")
         mask |= 1 << (j - 1)
     return mask
+
+
+def _json_int(value: object, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, not {type(value).__name__}")
+    return value
+
+
+def _json_list(value: object, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
+    return value
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -78,7 +96,9 @@ class Support:
         return sum(self.points[0]) if self.points else None
 
     def __contains__(self, point: Iterable[int]) -> bool:
-        return tuple(point) in set(self.points)
+        key = tuple(point)
+        i = bisect_left(self.points, key)
+        return i < len(self.points) and self.points[i] == key
 
     def __len__(self) -> int:
         return len(self.points)
@@ -94,7 +114,11 @@ class Support:
     def from_json_dict(cls, data: dict) -> "Support":
         if not isinstance(data, dict) or "p" not in data or "points" not in data:
             raise ValidationError("support JSON needs 'p' and 'points'")
-        return cls(int(data["p"]), [tuple(pt) for pt in data["points"]])
+        points = [
+            tuple(_json_int(x, "point coordinate") for x in _json_list(pt, "point"))
+            for pt in _json_list(data["points"], "points")
+        ]
+        return cls(_json_int(data["p"], "p"), points)
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,8 @@ class RankFunction:
     def from_json_dict(cls, data: dict) -> "RankFunction":
         if not isinstance(data, dict) or "p" not in data or "values" not in data:
             raise ValidationError("rank function JSON needs 'p' and 'values'")
-        return cls(int(data["p"]), [int(v) for v in data["values"]])
+        values = [_json_int(v, "rank value") for v in _json_list(data["values"], "values")]
+        return cls(_json_int(data["p"], "p"), values)
 
 
 @dataclass(frozen=True)
@@ -227,53 +252,29 @@ def validate_rank_function(r: RankFunction) -> RankReport:
 def msupp_from_rank(r: RankFunction) -> Support:
     """All n in N^p with n(J) <= r(J) for proper subsets J and |n| = r([p]).
 
-    Enumeration runs in lexicographic order over compositions of r([p])
-    bounded coordinatewise by the singleton ranks, pruning on prefix
-    subsets, with a final exhaustive check of every subset inequality.
+    Fixing n_1 = v slices B(r) down to the base polytope of the rank
+    function r_v(A) = min(r(A), r(A + 1) - v) on the elements 2..p.  The
+    slice is nonempty exactly for r([p]) - r([p] - 1) <= v <= r({1}), so
+    the recursion on slices meets no dead end, and it emits the points in
+    lexicographic order.
     """
     report = validate_rank_function(r)
     if not report.valid:
         first = report.violations[0]
         raise ValidationError(f"invalid rank function: {first.axiom} at {first.subsets}")
-    p = r.p
-    values = r.values
-    total = values[r.full_mask]
-    caps = [values[1 << j] for j in range(p)]
-    suffix_caps = [0] * (p + 1)
-    for j in range(p - 1, -1, -1):
-        suffix_caps[j] = suffix_caps[j + 1] + caps[j]
-
     points: list[tuple[int, ...]] = []
-    # subset_sum[mask] holds the coordinate sum over the prefix subset
-    # `mask`; entries for masks with highest bit j are refreshed whenever
-    # a value is tried at depth j, so reads always see current data
-    subset_sum = [0] * (1 << p)
 
-    def extend(prefix: list[int], acc: int) -> None:
-        j = len(prefix)
-        if j == p:
-            points.append(tuple(prefix))
+    def extend(prefix: tuple[int, ...], values: Sequence[int]) -> None:
+        if len(values) == 1:
+            points.append(prefix)
             return
-        remaining = total - acc
-        hi = min(caps[j], remaining)
-        lo = max(0, remaining - suffix_caps[j + 1])
-        bit = 1 << j
-        for v in range(lo, hi + 1):
-            ok = True
-            for s in range(bit):
-                m = bit | s
-                total_m = subset_sum[s] + v
-                subset_sum[m] = total_m
-                if total_m > values[m]:
-                    ok = False
-                    break
-            if ok:
-                prefix.append(v)
-                extend(prefix, acc + v)
-                prefix.pop()
+        # even masks leave out the current first element, odd ones hold it
+        without, with_ = values[0::2], values[1::2]
+        for v in range(values[-1] - values[-2], values[1] + 1):
+            extend(prefix + (v,), [min(a, b - v) for a, b in zip(without, with_)])
 
-    extend([], 0)
-    return Support(p, points)
+    extend((), r.values)
+    return Support(r.p, points)
 
 
 @dataclass(frozen=True)

@@ -202,6 +202,30 @@ class TestDeterminismAndErrors:
         code, _out, _err = run_cli(["schubert", "--perm", "1,1,2"], capsys)
         assert code == 2
 
+    # only a check on the JSON type refuses these: int() would accept
+    # the floats and the booleans, and would crash on the rest
+    @pytest.mark.parametrize(
+        "command, document",
+        [
+            ("msupp-rank", {"p": "x", "values": [0, 1]}),
+            ("msupp-rank", {"p": 1.0, "values": [0, 1]}),
+            ("msupp-rank", {"p": 1, "values": [0, 1.5]}),
+            ("msupp-rank", {"p": 1, "values": [0, True]}),
+            ("msupp-rank", {"p": 1, "values": 2}),
+            ("mconvex", {"p": 2, "points": [[1, "a"]]}),
+            ("mconvex", {"p": 2, "points": [[1, 0.5]]}),
+            ("mconvex", {"p": 2, "points": [[1, 1], [2, 0.0]]}),
+            ("mconvex", {"p": 2, "points": 3}),
+            ("mconvex", {"p": 2, "points": [7]}),
+            ("mconvex", {"p": "2", "points": [[1, 1]]}),
+        ],
+    )
+    def test_non_integer_json_exit_2(self, capsys, command, document):
+        code, out, err = run_cli([command, "--json", json.dumps(document)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err)
+
 
 class TestConsoleScript:
     def test_module_invocation(self):

@@ -1,9 +1,9 @@
 """Rank functions, base-polytope enumeration, M-convexity, subspace ranks.
 
 The randomized checks generate rank functions as minima of nonnegative
-modular functions plus constants, filtered through the validator, and
-cross-check msupp_from_rank against a pruning-free enumeration of all
-compositions.
+modular functions plus constants, filtered through the validator, or as
+linear ranks of random subspace families over Q and F_5, and cross-check
+msupp_from_rank against a pruning-free enumeration of all compositions.
 """
 
 import random
@@ -44,14 +44,12 @@ def brute_force_base_points(r):
 
     points = []
     for n in compositions(total, p):
-        ok = True
+        # sums[mask] = n(J) for the subset J that mask encodes
+        sums = [0] * (1 << p)
         for mask in range(1, 1 << p):
-            s = sum(n[j] for j in range(p) if mask >> j & 1)
-            if mask == r.full_mask:
-                ok = ok and s == total
-            else:
-                ok = ok and s <= r.values[mask]
-        if ok:
+            low = mask & -mask
+            sums[mask] = sums[mask ^ low] + n[low.bit_length() - 1]
+        if all(s <= v for s, v in zip(sums, r.values)):
             points.append(n)
     return tuple(sorted(points))
 
@@ -78,6 +76,20 @@ def random_valid_rank(rng, p, tries=200):
         if validate_rank_function(candidate).valid:
             return candidate
     raise AssertionError("could not sample a valid rank function")
+
+
+def random_family(rng, p, field="Q"):
+    """p random subspaces of a space of dimension at most 4, each spanned
+    by up to three vectors with entries in -2..2."""
+    dim = rng.randint(1, 4)
+    return SubspaceFamily(
+        dim,
+        [
+            [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+            for _ in range(p)
+        ],
+        field=field,
+    )
 
 
 class TestValidate:
@@ -138,9 +150,13 @@ class TestMsuppFromRank:
     def test_matches_brute_force_randomized(self):
         rng = random.Random(101)
         for _ in range(40):
-            p = rng.randint(1, 4)
+            p = rng.randint(1, 6)
             r = random_valid_rank(rng, p)
             assert msupp_from_rank(r).points == brute_force_base_points(r)
+        for field in ("Q", "Fp:5"):
+            for _ in range(25):
+                r = linear_rank(random_family(rng, rng.randint(1, 6), field))
+                assert msupp_from_rank(r).points == brute_force_base_points(r)
 
     def test_nonempty_and_mconvex_randomized(self):
         rng = random.Random(103)
@@ -231,18 +247,7 @@ class TestLinearRank:
     def test_result_always_valid_randomized(self):
         rng = random.Random(109)
         for _ in range(25):
-            p = rng.randint(1, 4)
-            dim = rng.randint(1, 4)
-            fam = SubspaceFamily(
-                dim,
-                [
-                    [
-                        tuple(rng.randint(-2, 2) for _ in range(dim))
-                        for _ in range(rng.randint(0, 3))
-                    ]
-                    for _ in range(p)
-                ],
-            )
+            fam = random_family(rng, rng.randint(1, 4))
             assert validate_rank_function(linear_rank(fam)).valid
 
     def test_prime_field(self):
