@@ -64,11 +64,14 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _emit(document: object, args: argparse.Namespace) -> int:
     payload = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    sys.stdout.write(payload)
     output = getattr(args, "output", None)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {output}: {exc}") from exc
+    sys.stdout.write(payload)
     return EXIT_OK
 
 
@@ -178,12 +181,11 @@ def _cmd_multidegree(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     poly = hilbert.multidegree_polynomial(ideal)
-    codim = ideal.grading.nvars - hilbert.quotient_krull_dimension(ideal)
     return _emit(
         {
             "polynomial": poly.to_json_dict(),
             "pretty": poly.pretty(),
-            "codimension": codim,
+            "codimension": poly.total_degree(),
         },
         args,
     )
@@ -218,7 +220,10 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
     if args.n is not None:
         n = _parse_int_list(args.n, "type vector")
     elif "n" in document:
-        n = [int(x) for x in document["n"]]
+        n = [
+            polymatroid._json_int(x, "entry of n")
+            for x in polymatroid._json_list(document["n"], "n")
+        ]
     else:
         raise ValidationError("positivity needs --n or an 'n' field in the input")
     # the two criteria are one rank test, so the decision is made once
@@ -230,7 +235,7 @@ def _cmd_flag(args: argparse.Namespace) -> int:
     if args.p is None:
         raise ValidationError("flag needs --p")
     support = flagmoduli.flag_msupp(args.p)
-    report = flagmoduli.flag_comparator_report(args.p)
+    report = flagmoduli.flag_comparator_report(support)
     return _emit(
         {
             "support": support.to_json_dict(),

@@ -67,10 +67,11 @@ def flag_simple_inequalities(p: int, n: Sequence[int]) -> bool:
     return True
 
 
-def flag_comparator_report(p: int) -> dict:
-    """Pointwise comparison of the rank-route support with the literal
-    inequality system, over all compositions of binom(p+1, 2)."""
-    support = flag_msupp(p)
+def flag_comparator_report(support: Support) -> dict:
+    """Pointwise comparison of the rank-route support `flag_msupp(p)`
+    with the literal inequality system, over all compositions of
+    binom(p+1, 2)."""
+    p = support.p
     members = set(support.points)
     weight = comb(p + 1, 2)
     only_rank = []

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
 from .poly import IntPolynomial
-from .polymatroid import Support
+from .polymatroid import Support, _json_int, _json_rows
 
 MAX_DIMENSION_VARS = 20
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
@@ -112,8 +112,12 @@ class MonomialIdeal:
         needed = {"nvars", "p", "degrees", "generators"}
         if not isinstance(data, dict) or not needed <= set(data):
             raise ValidationError(f"monomial ideal JSON needs {sorted(needed)}")
-        grading = Grading(int(data["nvars"]), int(data["p"]), data["degrees"])
-        return cls(grading, [tuple(g) for g in data["generators"]])
+        grading = Grading(
+            _json_int(data["nvars"], "nvars"),
+            _json_int(data["p"], "p"),
+            _json_rows(data["degrees"], "degrees", _json_int),
+        )
+        return cls(grading, _json_rows(data["generators"], "generators", _json_int))
 
 
 def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -290,14 +294,17 @@ def quotient_krull_dimension(ideal: MonomialIdeal) -> int:
 
 
 def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
-    """Degree-filtered K-polynomial: the terms of K(S/I; 1-t) of total
-    degree dim(S) - dim(S/I).
+    """Degree-filtered K-polynomial: the lowest-degree part of K(S/I; 1-t).
 
-    Equals the multidegree polynomial of MultiProj(S/I) whenever the
-    quotient has no irrelevant torsion, which the caller asserts.
+    The terms of K(S/I; 1-t) below total degree codim(S/I) vanish and
+    those of degree codim(S/I) do not (Miller-Sturmfels, *Combinatorial
+    Commutative Algebra*, chapter 8), so the lowest total degree present
+    is the codimension and needs no dimension computation.  Equals the
+    multidegree polynomial of MultiProj(S/I) whenever the quotient has
+    no irrelevant torsion, which the caller asserts.
     """
-    codim = ideal.grading.nvars - quotient_krull_dimension(ideal)
-    return kpolynomial(ideal).substitute_one_minus().truncate_total_degree(codim)
+    expanded = kpolynomial(ideal).substitute_one_minus()
+    return expanded.truncate_total_degree(min(sum(e) for e in expanded.terms))
 
 
 @dataclass(frozen=True)
@@ -362,7 +369,8 @@ class SimplicialComplex:
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
         if not isinstance(data, dict) or "nverts" not in data or "facets" not in data:
             raise ValidationError("simplicial complex JSON needs 'nverts' and 'facets'")
-        return cls(int(data["nverts"]), [tuple(f) for f in data["facets"]])
+        facets = _json_rows(data["facets"], "facets", _json_int)
+        return cls(_json_int(data["nverts"], "nverts"), facets)
 
 
 def stanley_reisner_ideal(

@@ -2,11 +2,12 @@
 sums, and mixed volumes by polarization.
 
 All geometry is exact: coordinates are rationals, scaled to integers
-before hull computations.  Volumes in 3D come from a triangulated
-convex hull; the incremental construction self-checks (closed oriented
-surface, Euler characteristic 2, every point beneath every facet plane)
-and falls back to an exhaustive supporting-plane search whenever any
-check fails, so a wrong volume is never returned silently.
+before hull computations.  Volumes and extreme points in 3D come from
+one triangulated convex hull, built incrementally.  It checks itself
+(a non-degenerate seed tetrahedron, a closed oriented surface of Euler
+characteristic 2 after every insertion, every point beneath every
+facet plane at the end) and raises AssertionError when a check fails,
+so a wrong volume is never returned silently.
 
 Mixed volumes come from the polarization formula (Schneider, *Convex
 Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
@@ -23,7 +24,14 @@ from typing import Iterable, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError
 from .linalg import rank_rational
-from .polymatroid import SubspaceFamily, compositions, linear_rank
+from .polymatroid import (
+    SubspaceFamily,
+    _json_int,
+    _json_rational,
+    _json_rows,
+    compositions,
+    linear_rank,
+)
 
 MAX_AMBIENT_DIM = 3
 
@@ -71,7 +79,8 @@ class LatticePolytope:
     def from_json_dict(cls, data: dict) -> "LatticePolytope":
         if not isinstance(data, dict) or "d" not in data or "vertices" not in data:
             raise ValidationError("polytope JSON needs 'd' and 'vertices'")
-        return cls(int(data["d"]), data["vertices"])
+        vertices = _json_rows(data["vertices"], "vertices", _json_rational)
+        return cls(_json_int(data["d"], "d"), vertices)
 
 
 # -- exact primitives --------------------------------------------------------
@@ -170,11 +179,7 @@ def _hull_2d(points: Sequence[IntPoint]) -> list[IntPoint]:
     return lower[:-1] + upper[:-1]
 
 
-# -- 3D hull: fast incremental with self-checks, exhaustive fallback ---------
-
-
-class _HullFallback(Exception):
-    """Internal signal: incremental hull aborted a self-check."""
+# -- 3D hull: incremental construction with self-checks --------------------
 
 
 Triangle = tuple[IntPoint, IntPoint, IntPoint]
@@ -187,37 +192,32 @@ def _surface_checks(faces: list[Triangle]) -> None:
             edges[e] = edges.get(e, 0) + 1
     for (u, v), count in edges.items():
         if count != 1 or edges.get((v, u), 0) != 1:
-            raise _HullFallback("surface is not a closed oriented manifold")
+            raise AssertionError("hull surface is not a closed oriented manifold")
     used = {v for f in faces for v in f}
     if len(used) - len(edges) // 2 + len(faces) != 2:
-        raise _HullFallback("surface is not a topological sphere")
+        raise AssertionError("hull surface is not a topological sphere")
 
 
 def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Triangle]:
+    """Outward-oriented triangulated boundary of the hull of
+    full-dimensional points: grow a seed tetrahedron one point at a time,
+    replacing the faces each new point sees by the cone over their
+    horizon."""
     pts = sorted(set(points))
-    i1 = next((i for i in range(1, len(pts)) if pts[i] != pts[0]), None)
-    if i1 is None:
-        raise _HullFallback("degenerate input")
-    i2 = next(
-        (
+    try:
+        i1 = next(i for i in range(1, len(pts)) if pts[i] != pts[0])
+        i2 = next(
             i
             for i in range(i1 + 1, len(pts))
             if any(_cross3(_sub(pts[i1], pts[0]), _sub(pts[i], pts[0])))
-        ),
-        None,
-    )
-    if i2 is None:
-        raise _HullFallback("degenerate input")
-    i3 = next(
-        (
+        )
+        i3 = next(
             i
             for i in range(i2 + 1, len(pts))
             if _orient3(pts[0], pts[i1], pts[i2], pts[i]) != 0
-        ),
-        None,
-    )
-    if i3 is None:
-        raise _HullFallback("degenerate input")
+        )
+    except StopIteration:
+        raise AssertionError("no seed tetrahedron: points not full-dimensional") from None
     corners = [pts[0], pts[i1], pts[i2], pts[i3]]
     faces: list[Triangle] = []
     for omit in range(4):
@@ -242,42 +242,7 @@ def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Triangle]:
     for f in faces:
         for q in pts:
             if _orient3(f[0], f[1], f[2], q) > 0:
-                raise _HullFallback("a point ended up beyond a facet plane")
-    return faces
-
-
-def _supporting_planes(points: Sequence[IntPoint]) -> dict[tuple, list[IntPoint]]:
-    """All supporting planes found by exhaustive search over point
-    triples; key is the primitive outward (normal, offset), value the
-    on-plane points."""
-    pts = sorted(set(points))
-    planes: dict[tuple, list[IntPoint]] = {}
-    for a, b, c in combinations(pts, 3):
-        normal = _cross3(_sub(b, a), _sub(c, a))
-        if not any(normal):
-            continue
-        offset = _dot(normal, a)
-        sides = {_dot(normal, q) - offset for q in pts}
-        if any(s > 0 for s in sides) and any(s < 0 for s in sides):
-            continue
-        if any(s > 0 for s in sides):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        g = math.gcd(*(abs(x) for x in normal), abs(offset))
-        key = (tuple(x // g for x in normal), offset // g)
-        if key not in planes:
-            planes[key] = [q for q in pts if _dot(key[0], q) == key[1]]
-    return planes
-
-
-def _hull_3d_bruteforce(points: Sequence[IntPoint]) -> list[Triangle]:
-    """Triangulated boundary by the exhaustive supporting-plane search."""
-    faces: list[Triangle] = []
-    for (normal, _offset), on_plane in _supporting_planes(points).items():
-        ring = _facet_ring(on_plane, normal)
-        for k in range(1, len(ring) - 1):
-            faces.append((ring[0], ring[k], ring[k + 1]))
-    _surface_checks(faces)
+                raise AssertionError("a point ended up beyond a hull facet plane")
     return faces
 
 
@@ -296,22 +261,8 @@ def _facet_ring(on_plane: Sequence[IntPoint], normal: IntPoint) -> list[IntPoint
     return ring
 
 
-# Incremental construction wins above this size; below it the exhaustive
-# search is already fast and is the prescribed reference method.
-_INCREMENTAL_THRESHOLD = 14
-
-
-def _hull_3d_triangles(points: Sequence[IntPoint]) -> list[Triangle]:
-    if len(set(points)) > _INCREMENTAL_THRESHOLD:
-        try:
-            return _hull_3d_incremental(points)
-        except _HullFallback:
-            pass
-    return _hull_3d_bruteforce(points)
-
-
 def _volume_3d_scaled(points: Sequence[IntPoint]) -> Fraction:
-    faces = _hull_3d_triangles(points)
+    faces = _hull_3d_incremental(points)
     six_vol = 0
     for a, b, c in faces:
         six_vol += (
@@ -374,12 +325,17 @@ def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
         )
         ring = _facet_ring(ints, normal)
         return sorted(back[q] for q in ring)
-    # dim == 3: take the (small) triangulation vertex set, then identify
-    # the genuinely extreme points by the exhaustive facet search.
-    tri_vertices = sorted({v for f in _hull_3d_triangles(ints) for v in f})
+    # dim == 3: the triangles on one facet share a primitive outward plane;
+    # the strict ring of each facet drops points inside its edges.
+    facets: dict[tuple[IntPoint, int], set[IntPoint]] = {}
+    for a, b, c in _hull_3d_incremental(ints):
+        normal = _cross3(_sub(b, a), _sub(c, a))
+        g = math.gcd(*normal)
+        normal = tuple(x // g for x in normal)
+        facets.setdefault((normal, _dot(normal, a)), set()).update((a, b, c))
     hull_vertices: set[IntPoint] = set()
-    for (normal, _offset), on_plane in _supporting_planes(tri_vertices).items():
-        hull_vertices.update(_facet_ring(on_plane, normal))
+    for (normal, _offset), on_plane in facets.items():
+        hull_vertices.update(_facet_ring(sorted(on_plane), normal))
     return sorted(back[q] for q in hull_vertices)
 
 

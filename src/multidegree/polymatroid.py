@@ -22,10 +22,11 @@ Analysis*, 2003).  The enumeration recurses on these slices.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError
 from .linalg import is_prime, rank_mod_p, rank_rational
@@ -58,6 +59,30 @@ def _json_list(value: object, what: str) -> list:
     if not isinstance(value, list):
         raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
     return value
+
+
+def _json_rows(value: object, what: str, parse: Callable[[object, str], object]) -> list[list]:
+    """An array of arrays whose entries are read by parse(entry, what)."""
+    return [
+        [parse(x, f"entry of {what}") for x in _json_list(row, f"row of {what}")]
+        for row in _json_list(value, what)
+    ]
+
+
+# the schema's "a" or "a/b", with the denominator b nonzero
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _json_rational(value: object, what: str) -> Fraction:
+    """A JSON integer or a string "a" or "a/b"; floats, booleans, zero
+    denominators and other spellings ("1e5", "0.5", " 1") are refused."""
+    if not isinstance(value, str):
+        return Fraction(_json_int(value, what))
+    if not _RATIONAL.fullmatch(value):
+        raise ValidationError(
+            f"{what} {value!r} is not an integer a or a fraction a/b with b > 0"
+        )
+    return Fraction(value)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -114,11 +139,7 @@ class Support:
     def from_json_dict(cls, data: dict) -> "Support":
         if not isinstance(data, dict) or "p" not in data or "points" not in data:
             raise ValidationError("support JSON needs 'p' and 'points'")
-        points = [
-            tuple(_json_int(x, "point coordinate") for x in _json_list(pt, "point"))
-            for pt in _json_list(data["points"], "points")
-        ]
-        return cls(_json_int(data["p"], "p"), points)
+        return cls(_json_int(data["p"], "p"), _json_rows(data["points"], "points", _json_int))
 
 
 @dataclass(frozen=True)
@@ -403,9 +424,14 @@ class SubspaceFamily:
     def from_json_dict(cls, data: dict) -> "SubspaceFamily":
         if not isinstance(data, dict) or "ambient" not in data or "subspaces" not in data:
             raise ValidationError("subspace family JSON needs 'ambient' and 'subspaces'")
-        return cls(
-            int(data["ambient"]), data["subspaces"], field=data.get("field", "Q")
-        )
+        subspaces = [
+            _json_rows(gens, "subspace", _json_rational)
+            for gens in _json_list(data["subspaces"], "subspaces")
+        ]
+        field = data.get("field", "Q")
+        if not isinstance(field, str):
+            raise ValidationError(f"field must be a string, not {type(field).__name__}")
+        return cls(_json_int(data["ambient"], "ambient"), subspaces, field=field)
 
 
 def _parse_field(field: str) -> int | None:

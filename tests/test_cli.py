@@ -182,16 +182,26 @@ class TestDeterminismAndErrors:
         assert code == 3
         assert "dimension" in err
 
-    def test_budget_exit_3(self, capsys):
+    def test_multidegree_beyond_20_variables(self, capsys):
+        # the codimension is read off K(1 - t), not from the capped
+        # dimension search
         ideal = {
             "nvars": 21,
             "p": 1,
             "degrees": [[1]] * 21,
             "generators": [[1, 1] + [0] * 19],
         }
-        code, _out, err = run_cli(["multidegree", "--json", json.dumps(ideal)], capsys)
-        assert code == 3
-        assert "20" in err
+        doc = run_json(["multidegree", "--json", json.dumps(ideal)], capsys)
+        assert doc["codimension"] == 1
+        assert doc["pretty"] == "2*t1"
+
+    def test_output_into_missing_directory_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli(["m0n", "--p", "3", "--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "cannot write" in json.loads(err)["error"]
+        assert not target.parent.exists()
 
     def test_missing_subcommand_exit_2(self, capsys):
         code, out, _err = run_cli([], capsys)
@@ -202,8 +212,9 @@ class TestDeterminismAndErrors:
         code, _out, _err = run_cli(["schubert", "--perm", "1,1,2"], capsys)
         assert code == 2
 
-    # only a check on the JSON type refuses these: int() would accept
-    # the floats and the booleans, and would crash on the rest
+    # only a check on the JSON type refuses these: int() and Fraction()
+    # would accept the floats, the booleans and "1e5", and would crash on
+    # the rest
     @pytest.mark.parametrize(
         "command, document",
         [
@@ -218,6 +229,22 @@ class TestDeterminismAndErrors:
             ("mconvex", {"p": 2, "points": 3}),
             ("mconvex", {"p": 2, "points": [7]}),
             ("mconvex", {"p": "2", "points": [[1, 1]]}),
+            ("msupp-linear", {"ambient": 1, "subspaces": [[["1/0"]]]}),
+            ("msupp-linear", {"ambient": 1, "subspaces": [[[0.1]]]}),
+            ("msupp-linear", {"ambient": 1, "subspaces": [[["1e5"]]]}),
+            ("msupp-linear", {"ambient": "1", "subspaces": [[["1"]]]}),
+            ("msupp-linear", {"ambient": 1, "subspaces": [[["1"]]], "field": 5}),
+            ("mixedvol", {"polytopes": [{"d": 1, "vertices": [["2/0"]]}]}),
+            ("mixedvol", {"polytopes": [{"d": 1, "vertices": [[0.1]]}]}),
+            ("mixedvol", {"polytopes": [{"d": 1, "vertices": [[True]]}]}),
+            ("mixedvol", {"polytopes": [{"d": 1, "vertices": [[" 1"]]}]}),
+            ("mixedvol", {"polytopes": [{"d": 1.0, "vertices": [[1]]}]}),
+            ("positivity", {"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": ["x"]}),
+            ("sr-ideal", {"nverts": "x", "facets": [[1]]}),
+            ("sr-ideal", {"nverts": 2, "facets": 3}),
+            ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": 5}),
+            ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": [[1.5]]}),
+            ("kpoly", {"nvars": "1", "p": 1, "degrees": [[1]], "generators": [[1]]}),
         ],
     )
     def test_non_integer_json_exit_2(self, capsys, command, document):

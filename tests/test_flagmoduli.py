@@ -101,7 +101,7 @@ class TestComparator:
 
     def test_report_structure_and_discrepancy(self):
         for p in range(1, 7):
-            report = flag_comparator_report(p)
+            report = flag_comparator_report(flag_msupp(p))
             assert set(report) >= {
                 "p",
                 "agree",
@@ -112,7 +112,7 @@ class TestComparator:
             }
             assert report["count_rank_route"] == len(flag_msupp(p))
         # the discrepancy at p=2 is a recorded fact, not an assertion failure
-        report2 = flag_comparator_report(2)
+        report2 = flag_comparator_report(flag_msupp(2))
         assert not report2["agree"]
         assert report2["only_rank_route"] == [[1, 2], [2, 1]]
         assert report2["only_literal_route"] == []

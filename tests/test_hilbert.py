@@ -194,10 +194,40 @@ class TestMultidegree:
         )
 
     def test_too_many_variables_refused(self):
+        # the exact dimension refuses 21 variables; the multidegree does
+        # not need it
         grading = Grading(21, 1, [(1,)] * 21)
         ideal = MonomialIdeal(grading, [tuple(1 if i < 2 else 0 for i in range(21))])
         with pytest.raises(UnsupportedSizeError):
-            multidegree_polynomial(ideal)
+            quotient_krull_dimension(ideal)
+        assert multidegree_polynomial(ideal) == IntPolynomial(1, {(1,): 2})
+
+    def test_degree_is_codimension_randomized(self):
+        # the lowest degree of K(1 - t) is nvars - dim(S/I), computed here
+        # by the exact vertex cover, on non-squarefree ideals and
+        # non-standard gradings
+        rng = random.Random(8)
+        for _ in range(150):
+            nvars = rng.randint(1, 6)
+            p = rng.randint(1, 3)
+            degrees = []
+            for _ in range(nvars):
+                degree = [0] * p
+                while not any(degree):
+                    degree = [rng.choice((0, 0, 1, 2)) for _ in range(p)]
+                degrees.append(degree)
+            gens = set()
+            for _ in range(rng.randint(0, 5)):
+                exps = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars))
+                if any(exps) and not any(
+                    all(x <= y for x, y in zip(g, exps)) for g in gens
+                ):
+                    gens = {g for g in gens if not all(x <= y for x, y in zip(exps, g))}
+                    gens.add(exps)
+            ideal = MonomialIdeal(Grading(nvars, p, degrees), gens)
+            poly = multidegree_polynomial(ideal)
+            assert poly.total_degree() == nvars - quotient_krull_dimension(ideal)
+            assert all(sum(e) == poly.total_degree() for e in poly.terms)
 
 
 class TestStanleyReisner:

@@ -1,14 +1,18 @@
 """Exact polytope geometry: dimensions, volumes, Minkowski sums, mixed
 volumes, and the positivity criterion.
 
-The exhaustive supporting-plane hull is the reference; the fast
-incremental hull is property-tested against it on degeneracy-rich
-random point sets (many collinear/coplanar configurations).
+The library has one 3D hull, the incremental construction.  The
+exhaustive supporting-plane search in hull_oracle.py is its reference:
+volumes and extreme points are compared on degeneracy-rich random
+configurations of 4 to 40 points (clouds on a small grid, Minkowski
+sums of two random 3-polytopes, sheared grids and prisms, with many
+collinear and coplanar points).
 """
 
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -23,12 +27,16 @@ from multidegree import (
     segments_criterion,
     volume,
 )
+from multidegree.linalg import rank_rational
 from multidegree.mixedvol import (
-    _hull_3d_bruteforce,
     _hull_3d_incremental,
     _scale_to_int,
+    _sub,
     _volume_3d_scaled,
+    extreme_points,
 )
+
+from hull_oracle import enclosed_volume, hull_3d_bruteforce, hull_vertices
 
 
 def cube(d=3):
@@ -47,16 +55,39 @@ def point(coords):
     return LatticePolytope(len(coords), [coords])
 
 
-def surface_volume(points):
-    faces = _hull_3d_bruteforce(points)
-    six = 0
-    for a, b, c in faces:
-        six += (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
+def full_dimensional(points):
+    return rank_rational([_sub(q, points[0]) for q in points[1:]]) == 3
+
+
+def sheared(points, rng):
+    """Image under a random nonsingular integer matrix with entries in
+    -1..1, so that degenerate faces point in general directions."""
+    while True:
+        m = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)]
+        if rank_rational(m) == 3:
+            return [tuple(sum(r[k] * q[k] for k in range(3)) for r in m) for q in points]
+
+
+def random_configuration(rng):
+    """4 to 40 integer points: a cloud, a Minkowski sum of two random
+    3-polytopes, or a sheared grid or prism."""
+    kind = rng.choice(("cloud", "minkowski", "grid", "prism"))
+    if kind == "cloud":
+        return [tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(rng.randint(4, 40))]
+    if kind == "minkowski":
+        a, b = (
+            [tuple(rng.randint(-1, 1) for _ in range(3)) for _ in range(rng.randint(4, 6))]
+            for _ in range(2)
         )
-    return Fraction(six, 6)
+        return sorted({tuple(x + y for x, y in zip(p, q)) for p in a for q in b})
+    if kind == "grid":
+        sizes = [3, 3, 3]
+        while math.prod(sizes) > 40:
+            sizes = [rng.randint(2, 4) for _ in range(3)]
+        return sheared(list(product(*(range(k) for k in sizes))), rng)
+    base = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 8))]
+    levels = sorted(rng.sample(range(-2, 3), rng.randint(2, 4)))
+    return sheared([(x, y, z) for x, y in base for z in levels], rng)
 
 
 class TestDim:
@@ -140,32 +171,14 @@ class TestHullAgreement:
     def test_incremental_matches_bruteforce_randomized(self):
         rng = random.Random(1234)
         trials = 0
-        while trials < 120:
-            npts = rng.randint(4, 12)
-            pts = [
-                tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(npts)
-            ]
-            ints, _ = _scale_to_int(
-                [tuple(Fraction(x) for x in p) for p in pts]
-            )
-            base = ints[0]
-            diffs = [tuple(a - b for a, b in zip(q, base)) for q in ints[1:]]
-            from multidegree.linalg import rank_rational
-
-            if rank_rational(diffs) < 3:
+        while trials < 100:
+            pts = random_configuration(rng)
+            if not full_dimensional(pts):
                 continue
             trials += 1
-            expected = surface_volume(ints)
-            # a fallback raises here and fails the test
-            faces = _hull_3d_incremental(ints)
-            six = 0
-            for a, b, c in faces:
-                six += (
-                    a[0] * (b[1] * c[2] - b[2] * c[1])
-                    - a[1] * (b[0] * c[2] - b[2] * c[0])
-                    + a[2] * (b[0] * c[1] - b[1] * c[0])
-                )
-            assert Fraction(six, 6) == expected
+            # a failed self-check raises AssertionError and fails the test
+            faces = _hull_3d_incremental(pts)
+            assert enclosed_volume(faces) == enclosed_volume(hull_3d_bruteforce(pts))
 
     def test_volume_entry_point_matches_reference(self):
         rng = random.Random(4321)
@@ -177,7 +190,23 @@ class TestHullAgreement:
                 assert volume(k) == 0
                 continue
             ints, scale = _scale_to_int(k.vertices)
-            assert volume(k) == surface_volume(ints) / scale**3
+            assert volume(k) == enclosed_volume(hull_3d_bruteforce(ints)) / scale**3
+
+    def test_extreme_points_matches_oracle_randomized(self):
+        rng = random.Random(5678)
+        trials = 0
+        while trials < 60:
+            den = rng.randint(1, 4)
+            pts = [
+                tuple(Fraction(x, den) for x in q) for q in random_configuration(rng)
+            ]
+            if not full_dimensional(pts):
+                continue
+            trials += 1
+            ints, _scale = _scale_to_int(sorted(set(pts)))
+            back = dict(zip(ints, sorted(set(pts))))
+            expected = sorted(back[q] for q in hull_vertices(ints))
+            assert extreme_points(3, pts) == expected
 
     def test_degenerate_rich_configurations(self):
         # grids and prisms: lots of collinear and coplanar points
