@@ -16,12 +16,13 @@ from math import comb
 from typing import Sequence
 
 from .errors import ValidationError
-from .polymatroid import RankFunction, Support, compositions, msupp_from_rank
+from .polymatroid import RankFunction, Support, check_ground_set, compositions, msupp_from_rank
 
 
 def flag_rank_function(p: int) -> RankFunction:
     """r(J) = sum over i<j of d_i d_j for the gap sizes d of J in [p],
     the dimension of the partial flag variety of the subspace sizes J."""
+    check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
     values = []
@@ -98,6 +99,7 @@ def flag_comparator_report(support: Support) -> dict:
 def m0n_rank_function(p: int) -> RankFunction:
     """r(J) = max(J), the projection dimensions of the iterated
     Keel-Tevelev embedding of the (p+3)-pointed rational curves."""
+    check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
     values = []

@@ -1,10 +1,10 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Everything here works on small dense matrices (rows as sequences) and
-uses fraction-free or Fraction arithmetic, so ranks and solutions are
-exact.  Intended for the subspace-dimension computations of the
-polymatroid module and the dimension tests of the mixed-volume module;
-sizes never exceed a few hundred rows.
+One Gaussian elimination, `extend_basis`, serves every routine.  It grows
+an echelon basis, a list of (pivot column, row) pairs: each row is 1 at
+its pivot and was reduced by the rows before it, so reducing a new row by
+the basis in order clears every pivot column.  Entries are Fractions over
+Q and residues mod p over F_p, so ranks and solutions are exact.
 """
 
 from __future__ import annotations
@@ -15,31 +15,39 @@ from typing import Sequence
 from .errors import ValidationError
 
 
+def _mod(vec: list, prime: int | None) -> list:
+    return vec if prime is None else [x % prime for x in vec]
+
+
+def extend_basis(basis: list, rows: Sequence[Sequence], prime: int | None = None) -> list:
+    """A new basis: `basis` plus the independent remainders of `rows`, over
+    Q or F_prime.  `basis` itself is never changed, so sibling extensions
+    may share it.  Rows stop being read once the basis spans the space."""
+    basis = list(basis)
+    for row in rows:
+        if len(basis) == len(row):
+            break
+        vec = [Fraction(x) for x in row] if prime is None else _mod(list(map(int, row)), prime)
+        for col, pivot_row in basis:
+            factor = vec[col]
+            if factor:
+                vec = _mod([a - factor * b for a, b in zip(vec, pivot_row)], prime)
+        col = next((i for i, x in enumerate(vec) if x), None)
+        if col is not None:
+            inv = 1 / vec[col] if prime is None else pow(vec[col], -1, prime)
+            basis.append((col, _mod([x * inv for x in vec], prime)))
+    return basis
+
+
+def _check_rectangular(rows: Sequence[Sequence]) -> None:
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValidationError("ragged matrix: rows have different lengths")
+
+
 def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of the matrix with the given rows, by Gaussian elimination over Q."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    if any(len(row) != ncols for row in mat):
-        raise ValidationError("ragged matrix: rows have different lengths")
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    _check_rectangular(rows)
+    return len(extend_basis([], rows))
 
 
 def is_prime(n: int) -> bool:
@@ -57,29 +65,8 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     """Rank of an integer matrix over the prime field F_p."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    mat = [[x % p for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    if any(len(row) != ncols for row in mat):
-        raise ValidationError("ragged matrix: rows have different lengths")
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < ncols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(x * inv) % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
+    _check_rectangular(rows)
+    return len(extend_basis([], rows, p))
 
 
 def solve_rational(
@@ -87,18 +74,15 @@ def solve_rational(
 ) -> list[Fraction]:
     """Solve the square system matrix @ x = rhs exactly; raise if singular."""
     n = len(matrix)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if any(len(row) != n + 1 for row in aug):
         raise ValidationError("solve_rational expects a square matrix")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValidationError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    basis = extend_basis([], aug)
+    if len(basis) < n or any(col == n for col, _row in basis):
+        raise ValidationError("singular linear system")
+    # a row is 1 at its pivot and 0 at the pivots before it; from the last
+    # row up, x is still 0 there, so the dot product holds only known terms
+    x = [Fraction(0)] * n
+    for col, row in reversed(basis):
+        x[col] = row[n] - sum(a * b for a, b in zip(row, x))
+    return x

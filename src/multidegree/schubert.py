@@ -17,6 +17,7 @@ from typing import Iterable
 from .errors import ValidationError
 from .poly import IntPolynomial
 from .polymatroid import RankFunction, Support, msupp_from_rank, validate_rank_function
+from .polymatroid import _json_int, _json_list, _json_rows, _set_to_mask, check_ground_set
 
 
 @dataclass(frozen=True)
@@ -73,8 +74,10 @@ class Permutation:
     def from_json_dict(cls, data: dict) -> "Permutation":
         if not isinstance(data, dict) or "one_line" not in data:
             raise ValidationError("permutation JSON needs 'one_line'")
-        perm = cls(data["one_line"])
-        if "p" in data and int(data["p"]) != perm.p:
+        perm = cls(
+            _json_int(x, "entry of one_line") for x in _json_list(data["one_line"], "one_line")
+        )
+        if "p" in data and _json_int(data["p"], "p") != perm.p:
             raise ValidationError("permutation JSON 'p' disagrees with 'one_line'")
         return perm
 
@@ -134,7 +137,11 @@ class Diagram:
     def from_json_dict(cls, data: dict) -> "Diagram":
         if not isinstance(data, dict) or "p" not in data or "cells" not in data:
             raise ValidationError("diagram JSON needs 'p' and 'cells'")
-        return cls(int(data["p"]), [tuple(c) for c in data["cells"]])
+        cells = _json_rows(data["cells"], "cells", _json_int)
+        for cell in cells:
+            if len(cell) != 2:
+                raise ValidationError(f"cell {cell} is not a (row, col) pair")
+        return cls(_json_int(data["p"], "p"), cells)
 
 
 def rothe_diagram(pi: Permutation) -> Diagram:
@@ -184,6 +191,7 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
 def theta_rank_function(d: Diagram) -> RankFunction:
     """Table of theta over all subsets of [p]."""
     p = d.p
+    check_ground_set(p)
     values = [
         theta(d, [j + 1 for j in range(p) if mask >> j & 1]) for mask in range(1 << p)
     ]
@@ -222,11 +230,7 @@ def schubert_support_polytope(pi: Permutation) -> Support:
 def projection_codim(pi: Permutation, subset: Iterable[int]) -> int:
     """theta([p]) - theta([p] \\ subset): codimension of the projection
     of the matrix Schubert variety onto the rows in the subset."""
-    rho = theta_rank_function(rothe_diagram(pi))
-    mask = 0
-    for j in subset:
-        if not 1 <= j <= pi.p:
-            raise ValidationError(f"element {j} outside ground set 1..{pi.p}")
-        mask |= 1 << (j - 1)
-    full = rho.full_mask
-    return rho.values[full] - rho.values[full ^ mask]
+    mask = _set_to_mask(subset, pi.p)
+    d = rothe_diagram(pi)
+    rows = range(1, pi.p + 1)
+    return theta(d, rows) - theta(d, [j for j in rows if not mask >> (j - 1) & 1])

@@ -4,6 +4,7 @@ and exit codes."""
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -203,6 +204,16 @@ class TestDeterminismAndErrors:
         assert "cannot write" in json.loads(err)["error"]
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("command", ["m0n", "flag"])
+    def test_ground_set_cap_before_the_table(self, capsys, command):
+        # the cap is checked before a 2^p table is built, so this is quick
+        start = time.perf_counter()
+        code, out, err = run_cli([command, "--p", "40"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "exceeds the supported maximum" in json.loads(err)["error"]
+
     def test_missing_subcommand_exit_2(self, capsys):
         code, out, _err = run_cli([], capsys)
         assert code == 2
@@ -245,10 +256,19 @@ class TestDeterminismAndErrors:
             ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": 5}),
             ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": [[1.5]]}),
             ("kpoly", {"nvars": "1", "p": 1, "degrees": [[1]], "generators": [[1]]}),
+            ("schubert", {"one_line": ["a", 2]}),
+            ("schubert", {"one_line": 5}),
+            ("schubert", {"one_line": [2, 1], "p": "x"}),
+            ("schubert", {"one_line": [2.0, 1]}),
+            ("theta --subset 1", {"p": "x", "cells": []}),
+            ("theta --subset 1", {"p": 2, "cells": [[1]]}),
+            ("theta --subset 1", {"p": 2, "cells": 5}),
+            ("theta --subset 1", {"p": 2.5, "cells": [[1, 1]]}),
+            ("theta --subset 1", {"p": 2, "cells": [[1, 1, 1]]}),
         ],
     )
     def test_non_integer_json_exit_2(self, capsys, command, document):
-        code, out, err = run_cli([command, "--json", json.dumps(document)], capsys)
+        code, out, err = run_cli([*command.split(), "--json", json.dumps(document)], capsys)
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err)

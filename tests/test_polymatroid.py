@@ -25,6 +25,8 @@ from multidegree import (
     validate_rank_function,
 )
 
+from rank_oracle import sympy_rank
+
 INTRO_RANK = RankFunction(3, [0, 1, 2, 2, 3, 3, 3, 3])
 INTRO_POINTS = ((0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1))
 
@@ -243,6 +245,32 @@ class TestLinearRank:
     def test_equal_lines(self):
         fam = SubspaceFamily(2, [[(1, 0)], [(1, 0)]])
         assert linear_rank(fam).values == (0, 1, 1, 1)
+
+    @pytest.mark.parametrize("field, prime", [("Q", None), ("Fp:5", 5)])
+    def test_matches_sympy_rank_per_subset(self, field, prime):
+        # the depth-first extensions against one oracle rank per subset
+        rng = random.Random(115)
+        families = [random_family(rng, rng.randint(1, 6), field) for _ in range(25)]
+        families += [
+            SubspaceFamily(3, [[], [], []], field),
+            # zero subspaces between lines and planes
+            SubspaceFamily(3, [[], [(1, 0, 0)], [], [(0, 1, 0), (0, 2, 0)], [(0, 0, 0)], []], field),
+            # the first element spans the space, the later ones add nothing
+            SubspaceFamily(2, [[(1, 0), (0, 1)], [(1, 1)], [(2, 3)], [], [(0, 1)]], field),
+            # the first three elements span the space before the last ones
+            SubspaceFamily(3, [[(1, 1, 0)], [(0, 1, 1)], [(1, 0, 1)], [(1, 2, 3)], [(3, 2, 1)], [(1, 1, 1)]], field),
+        ]
+        for fam in families:
+            expected = tuple(
+                sympy_rank([v for j in range(fam.p) if mask >> j & 1 for v in fam.generators[j]], prime)
+                for mask in range(1 << fam.p)
+            )
+            assert linear_rank(fam).values == expected
+
+    def test_family_beyond_ground_set_cap(self):
+        # refused before the 2^p table is built
+        with pytest.raises(UnsupportedSizeError):
+            linear_rank(SubspaceFamily(1, [[(1,)]] * 40))
 
     def test_result_always_valid_randomized(self):
         rng = random.Random(109)

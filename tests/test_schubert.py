@@ -231,3 +231,17 @@ class TestProjectionCodim:
             subset = [j + 1 for j in range(5) if mask >> j & 1]
             c = projection_codim(pi, subset)
             assert 0 <= c <= length(pi)
+
+    def test_equals_theta_table_entries(self):
+        # two theta evaluations give the two entries of the full table
+        for one_line in permutations(range(1, 5)):
+            pi = Permutation(one_line)
+            rho = theta_rank_function(rothe_diagram(pi))
+            full = rho.full_mask
+            for mask in range(1 << 4):
+                subset = [j + 1 for j in range(4) if mask >> j & 1]
+                assert projection_codim(pi, subset) == rho.values[full] - rho.values[full ^ mask]
+
+    def test_element_outside_ground_set(self):
+        with pytest.raises(ValidationError, match="element 4 outside ground set 1..3"):
+            projection_codim(Permutation((2, 1, 3)), [4])
