@@ -24,6 +24,7 @@ from .hilbert import (
     hollow_triangle,
     icosahedron_boundary,
     kpolynomial,
+    minimum_primes,
     multidegree_polynomial,
     octahedron_boundary,
     quotient_krull_dimension,
@@ -99,6 +100,7 @@ __all__ = [
     "linear_rank",
     "m0n_msupp",
     "m0n_rank_function",
+    "minimum_primes",
     "minkowski_sum",
     "mixed_volumes",
     "msupp_from_rank",

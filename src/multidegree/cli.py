@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("msupp-linear", "rank function and support of a subspace family"),
         ("mconvex", "exchange-axiom check for a support"),
         ("kpoly", "K-polynomial of a monomial ideal"),
-        ("multidegree", "degree-filtered K-polynomial of a monomial ideal"),
+        ("multidegree", "multidegree polynomial of a monomial ideal"),
         ("facet-support", "incidence vectors of the top-dimensional facets"),
         ("mixedvol", "mixed-volume table of a polytope tuple"),
     ]:

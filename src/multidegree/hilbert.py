@@ -1,4 +1,22 @@
-"""Multigraded K-polynomials of monomial ideals and Stanley-Reisner data.
+"""Multidegrees and multigraded K-polynomials of monomial ideals, and
+Stanley-Reisner data.
+
+The multidegree comes from additivity over the top-dimensional
+components (Miller-Sturmfels, *Combinatorial Commutative Algebra*,
+Thm 8.53):
+
+    C(S/I; t) = sum_P mult_P(S/I) * prod_{i in P} <deg x_i, t>,
+
+over the minimal primes P = (x_i : i in P) of least codimension, which
+for a monomial ideal are the minimum variable covers of the generator
+supports.  mult_P(S/I) is the number of standard monomials of the
+Artinian ideal left when every variable outside P is set to 1.  Degree
+vectors are nonzero and nonnegative, so no terms cancel and the total
+degree of C is the codimension.  The cover search stops at
+DEFAULT_RECURSION_BUDGET nodes and the standard-monomial count at
+DEFAULT_ENUMERATION_BUDGET steps.  C is the multidegree polynomial of
+MultiProj(S/I) when the quotient has no irrelevant torsion; that
+hypothesis is asserted by the caller, not verified here.
 
 The K-polynomial of S/I is the numerator of the multigraded Hilbert
 series over the full Koszul denominator prod_vars (1 - t^deg(x)).  For
@@ -7,16 +25,15 @@ a monomial ideal it satisfies the short-exact-sequence recursion
     K(S/(J + (m))) = K(S/J) - t^deg(m) * K(S/(J : m)),
 
 with K(S/0) = 1 and a product base case for pairwise-coprime pure
-powers.  The degree-filtered substitution t -> 1 - t of the
-K-polynomial yields the multidegree polynomial when the ideal has no
-irrelevant torsion; that hypothesis is asserted by the caller, not
-verified here.
+powers.  The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the
+tests use that expansion as the oracle for the additivity route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
@@ -293,18 +310,112 @@ def quotient_krull_dimension(ideal: MonomialIdeal) -> int:
     return ideal.grading.nvars - _min_hitting_set_size(supports)
 
 
-def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
-    """Degree-filtered K-polynomial: the lowest-degree part of K(S/I; 1-t).
+def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Minimal primes of S/I of least codimension, as variable covers.
 
-    The terms of K(S/I; 1-t) below total degree codim(S/I) vanish and
-    those of degree codim(S/I) do not (Miller-Sturmfels, *Combinatorial
-    Commutative Algebra*, chapter 8), so the lowest total degree present
-    is the codimension and needs no dimension computation.  Equals the
-    multidegree polynomial of MultiProj(S/I) whenever the quotient has
-    no irrelevant torsion, which the caller asserts.
+    A monomial prime (x_i : i in P) contains I exactly when P meets the
+    support of every generator, so the minimal primes of least
+    codimension are the minimum variable covers of the generator
+    supports.  The search branches on the variables of the first
+    uncovered generator and, in its k-th branch, forbids the generator's
+    first k - 1 variables, so each cover is reached once; a branch that
+    would outgrow the smallest cover found so far is cut.  Covers are
+    tuples of 0-indexed variable positions, in increasing order.
     """
-    expanded = kpolynomial(ideal).substitute_one_minus()
-    return expanded.truncate_total_degree(min(sum(e) for e in expanded.terms))
+    supports = [sum(1 << v for v, e in enumerate(g) if e) for g in ideal.generators]
+    best = ideal.grading.nvars  # all variables always form a cover
+    covers: list[int] = []
+    nodes = 0
+    stack = [(0, 0, 0)]  # (chosen, forbidden, size), variables as bits
+    while stack:
+        chosen, forbidden, size = stack.pop()
+        nodes += 1
+        if nodes > DEFAULT_RECURSION_BUDGET:
+            raise BudgetExceededError(
+                f"minimum-prime search exceeded {DEFAULT_RECURSION_BUDGET} nodes"
+            )
+        uncovered = next((s for s in supports if not s & chosen), None)
+        if uncovered is None:
+            if size < best:
+                best, covers = size, []
+            if size == best:
+                covers.append(chosen)
+            continue
+        if size >= best:
+            continue
+        free = uncovered & ~forbidden
+        branches = []
+        while free:
+            bit = free & -free
+            branches.append((chosen | bit, forbidden, size + 1))
+            forbidden |= bit
+            free ^= bit
+        stack.extend(reversed(branches))
+    return sorted(tuple(v for v in range(ideal.grading.nvars) if c >> v & 1) for c in covers)
+
+
+def _length_at(ideal: MonomialIdeal, cover: Sequence[int], budget: int) -> tuple[int, int]:
+    """(mult_P(S/I), cells walked) for the minimum prime P on `cover`.
+
+    With the variables outside P set to 1 the ideal is Artinian in
+    k[x_P], so its standard monomials lie in the box below its pure
+    powers.  A box of more than `budget` cells is refused.
+    """
+    gens = [tuple(g[v] for v in cover) for g in ideal.generators]
+    box = []
+    for k in range(len(cover)):
+        powers = [g[k] for g in gens if sum(1 for x in g if x) == 1 and g[k]]
+        if not powers:
+            raise AssertionError("a minimum prime left a non-Artinian localization")
+        box.append(min(powers))
+    cells = prod(box)
+    if cells > budget:
+        raise BudgetExceededError(
+            f"standard-monomial count exceeded {DEFAULT_ENUMERATION_BUDGET} steps"
+        )
+    inside = [g for g in gens if all(x < b for x, b in zip(g, box))]
+    count = sum(
+        1
+        for m in product(*(range(b) for b in box))
+        if not any(_divides(g, m) for g in inside)
+    )
+    return count, cells
+
+
+def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
+    """Multidegree C(S/I; t) = sum_P mult_P(S/I) * prod_{i in P} <deg x_i, t>.
+
+    The sum runs over the minimal primes P = (x_i : i in P) of least
+    codimension (`minimum_primes`; Miller-Sturmfels, *Combinatorial
+    Commutative Algebra*, Thm 8.53).  mult_P(S/I) is the number of
+    standard monomials of the Artinian ideal left when every variable
+    outside P is set to 1 (1 for every squarefree ideal).  `Grading`
+    refuses zero and negative degree vectors, so nothing cancels, the
+    total degree is the codimension, and C is the lowest-degree part of
+    K(S/I; 1 - t).  The cover search stops at DEFAULT_RECURSION_BUDGET
+    nodes and the standard-monomial count at DEFAULT_ENUMERATION_BUDGET
+    cells in all, each raising BudgetExceededError.  C is the multidegree
+    of MultiProj(S/I) when the quotient has no irrelevant torsion, which
+    the caller asserts.
+    """
+    grading = ideal.grading
+    forms = [
+        IntPolynomial(
+            grading.p,
+            {tuple(int(j == k) for j in range(grading.p)): d for k, d in enumerate(deg) if d},
+        )
+        for deg in grading.degree_of
+    ]
+    budget = DEFAULT_ENUMERATION_BUDGET
+    result = IntPolynomial.zero(grading.p)
+    for cover in minimum_primes(ideal):
+        length, cells = _length_at(ideal, cover, budget)
+        budget -= cells
+        term = IntPolynomial.constant(grading.p, length)
+        for v in cover:
+            term = term * forms[v]
+        result = result + term
+    return result
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .poly import IntPolynomial
-from .polymatroid import RankFunction, Support, msupp_from_rank, validate_rank_function
+from .polymatroid import RankFunction, Support, msupp_from_rank
 from .polymatroid import _json_int, _json_list, _json_rows, _set_to_mask, check_ground_set
 
 
@@ -123,6 +123,8 @@ class Diagram:
     cells: frozenset[tuple[int, int]]
 
     def __init__(self, p: int, cells: Iterable[tuple[int, int]]):
+        if p < 0:
+            raise ValidationError(f"grid size {p} is negative")
         cell_set = frozenset((int(r), int(c)) for r, c in cells)
         for r, c in cell_set:
             if not (1 <= r <= p and 1 <= c <= p):
@@ -218,13 +220,13 @@ def schubert_support_polytope(pi: Permutation) -> Support:
         for mask in range(1 << p)
     ]
     comp = RankFunction(p, values)
-    report = validate_rank_function(comp)
-    if not report.valid:
+    try:
+        return msupp_from_rank(comp)
+    except ValidationError as exc:
         raise AssertionError(
             "complementary theta rank of a Rothe diagram must be submodular; "
-            f"violation: {report.violations[0]}"
-        )
-    return msupp_from_rank(comp)
+            f"violation: {exc}"
+        ) from exc
 
 
 def projection_codim(pi: Permutation, subset: Iterable[int]) -> int:

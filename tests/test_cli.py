@@ -196,6 +196,35 @@ class TestDeterminismAndErrors:
         assert doc["codimension"] == 1
         assert doc["pretty"] == "2*t1"
 
+    @pytest.mark.parametrize(
+        "ideal, message",
+        [
+            # 17 disjoint edges: 2^17 minimum primes
+            (
+                {
+                    "nvars": 34,
+                    "p": 34,
+                    "degrees": [[int(j == i) for j in range(34)] for i in range(34)],
+                    "generators": [
+                        [int(v in (2 * i, 2 * i + 1)) for v in range(34)] for i in range(17)
+                    ],
+                },
+                "minimum-prime search",
+            ),
+            # x^(10^7): a standard-monomial box of 10^7 cells
+            (
+                {"nvars": 1, "p": 1, "degrees": [[1]], "generators": [[10**7]]},
+                "standard-monomial count",
+            ),
+        ],
+        ids=["cover-search", "monomial-box"],
+    )
+    def test_multidegree_budget_exit_3(self, capsys, ideal, message):
+        code, out, err = run_cli(["multidegree", "--json", json.dumps(ideal)], capsys)
+        assert code == 3
+        assert out == ""
+        assert message in json.loads(err.splitlines()[-1])["error"]
+
     def test_output_into_missing_directory_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"
         code, out, err = run_cli(["m0n", "--p", "3", "--output", str(target)], capsys)
@@ -265,6 +294,8 @@ class TestDeterminismAndErrors:
             ("theta --subset 1", {"p": 2, "cells": 5}),
             ("theta --subset 1", {"p": 2.5, "cells": [[1, 1]]}),
             ("theta --subset 1", {"p": 2, "cells": [[1, 1, 1]]}),
+            # an integer, but a negative grid size
+            ("theta --subset=", {"p": -3, "cells": []}),
         ],
     )
     def test_non_integer_json_exit_2(self, capsys, command, document):

@@ -1,21 +1,26 @@
-"""K-polynomials, Hilbert-function oracle, multidegree extraction, and
+"""K-polynomials, Hilbert-function oracle, multidegrees, and
 Stanley-Reisner constructions.
 
 The brute-force monomial count is the oracle for the Hilbert series; a
 test-local recursion with randomized pivot choices is the oracle for
-pivot-independence of the K-polynomial.
+pivot-independence of the K-polynomial; the lowest-degree part of
+K(S/I; 1 - t) is the oracle for the multidegree by additivity, and an
+exhaustive subset search the oracle for the minimum primes.
 """
 
 import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidegree import (
     BudgetExceededError,
     Grading,
     IntPolynomial,
     MonomialIdeal,
+    RankFunction,
     SimplicialComplex,
     UnsupportedSizeError,
     ValidationError,
@@ -26,6 +31,9 @@ from multidegree import (
     icosahedron_boundary,
     is_mconvex,
     kpolynomial,
+    minimum_primes,
+    msupp_from_rank,
+    msupp_union,
     multidegree_polynomial,
     octahedron_boundary,
     quotient_krull_dimension,
@@ -35,6 +43,72 @@ from multidegree import (
 
 def ideal_2vars(*generators):
     return MonomialIdeal(Grading.standard(2), generators)
+
+
+def random_ideal(rng, max_vars=6, max_p=3, entries=(0, 0, 1, 2), max_gens=5):
+    """Random monomial ideal: non-squarefree generators, non-standard grading."""
+    nvars = rng.randint(1, max_vars)
+    p = rng.randint(1, max_p)
+    degrees = []
+    for _ in range(nvars):
+        degree = [0] * p
+        while not any(degree):
+            degree = [rng.choice((0, 0, 1, 2)) for _ in range(p)]
+        degrees.append(degree)
+    gens = set()
+    for _ in range(rng.randint(0, max_gens)):
+        exps = tuple(rng.choice(entries) for _ in range(nvars))
+        if any(exps) and not any(all(x <= y for x, y in zip(g, exps)) for g in gens):
+            gens = {g for g in gens if not all(x <= y for x, y in zip(exps, g))}
+            gens.add(exps)
+    return MonomialIdeal(Grading(nvars, p, degrees), gens)
+
+
+def multidegree_oracle(ideal):
+    """Lowest-degree part of K(S/I; 1 - t): the expansion route."""
+    expanded = kpolynomial(ideal).substitute_one_minus()
+    return expanded.truncate_total_degree(min(sum(e) for e in expanded.terms))
+
+
+def minimum_covers_oracle(ideal):
+    """Smallest variable sets meeting every generator support, by trying
+    every subset in order of size."""
+    nvars = ideal.grading.nvars
+    supports = [{v for v, e in enumerate(g) if e} for g in ideal.generators]
+    for size in range(nvars + 1):
+        covers = [
+            c
+            for c in combinations(range(nvars), size)
+            if all(set(c) & s for s in supports)
+        ]
+        if covers:
+            return covers
+    raise AssertionError("the set of all variables is always a cover")
+
+
+def transversal_rank(grading, cover):
+    """r_P(J) = #{i in P : deg x_i meets J}, the rank function whose base
+    polytope holds the support of prod_{i in P} <deg x_i, t>."""
+    meets = [sum(1 << j for j, d in enumerate(grading.degree_of[v]) if d) for v in cover]
+    return RankFunction(
+        grading.p, [sum(1 for m in meets if m & mask) for mask in range(1 << grading.p)]
+    )
+
+
+@st.composite
+def monomial_ideals(draw):
+    nvars = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 3))
+    nonzero = st.lists(st.integers(0, 2), min_size=p, max_size=p).filter(any)
+    degrees = draw(st.lists(nonzero, min_size=nvars, max_size=nvars))
+    exponents = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars).filter(any)
+    candidates = {tuple(e) for e in draw(st.lists(exponents, max_size=5))}
+    gens = [
+        g
+        for g in candidates
+        if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in candidates)
+    ]
+    return MonomialIdeal(Grading(nvars, p, degrees), gens)
 
 
 def kpoly_random_pivots(ideal, rng):
@@ -208,26 +282,88 @@ class TestMultidegree:
         # non-standard gradings
         rng = random.Random(8)
         for _ in range(150):
-            nvars = rng.randint(1, 6)
-            p = rng.randint(1, 3)
-            degrees = []
-            for _ in range(nvars):
-                degree = [0] * p
-                while not any(degree):
-                    degree = [rng.choice((0, 0, 1, 2)) for _ in range(p)]
-                degrees.append(degree)
-            gens = set()
-            for _ in range(rng.randint(0, 5)):
-                exps = tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars))
-                if any(exps) and not any(
-                    all(x <= y for x, y in zip(g, exps)) for g in gens
-                ):
-                    gens = {g for g in gens if not all(x <= y for x, y in zip(exps, g))}
-                    gens.add(exps)
-            ideal = MonomialIdeal(Grading(nvars, p, degrees), gens)
+            ideal = random_ideal(rng)
+            nvars = ideal.grading.nvars
             poly = multidegree_polynomial(ideal)
             assert poly.total_degree() == nvars - quotient_krull_dimension(ideal)
             assert all(sum(e) == poly.total_degree() for e in poly.terms)
+
+
+class TestMultidegreeByAdditivity:
+    def test_matches_expansion_randomized(self):
+        zero_ideals = [
+            MonomialIdeal(Grading(len(d), len(d[0]), d), [])
+            for d in ([(1, 0)], [(2, 1), (0, 3)], [(1, 1, 1)] * 3)
+        ]
+        # x^k has length k at (x)
+        pure_powers = [MonomialIdeal(Grading(1, 2, [(2, 1)]), [(k,)]) for k in range(1, 7)]
+        # (x^2, xy, y^3) has the four standard monomials 1, x, y, y^2
+        artinian = [MonomialIdeal(Grading(2, 2, [(1, 2), (3, 0)]), [(2, 0), (1, 1), (0, 3)])]
+        rng = random.Random(61)
+        randomized = [random_ideal(rng, entries=(0, 0, 1, 2, 3), max_gens=6) for _ in range(300)]
+        for ideal in zero_ideals + pure_powers + artinian + randomized:
+            assert multidegree_polynomial(ideal) == multidegree_oracle(ideal)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monomial_ideals())
+    def test_matches_expansion_property(self, ideal):
+        assert multidegree_polynomial(ideal) == multidegree_oracle(ideal)
+
+    def test_minimum_primes_match_exhaustive_search(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            ideal = random_ideal(rng, max_vars=7, max_gens=8)
+            assert minimum_primes(ideal) == minimum_covers_oracle(ideal)
+
+    def test_minimum_primes_of_fixtures(self):
+        for complex_ in (hollow_triangle(), octahedron_boundary(), icosahedron_boundary()):
+            top = complex_.max_facet_size()
+            expected = sorted(
+                tuple(v - 1 for v in range(1, complex_.nverts + 1) if v not in facet)
+                for facet in complex_.facets
+                if len(facet) == top
+            )
+            for pairs in (1, 2):
+                ideal = stanley_reisner_ideal(complex_, vars_per_vertex=pairs)
+                assert minimum_primes(ideal) == expected
+
+    def test_cover_search_budget(self):
+        # 17 disjoint edges have 2^17 minimum covers
+        grading = Grading.standard(34)
+        edges = [tuple(int(v in (2 * i, 2 * i + 1)) for v in range(34)) for i in range(17)]
+        with pytest.raises(BudgetExceededError, match="minimum-prime search"):
+            multidegree_polynomial(MonomialIdeal(grading, edges))
+
+    def test_standard_monomial_budget(self):
+        ideal = MonomialIdeal(Grading.standard(1), [(10**7,)])
+        with pytest.raises(BudgetExceededError, match="standard-monomial count"):
+            multidegree_polynomial(ideal)
+
+
+class TestSupportAsUnionOfPolymatroids:
+    """The positive support of the multidegree is the union, over the
+    minimum primes P, of the lattice points of the transversal
+    polymatroids r_P: the paper's reducible case."""
+
+    @staticmethod
+    def union_of_components(ideal):
+        return msupp_union(
+            [msupp_from_rank(transversal_rank(ideal.grading, P)) for P in minimum_primes(ideal)]
+        )
+
+    def test_randomized(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            ideal = random_ideal(rng, entries=(0, 0, 1, 2, 3), max_gens=6)
+            assert multidegree_oracle(ideal).support() == self.union_of_components(ideal)
+
+    def test_fixtures(self):
+        for complex_ in (octahedron_boundary(), icosahedron_boundary()):
+            for pairs in (1, 2):
+                ideal = stanley_reisner_ideal(complex_, vars_per_vertex=pairs)
+                support = multidegree_polynomial(ideal).support()
+                assert support == self.union_of_components(ideal)
+                assert support == facet_support(complex_).complement(1)
 
 
 class TestStanleyReisner:

@@ -10,10 +10,12 @@ from itertools import permutations
 
 import pytest
 
+import multidegree.schubert as schubert_module
 from multidegree import (
     Diagram,
     IntPolynomial,
     Permutation,
+    RankFunction,
     ValidationError,
     is_mconvex,
     length,
@@ -199,6 +201,21 @@ class TestSupportPolytope:
             support = schubert_polynomial(pi).support().complement(pi.p - 1)
             assert support == schubert_support_polytope(pi)
             assert is_mconvex(support).mconvex
+
+    def test_corrupted_complementary_table_is_an_internal_bug(self, monkeypatch):
+        # the complementary table of a true theta table is always a rank
+        # function, so a failed validation is a bug, not bad input
+        true_theta = schubert_module.theta_rank_function
+
+        def corrupted(d):
+            rho = true_theta(d)
+            values = list(rho.values)
+            values[rho.full_mask ^ 1] += d.p
+            return RankFunction(rho.p, values)
+
+        monkeypatch.setattr(schubert_module, "theta_rank_function", corrupted)
+        with pytest.raises(AssertionError, match="must be submodular; violation: invalid rank"):
+            schubert_support_polytope(Permutation((4, 2, 5, 3, 1)))
 
     def test_theorem_holds_on_all_of_s5(self):
         for one_line in permutations(range(1, 6)):
