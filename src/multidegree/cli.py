@@ -175,9 +175,9 @@ def _cmd_kpoly(args: argparse.Namespace) -> int:
 def _cmd_multidegree(args: argparse.Namespace) -> int:
     ideal = hilbert.MonomialIdeal.from_json_dict(_load_document(args))
     print(
-        "warning: output is the degree-filtered K-polynomial; it equals the "
-        "multidegree polynomial only when the quotient has no irrelevant torsion, "
-        "which is not verified here",
+        "warning: output is the sum of mult_P * prod_{i in P} <deg x_i, t> over "
+        "the minimum primes P; it equals the multidegree polynomial only when the "
+        "quotient has no irrelevant torsion, which is not verified here",
         file=sys.stderr,
     )
     poly = hilbert.multidegree_polynomial(ideal)
@@ -206,7 +206,8 @@ def _cmd_facet_support(args: argparse.Namespace) -> int:
 def _parse_polytopes(document: dict) -> list[mixedvol.LatticePolytope]:
     if not isinstance(document, dict) or "polytopes" not in document:
         raise ValidationError("input JSON needs a 'polytopes' array")
-    return [mixedvol.LatticePolytope.from_json_dict(k) for k in document["polytopes"]]
+    polytopes = polymatroid._json_list(document["polytopes"], "polytopes")
+    return [mixedvol.LatticePolytope.from_json_dict(k) for k in polytopes]
 
 
 def _cmd_mixedvol(args: argparse.Namespace) -> int:

@@ -5,9 +5,9 @@ curves.
 The flag support comes from the rank function S(J) counting the
 dimension of the partial flag variety selected by J; that route is the
 ground truth here.  The shorter printed inequality system is also
-implemented verbatim, as a comparator only: a literal reading of it
-disagrees with the rank route already at p = 2, and the comparator
-report surfaces rather than hides that.
+implemented verbatim, as a comparator only: read literally it has no
+solution for any p, and the comparator report surfaces rather than
+hides that.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import ValidationError
-from .polymatroid import RankFunction, Support, check_ground_set, compositions, msupp_from_rank
+from .polymatroid import RankFunction, Support, check_ground_set, msupp_from_rank
 
 
 def flag_rank_function(p: int) -> RankFunction:
@@ -70,29 +70,31 @@ def flag_simple_inequalities(p: int, n: Sequence[int]) -> bool:
 
 def flag_comparator_report(support: Support) -> dict:
     """Pointwise comparison of the rank-route support `flag_msupp(p)`
-    with the literal inequality system, over all compositions of
-    binom(p+1, 2)."""
+    with the literal inequality system.
+
+    The literal system is empty for every p: its k = p inequality gives
+    |n| <= sum_{j=1..p}(p-j) = binom(p, 2) < binom(p+1, 2) = |n|.  So no
+    point outside the support can pass it, and one pass over the
+    support's points is the whole comparison: `only_literal_route` is
+    empty, and `only_rank_route` lists the support's points of weight
+    binom(p+1, 2), in the support's order.
+    """
     p = support.p
-    members = set(support.points)
     weight = comb(p + 1, 2)
     only_rank = []
-    only_literal = []
     literal_count = 0
-    for point in compositions(weight, p):
-        in_rank = point in members
-        in_literal = flag_simple_inequalities(p, point)
-        literal_count += in_literal
-        if in_rank and not in_literal:
-            only_rank.append(point)
-        elif in_literal and not in_rank:
-            only_literal.append(point)
+    for point in support.points:
+        if flag_simple_inequalities(p, point):
+            literal_count += 1
+        elif sum(point) == weight:
+            only_rank.append(list(point))
     return {
         "p": p,
-        "count_rank_route": len(members),
+        "count_rank_route": len(support),
         "count_literal_route": literal_count,
-        "agree": not only_rank and not only_literal,
-        "only_rank_route": [list(pt) for pt in only_rank],
-        "only_literal_route": [list(pt) for pt in only_literal],
+        "agree": not only_rank,
+        "only_rank_route": only_rank,
+        "only_literal_route": [],
     }
 
 

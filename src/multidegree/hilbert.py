@@ -36,11 +36,10 @@ from itertools import combinations, product
 from math import prod
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .poly import IntPolynomial
 from .polymatroid import Support, _json_int, _json_rows
 
-MAX_DIMENSION_VARS = 20
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 DEFAULT_RECURSION_BUDGET = 200_000
 
@@ -285,29 +284,10 @@ def hilbert_series_coefficients_upto(
     return truncated_mul(series, kpoly)
 
 
-def _min_hitting_set_size(supports: Sequence[frozenset[int]]) -> int:
-    """Smallest set of variables meeting every generator support."""
-    universe = sorted(set().union(*supports)) if supports else []
-    for k in range(len(universe) + 1):
-        for combo in combinations(universe, k):
-            chosen = set(combo)
-            if all(chosen & s for s in supports):
-                return k
-    return len(universe)
-
-
 def quotient_krull_dimension(ideal: MonomialIdeal) -> int:
-    """Krull dimension of S/I: nvars minus a minimum variable cover of
-    the generators (exact set cover, capped at 20 variables)."""
-    if ideal.grading.nvars > MAX_DIMENSION_VARS:
-        raise UnsupportedSizeError(
-            f"dimension computation refuses inputs with more than "
-            f"{MAX_DIMENSION_VARS} variables (got {ideal.grading.nvars})"
-        )
-    supports = [
-        frozenset(v for v, e in enumerate(g) if e > 0) for g in ideal.generators
-    ]
-    return ideal.grading.nvars - _min_hitting_set_size(supports)
+    """Krull dimension of S/I: nvars minus the size of a minimum
+    variable cover of the generators (`minimum_primes`)."""
+    return ideal.grading.nvars - len(minimum_primes(ideal)[0])
 
 
 def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
@@ -427,6 +407,8 @@ class SimplicialComplex:
 
     def __init__(self, nverts: int, facets: Iterable[Iterable[int]]):
         cleaned = sorted({tuple(sorted(set(int(v) for v in f))) for f in facets})
+        if not cleaned:
+            raise ValidationError("a complex needs at least one facet")
         for f in cleaned:
             if not f:
                 raise ValidationError("empty facet")

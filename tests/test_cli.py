@@ -296,6 +296,11 @@ class TestDeterminismAndErrors:
             ("theta --subset 1", {"p": 2, "cells": [[1, 1, 1]]}),
             # an integer, but a negative grid size
             ("theta --subset=", {"p": -3, "cells": []}),
+            ("mixedvol", {"polytopes": 5}),
+            ("positivity", {"polytopes": 5, "n": [1]}),
+            # a complex with no facets
+            ("sr-ideal", {"nverts": 2, "facets": []}),
+            ("facet-support", {"nverts": 2, "facets": []}),
         ],
     )
     def test_non_integer_json_exit_2(self, capsys, command, document):

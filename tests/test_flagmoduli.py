@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from multidegree import (
+    Support,
     ValidationError,
     flag_comparator_report,
     flag_msupp,
@@ -17,6 +18,7 @@ from multidegree import (
     msupp_from_rank,
     validate_rank_function,
 )
+from multidegree.polymatroid import compositions
 
 
 def catalan_numbers(count):
@@ -47,6 +49,30 @@ def prefix_enumeration(p):
 
     extend([], 0)
     return tuple(sorted(points))
+
+
+def comparator_oracle(support):
+    """The comparator by walking every composition of binom(p+1, 2)
+    into p parts and testing each against both routes."""
+    p = support.p
+    members = set(support.points)
+    only_rank, only_literal, literal_count = [], [], 0
+    for point in compositions(comb(p + 1, 2), p):
+        in_rank = point in members
+        in_literal = flag_simple_inequalities(p, point)
+        literal_count += in_literal
+        if in_rank and not in_literal:
+            only_rank.append(list(point))
+        elif in_literal and not in_rank:
+            only_literal.append(list(point))
+    return {
+        "p": p,
+        "count_rank_route": len(members),
+        "count_literal_route": literal_count,
+        "agree": not only_rank and not only_literal,
+        "only_rank_route": only_rank,
+        "only_literal_route": only_literal,
+    }
 
 
 class TestFlagRank:
@@ -98,6 +124,21 @@ class TestComparator:
 
     def test_wrong_weight_rejected(self):
         assert not flag_simple_inequalities(3, (1, 2, 2))
+
+    def test_literal_system_is_empty(self):
+        # the k = p bound gives |n| <= binom(p, 2) < binom(p+1, 2)
+        for p in range(1, 7):
+            assert not any(
+                flag_simple_inequalities(p, n) for n in compositions(comb(p + 1, 2), p)
+            )
+
+    @pytest.mark.parametrize(
+        "support",
+        [flag_msupp(p) for p in range(1, 7)] + [m0n_msupp(4), Support(3, [])],
+        ids=[f"flag-{p}" for p in range(1, 7)] + ["m0n-4", "empty"],
+    )
+    def test_report_matches_composition_walk(self, support):
+        assert flag_comparator_report(support) == comparator_oracle(support)
 
     def test_report_structure_and_discrepancy(self):
         for p in range(1, 7):

@@ -22,7 +22,6 @@ from multidegree import (
     MonomialIdeal,
     RankFunction,
     SimplicialComplex,
-    UnsupportedSizeError,
     ValidationError,
     facet_support,
     hilbert_function_oracle,
@@ -263,29 +262,30 @@ class TestMultidegree:
         assert quotient_krull_dimension(ideal_2vars((1, 1))) == 1
         oct_pairs = stanley_reisner_ideal(octahedron_boundary(), vars_per_vertex=2)
         assert quotient_krull_dimension(oct_pairs) == 9
+        ico_pairs = stanley_reisner_ideal(icosahedron_boundary(), vars_per_vertex=2)
+        assert quotient_krull_dimension(ico_pairs) == 15
         assert (
             quotient_krull_dimension(stanley_reisner_ideal(hollow_triangle())) == 2
         )
 
-    def test_too_many_variables_refused(self):
-        # the exact dimension refuses 21 variables; the multidegree does
-        # not need it
+    def test_dimension_beyond_20_variables(self):
         grading = Grading(21, 1, [(1,)] * 21)
         ideal = MonomialIdeal(grading, [tuple(1 if i < 2 else 0 for i in range(21))])
-        with pytest.raises(UnsupportedSizeError):
-            quotient_krull_dimension(ideal)
+        assert quotient_krull_dimension(ideal) == 20
         assert multidegree_polynomial(ideal) == IntPolynomial(1, {(1,): 2})
 
     def test_degree_is_codimension_randomized(self):
-        # the lowest degree of K(1 - t) is nvars - dim(S/I), computed here
-        # by the exact vertex cover, on non-squarefree ideals and
-        # non-standard gradings
+        # the multidegree is homogeneous of degree nvars - dim(S/I), the
+        # size of a minimum variable cover, found here by the exhaustive
+        # subset search, on non-squarefree ideals and non-standard gradings
         rng = random.Random(8)
         for _ in range(150):
             ideal = random_ideal(rng)
             nvars = ideal.grading.nvars
+            codimension = len(minimum_covers_oracle(ideal)[0])
             poly = multidegree_polynomial(ideal)
-            assert poly.total_degree() == nvars - quotient_krull_dimension(ideal)
+            assert poly.total_degree() == codimension
+            assert quotient_krull_dimension(ideal) == nvars - codimension
             assert all(sum(e) == poly.total_degree() for e in poly.terms)
 
 
