@@ -135,11 +135,11 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 def _cmd_msupp_rank(args: argparse.Namespace) -> int:
     rank = polymatroid.RankFunction.from_json_dict(_load_document(args))
-    report = polymatroid.validate_rank_function(rank)
-    if not report.valid:
-        print(json.dumps(report.to_json_dict(), sort_keys=True), file=sys.stderr)
+    try:
+        support = polymatroid.msupp_from_rank(rank)
+    except polymatroid.InvalidRankError as exc:
+        print(json.dumps(exc.report.to_json_dict(), sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION
-    support = polymatroid.msupp_from_rank(rank)
     return _emit(
         {"support": support.to_json_dict(), "count": len(support), "weight": support.weight},
         args,
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in [
         ("msupp-rank", "lattice points of the base polytope of a rank function"),
         ("msupp-linear", "rank function and support of a subspace family"),
-        ("mconvex", "exchange-axiom check for a support"),
+        ("mconvex", "M-convexity test with an exchange-axiom witness"),
         ("kpoly", "K-polynomial of a monomial ideal"),
         ("multidegree", "multidegree polynomial of a monomial ideal"),
         ("facet-support", "incidence vectors of the top-dimensional facets"),

@@ -61,10 +61,12 @@ def flag_simple_inequalities(p: int, n: Sequence[int]) -> bool:
         raise ValidationError(f"expected a vector of length {p}")
     if sum(vec) != comb(p + 1, 2):
         return False
-    for k in range(1, p + 1):
-        upper = sum(p - j for j in range(1, k + 1)) - sum(vec[: k - 1])
-        if not 1 <= vec[k - 1] <= upper:
+    bound = 0  # sum_{j=1..k}(p-j) - sum_{i<k} n_i, carried from k - 1 to k
+    for k, n_k in enumerate(vec, start=1):
+        bound += p - k
+        if not 1 <= n_k <= bound:
             return False
+        bound -= n_k
     return True
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ValidationError
@@ -443,8 +443,18 @@ class SimplicialComplex:
         return tuple(len(counts[s]) for s in sorted(counts))
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
+        """Every vertex subset up to the largest facet size plus one is a
+        candidate; more than DEFAULT_ENUMERATION_BUDGET of them raises
+        BudgetExceededError before any is tried."""
+        sizes = range(1, self.max_facet_size() + 2)
+        candidates = sum(comb(self.nverts, size) for size in sizes)
+        if candidates > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"minimal non-face search over {candidates} vertex subsets exceeds "
+                f"{DEFAULT_ENUMERATION_BUDGET}"
+            )
         out = []
-        for size in range(1, self.max_facet_size() + 2):
+        for size in sizes:
             for candidate in combinations(range(1, self.nverts + 1), size):
                 if self.is_face(candidate):
                     continue
@@ -479,13 +489,15 @@ def stanley_reisner_ideal(
     if vars_per_vertex < 1:
         raise ValidationError("vars_per_vertex must be at least 1")
     n = complex_.nverts
+    # the budgeted search first: the grading below alone has n^2 entries
+    nonfaces = complex_.minimal_nonfaces()
     degrees = []
     for _ in range(vars_per_vertex):
         for i in range(n):
             degrees.append([1 if j == i else 0 for j in range(n)])
     grading = Grading(n * vars_per_vertex, n, degrees)
     generators = []
-    for nonface in complex_.minimal_nonfaces():
+    for nonface in nonfaces:
         exp = [0] * (n * vars_per_vertex)
         for v in nonface:
             exp[v - 1] = 1

@@ -18,6 +18,14 @@ again a base polytope: fixing n_1 = v leaves B(r_v) on the elements
 2..p, with r_v(A) = min(r(A), r(A + 1) - v), and it is nonempty exactly
 for r([p]) - r([p] - 1) <= v <= r({1}) (Murota, *Discrete Convex
 Analysis*, 2003).  The enumeration recurses on these slices.
+
+Going the other way, a finite set S of one weight has the rank function
+r_S(J) = max_{x in S} x(J).  Every x in S satisfies x(J) <= r_S(J) and
+|x| = r_S([p]), so S lies in B(r_S); and S is M-convex exactly when r_S
+is submodular and B(r_S) has no lattice point outside S (Murota, as
+above).  `is_mconvex` decides the exchange axiom directly, because it
+must name the first failing triple; the tests hold its verdict to this
+characterization.
 """
 
 from __future__ import annotations
@@ -123,6 +131,15 @@ class Support:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "points", tuple(pts))
 
+    @classmethod
+    def _from_sorted(cls, p: int, points: list[tuple[int, ...]]) -> "Support":
+        """A support from points that are already sorted, distinct,
+        nonnegative, of length p and of one weight; nothing is checked."""
+        support = object.__new__(cls)
+        object.__setattr__(support, "p", p)
+        object.__setattr__(support, "points", tuple(points))
+        return support
+
     @property
     def weight(self) -> int | None:
         """Common coordinate sum, or None for the empty support."""
@@ -225,6 +242,15 @@ class RankReport:
         }
 
 
+class InvalidRankError(ValidationError):
+    """A rank table fails an axiom; `report` lists every violation."""
+
+    def __init__(self, report: RankReport):
+        first = report.violations[0]
+        super().__init__(f"invalid rank function: {first.axiom} at {first.subsets}")
+        self.report = report
+
+
 def validate_rank_function(r: RankFunction) -> RankReport:
     """Check normalization, monotonicity, and submodularity.
 
@@ -282,12 +308,12 @@ def msupp_from_rank(r: RankFunction) -> Support:
     function r_v(A) = min(r(A), r(A + 1) - v) on the elements 2..p.  The
     slice is nonempty exactly for r([p]) - r([p] - 1) <= v <= r({1}), so
     the recursion on slices meets no dead end, and it emits the points in
-    lexicographic order.
+    lexicographic order.  An invalid table raises InvalidRankError, which
+    carries the full validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:
-        first = report.violations[0]
-        raise ValidationError(f"invalid rank function: {first.axiom} at {first.subsets}")
+        raise InvalidRankError(report)
     points: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], values: Sequence[int]) -> None:
@@ -300,7 +326,8 @@ def msupp_from_rank(r: RankFunction) -> Support:
             extend(prefix + (v,), [min(a, b - v) for a, b in zip(without, with_)])
 
     extend((), r.values)
-    return Support(r.p, points)
+    # lexicographic, distinct, nonnegative (r is monotone) and of weight r([p])
+    return Support._from_sorted(r.p, points)
 
 
 @dataclass(frozen=True)
@@ -318,40 +345,74 @@ class MConvexReport:
 
 def is_mconvex(s: Support) -> MConvexReport:
     """Test the exchange axiom: for x, y in s and x_i > y_i there is j
-    with x_j < y_j and x - e_i + e_j in s."""
+    with x_j < y_j and x - e_i + e_j in s.
+
+    The witness is the first failing (x, y, i): x and then y in the
+    support's order, then i increasing.  For a fixed x and i, the points
+    y failing at i are those with y_i < x_i and y_j <= x_j for every j
+    whose move x - e_i + e_j stays in s.  With one bitmask over the
+    points per coordinate value, that set is at most p ANDs, so each x
+    costs O(p^2) big-integer operations instead of a pass over every y.
+    The least point index over all i, and the least i at that index,
+    give the same witness as the pass over pairs.  By Murota's
+    characterization (module docstring) the verdict equals "r_S is
+    submodular and B(r_S) holds |s| lattice points".
+    """
     if not s.points:
         raise ValidationError("M-convexity is undefined for an empty support")
-    members = set(s.points)
-    for x in s.points:
-        for y in s.points:
-            if x == y:
-                continue
-            for i in range(s.p):
-                if x[i] <= y[i]:
-                    continue
-                found = False
-                for j in range(s.p):
-                    if x[j] >= y[j]:
-                        continue
-                    candidate = list(x)
-                    candidate[i] -= 1
-                    candidate[j] += 1
-                    if tuple(candidate) in members:
-                        found = True
-                        break
-                if not found:
-                    return MConvexReport(False, (x, y, i + 1))
+    points, p = s.points, s.p
+    # x -> its digits in base weight + 1, so a move -e_i + e_j is one addition
+    powers = [(s.weight + 1) ** j for j in range(p)]
+    keys = {sum(v * q for v, q in zip(x, powers)) for x in points}
+    # below[j][v] / upto[j][v]: the points y with y_j < v / y_j <= v, bit k for
+    # points[k], for the values v that occur in coordinate j
+    below: list[dict[int, int]] = []
+    upto: list[dict[int, int]] = []
+    for j in range(p):
+        by_value: dict[int, int] = {}
+        for k, y in enumerate(points):
+            by_value[y[j]] = by_value.get(y[j], 0) | 1 << k
+        lower, upper, seen = {}, {}, 0
+        for v in sorted(by_value):
+            lower[v] = seen
+            seen |= by_value[v]
+            upper[v] = seen
+        below.append(lower)
+        upto.append(upper)
+    for x in points:
+        key = sum(v * q for v, q in zip(x, powers))
+        first = None  # (index of y, i) of the earliest failure at this x
+        for i in range(p):
+            failing = below[i][x[i]]
+            moved = key - powers[i]
+            for j in range(p):
+                if failing and j != i and moved + powers[j] in keys:
+                    failing &= upto[j][x[j]]
+            if failing:
+                k = (failing & -failing).bit_length() - 1
+                if first is None or k < first[0]:
+                    first = (k, i)
+        if first is not None:
+            return MConvexReport(False, (x, points[first[0]], first[1] + 1))
     return MConvexReport(True, None)
 
 
 def rank_from_support(s: Support) -> RankFunction:
-    """r(J) = max over points of the coordinate sum on J."""
+    """r_S(J) = max over points x of x(J), the least rank function whose
+    base polytope B(r_S) contains every point of s.
+
+    Each point's subset sums come from one table, doubled once per
+    coordinate (2^p additions), and r_S is their elementwise maximum.
+    """
     if not s.points:
         raise ValidationError("cannot extract a rank function from an empty support")
-    values = []
-    for mask in range(1 << s.p):
-        idx = [j for j in range(s.p) if mask >> j & 1]
-        values.append(max(sum(pt[j] for j in idx) for pt in s.points))
+    check_ground_set(s.p)
+    values: list[int] = [0] * (1 << s.p)
+    for x in s.points:
+        sums = [0]
+        for v in x:
+            sums += [t + v for t in sums]
+        values = list(map(max, values, sums))
     return RankFunction(s.p, values)
 
 

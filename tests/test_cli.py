@@ -8,7 +8,10 @@ import time
 
 import pytest
 
+from multidegree import Support, polymatroid
 from multidegree.cli import main
+
+from mconvex_oracle import exchange_report
 
 OCTAHEDRON = {
     "nverts": 6,
@@ -224,6 +227,43 @@ class TestDeterminismAndErrors:
         assert code == 3
         assert out == ""
         assert message in json.loads(err.splitlines()[-1])["error"]
+
+    def test_minimal_nonface_budget_exit_3(self, capsys):
+        # 4,501,500 candidate subsets; refused before any is tried
+        complex_ = {"nverts": 3000, "facets": [[1]]}
+        start = time.perf_counter()
+        code, out, err = run_cli(["sr-ideal", "--json", json.dumps(complex_)], capsys)
+        assert time.perf_counter() - start < 3.0
+        assert code == 3
+        assert out == ""
+        assert "minimal non-face search" in json.loads(err)["error"]
+
+    def test_invalid_rank_table_validated_once(self, capsys, monkeypatch):
+        # the exit-2 report is the one msupp_from_rank computed, byte for byte
+        calls = []
+        validate = polymatroid.validate_rank_function
+        monkeypatch.setattr(
+            polymatroid, "validate_rank_function", lambda r: calls.append(r) or validate(r)
+        )
+        table = {"p": 2, "values": [0, 1, 1, 3]}
+        code, out, err = run_cli(["msupp-rank", "--json", json.dumps(table)], capsys)
+        assert code == 2
+        assert out == ""
+        report = validate(polymatroid.RankFunction.from_json_dict(table))
+        assert err == json.dumps(report.to_json_dict(), sort_keys=True) + "\n"
+        assert len(calls) == 1
+        run_json(["msupp-rank", "--json", '{"p":3,"values":[0,1,2,2,3,3,3,3]}'], capsys)
+        assert len(calls) == 2
+
+    def test_mconvex_beyond_ground_set_cap(self, capsys):
+        # p = 21 has no rank table, and the exchange test needs none
+        unit = [[int(j == i) for j in range(21)] for i in range(21)]
+        doc = run_json(["mconvex", "--json", json.dumps({"p": 21, "points": unit})], capsys)
+        assert doc == {"mconvex": True, "witness": None}
+        pair = [[1, 1] + [0] * 19, [0, 0, 1, 1] + [0] * 17]
+        doc = run_json(["mconvex", "--json", json.dumps({"p": 21, "points": pair})], capsys)
+        assert doc["mconvex"] is False
+        assert doc == exchange_report(Support(21, pair)).to_json_dict()
 
     def test_output_into_missing_directory_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.json"

@@ -10,8 +10,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidegree import (
+    InvalidRankError,
     RankFunction,
     SubspaceFamily,
     Support,
@@ -25,6 +28,7 @@ from multidegree import (
     validate_rank_function,
 )
 
+from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_oracle
 from rank_oracle import sympy_rank
 
 INTRO_RANK = RankFunction(3, [0, 1, 2, 2, 3, 3, 3, 3])
@@ -146,19 +150,23 @@ class TestMsuppFromRank:
         assert msupp_from_rank(RankFunction(3, values)).points == ((1, 1, 1),)
 
     def test_invalid_rank_rejected(self):
-        with pytest.raises(ValidationError):
-            msupp_from_rank(RankFunction(2, [0, 1, 1, 3]))
+        r = RankFunction(2, [0, 1, 1, 3])
+        with pytest.raises(InvalidRankError) as caught:
+            msupp_from_rank(r)
+        assert isinstance(caught.value, ValidationError)
+        assert caught.value.report == validate_rank_function(r)
+        assert str(caught.value) == "invalid rank function: submodularity at ((1,), (2,))"
 
     def test_matches_brute_force_randomized(self):
         rng = random.Random(101)
-        for _ in range(40):
-            p = rng.randint(1, 6)
-            r = random_valid_rank(rng, p)
-            assert msupp_from_rank(r).points == brute_force_base_points(r)
+        ranks = [random_valid_rank(rng, rng.randint(1, 6)) for _ in range(40)]
         for field in ("Q", "Fp:5"):
-            for _ in range(25):
-                r = linear_rank(random_family(rng, rng.randint(1, 6), field))
-                assert msupp_from_rank(r).points == brute_force_base_points(r)
+            ranks += [linear_rank(random_family(rng, rng.randint(1, 6), field)) for _ in range(25)]
+        for r in ranks:
+            support = msupp_from_rank(r)
+            assert support.points == brute_force_base_points(r)
+            # built without the public checks, equal to a checked build
+            assert support == Support(r.p, support.points)
 
     def test_nonempty_and_mconvex_randomized(self):
         rng = random.Random(103)
@@ -187,6 +195,9 @@ class TestMConvex:
                 moved[i - 1] -= 1
                 moved[j] += 1
                 assert tuple(moved) not in members
+        # x = (0,2,1) also fails against y = (2,0,1) at i = 2, and against
+        # (2,1,0) at i = 3; the witness is the first y in order, then i
+        assert report.witness == ((0, 2, 1), (2, 0, 1), 2)
 
     def test_mixed_weight_input_is_an_error(self):
         # constant weight is an invariant of Support itself
@@ -203,6 +214,83 @@ class TestMConvex:
     def test_mixed_weights_rejected(self):
         with pytest.raises(ValidationError):
             Support(2, [(1, 0), (1, 1)])
+
+
+def perturbations(rng, s):
+    """s with one point removed, one point moved by -e_i + e_j off the
+    set, and one point of the same weight added, where each exists."""
+    points = list(s.points)
+    out = []
+    if len(points) > 1:
+        out.append(Support(s.p, points[1:] if rng.random() < 0.5 else points[:-1]))
+    x = rng.choice(points)
+    moves = [(i, j) for i in range(s.p) for j in range(s.p) if i != j and x[i]]
+    rng.shuffle(moves)
+    for i, j in moves:
+        moved = list(x)
+        moved[i] -= 1
+        moved[j] += 1
+        if moved not in s:
+            out.append(Support(s.p, [pt for pt in points if pt != x] + [moved]))
+            break
+    for _ in range(20):
+        cuts = sorted(rng.randint(0, s.weight) for _ in range(s.p - 1))
+        added = [b - a for a, b in zip([0] + cuts, cuts + [s.weight])]
+        if added not in s:
+            out.append(Support(s.p, points + [added]))
+            break
+    return out
+
+
+def assert_matches_oracles(s):
+    report = is_mconvex(s)
+    assert report == exchange_report(s)
+    assert report.mconvex == murota_mconvex(s)
+    assert rank_from_support(s) == rank_from_support_oracle(s)
+
+
+@st.composite
+def small_supports(draw):
+    p = draw(st.integers(1, 4))
+    weight = draw(st.integers(0, 4))
+    rows = st.lists(st.integers(0, weight), min_size=p - 1, max_size=p - 1)
+    cut_lists = draw(st.lists(rows, min_size=1, max_size=12))
+    return Support(
+        p, [[b - a for a, b in zip([0] + c, c + [weight])] for c in map(sorted, cut_lists)]
+    )
+
+
+class TestMConvexOracles:
+    """The bitset exchange search against the pass over pairs (verdict
+    and witness) and Murota's rank characterization (verdict)."""
+
+    def test_random_supports_and_their_perturbations(self):
+        rng = random.Random(131)
+        bases = [msupp_from_rank(random_valid_rank(rng, rng.randint(1, 6))) for _ in range(40)]
+        for field in ("Q", "Fp:5"):
+            bases += [
+                msupp_from_rank(linear_rank(random_family(rng, rng.randint(1, 6), field)))
+                for _ in range(20)
+            ]
+        verdicts = set()
+        for s in bases:
+            # a coordinate-reversed copy has the same weight, so the union exists
+            mirrored = Support(s.p, [pt[::-1] for pt in s.points])
+            for t in [s, msupp_union([s, mirrored])] + perturbations(rng, s):
+                assert_matches_oracles(t)
+                verdicts.add(is_mconvex(t).mconvex)
+        assert verdicts == {True, False}
+
+    def test_singletons(self):
+        rng = random.Random(137)
+        for _ in range(20):
+            p = rng.randint(1, 6)
+            assert_matches_oracles(Support(p, [[rng.randint(0, 5) for _ in range(p)]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_supports())
+    def test_property(self, s):
+        assert_matches_oracles(s)
 
 
 class TestRankFromSupport:
