@@ -25,7 +25,14 @@ a monomial ideal it satisfies the short-exact-sequence recursion
     K(S/(J + (m))) = K(S/J) - t^deg(m) * K(S/(J : m)),
 
 with K(S/0) = 1 and a product base case for pairwise-coprime pure
-powers.  The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the
+powers.  `kpolynomial` runs it on an explicit stack of (generators,
+sign, shift) work items, so its depth is not bounded by Python's
+recursion limit, and counts one node per item against its budget, as
+the recursive form counted one per call.  Every exponent it meets lies
+coordinatewise below b = deg(lcm of the generators), since each term is
++-t^deg(lcm s) for a subset s of them (Taylor resolution); exponents are
+packed into one int with digit k in base b_k + 1, and a shift never
+carries.  The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the
 tests use that expansion as the oracle for the additivity route.
 """
 
@@ -34,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, prod
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceededError, ValidationError
@@ -83,7 +91,11 @@ class Grading:
 
 
 def _divides(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
+
+
+def _monus(x: int, y: int) -> int:
+    return x - y if x > y else 0
 
 
 @dataclass(frozen=True)
@@ -104,8 +116,17 @@ class MonomialIdeal:
                 raise ValidationError(f"negative exponent in generator {g}")
             if all(x == 0 for x in g):
                 raise ValidationError("the unit monomial cannot be a generator")
-        for a, b in combinations(gens, 2):
-            if _divides(a, b) or _divides(b, a):
+        pairs = comb(len(gens), 2)
+        if pairs > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"minimality check over {pairs} generator pairs exceeds "
+                f"{DEFAULT_ENUMERATION_BUDGET}"
+            )
+        # a divisor's support lies inside the multiple's support
+        supports = [sum(1 << v for v, e in enumerate(g) if e) for g in gens]
+        for (a, sa), (b, sb) in combinations(zip(gens, supports), 2):
+            common = sa & sb
+            if (common == sa and _divides(a, b)) or (common == sb and _divides(b, a)):
                 raise ValidationError(
                     f"generator list is not minimal: {a} and {b} are comparable"
                 )
@@ -137,60 +158,89 @@ class MonomialIdeal:
 
 
 def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    unique = sorted(set(gens))
+    """Minimal elements of `gens` under divisibility, sorted.
+
+    A proper divisor is coordinatewise smaller, so it sorts first, and a
+    generator is minimal exactly when no generator kept before it
+    divides it.
+    """
     kept: list[tuple[int, ...]] = []
-    for g in unique:
-        if not any(_divides(h, g) for h in kept if h != g):
-            kept = [h for h in kept if not _divides(g, h)]
+    for g in sorted(set(gens)):
+        if not any(_divides(h, g) for h in kept):
             kept.append(g)
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
 def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET) -> IntPolynomial:
     """K-polynomial of S/I in the p grading variables.
 
-    Pivot choice: the last generator among those of maximal total
-    degree.  The result is independent of that choice; the recursion
-    node budget guards against oversized inputs.
+    The recursion K(gens) = K(rest) - t^deg(m) K(gens' : m) runs on an
+    explicit stack of work items (gens, sign, shift), each standing for
+    sign * t^shift * K(S/(gens)); a leaf of pairwise-coprime pure powers
+    adds sign * t^shift * prod (1 - t^deg g) to one accumulator.  The
+    pivot m is the last generator among those of maximal total degree.
+    Every item counts as one node against `recursion_budget`, as every
+    call of the recursion did, and more nodes raise BudgetExceededError.
+
+    Every term is +-t^deg(lcm s) for a subset s of the generators
+    (Taylor resolution), so every exponent lies coordinatewise below
+    b = deg(lcm of all generators).  Exponents are packed into one int
+    with digit k in base b_k + 1; a shift and its exponent multiply to a
+    divisor of that lcm, so adding their packed forms never carries.
+    The accumulator is unpacked into an IntPolynomial once, at the end.
     """
     grading = ideal.grading
+    gens = ideal.generators
+    lcm = [max(column) for column in zip(*gens)]  # empty for the zero ideal
+    bases = [b + 1 for b in grading.degree_of_monomial(lcm)]
+    places = [prod(bases[:k]) for k in range(grading.p)]
+    weight = [sum(d * w for d, w in zip(deg, places)) for deg in grading.degree_of]
+
+    def packed(g: tuple[int, ...]) -> int:
+        return sum(e * w for e, w in zip(g, weight))
+
+    acc: dict[int, int] = {}
     nodes = 0
-
-    def is_pure_power(g: tuple[int, ...]) -> bool:
-        return sum(1 for x in g if x > 0) == 1
-
-    def recurse(gens: tuple[tuple[int, ...], ...]) -> IntPolynomial:
-        nonlocal nodes
+    stack = [(gens, 1, 0)]
+    while stack:
+        gens, sign, shift = stack.pop()
         nodes += 1
         if nodes > recursion_budget:
             raise BudgetExceededError(
                 f"K-polynomial recursion exceeded {recursion_budget} nodes"
             )
-        if not gens:
-            return IntPolynomial.one(grading.p)
-        if all(is_pure_power(g) for g in gens):
+        if all(len(g) - g.count(0) == 1 for g in gens):
             # pairwise-coprime pure powers form a regular sequence
-            result = IntPolynomial.one(grading.p)
+            terms = {shift: sign}
             for g in gens:
-                deg = grading.degree_of_monomial(g)
-                result = result * (
-                    IntPolynomial.one(grading.p)
-                    - IntPolynomial.monomial(grading.p, deg)
-                )
-            return result
-        max_total = max(sum(g) for g in gens)
-        pivot_idx = max(i for i, g in enumerate(gens) if sum(g) == max_total)
+                step = packed(g)
+                nxt = dict(terms)
+                for e, c in terms.items():
+                    nxt[e + step] = nxt.get(e + step, 0) - c
+                terms = nxt
+            for e, c in terms.items():
+                acc[e] = acc.get(e, 0) + c
+            continue
+        totals = list(map(sum, gens))
+        max_total = max(totals)
+        pivot_idx = max(i for i, t in enumerate(totals) if t == max_total)
         m = gens[pivot_idx]
         rest = gens[:pivot_idx] + gens[pivot_idx + 1 :]
-        quotients = [tuple(max(g_v - m_v, 0) for g_v, m_v in zip(g, m)) for g in rest]
-        if any(not any(q) for q in quotients):
+        quotients = [tuple(map(_monus, g, m)) for g in rest]
+        if not all(map(any, quotients)):
             raise AssertionError("minimality violated inside recursion")
-        colon = _minimalize(quotients)
-        deg_m = grading.degree_of_monomial(m)
-        t_deg = IntPolynomial.monomial(grading.p, deg_m)
-        return recurse(rest) - t_deg * recurse(colon)
+        stack.append((_minimalize(quotients), -sign, shift + packed(m)))
+        stack.append((rest, sign, shift))
 
-    return recurse(ideal.generators)
+    terms = {}
+    for e, c in acc.items():
+        if c:
+            exponent = []
+            for base in bases:
+                e, digit = divmod(e, base)
+                exponent.append(digit)
+            terms[tuple(exponent)] = c
+    return IntPolynomial(grading.p, terms)
 
 
 def hilbert_function_oracle(

@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: dispatch, JSON round trips, determinism,
 and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,8 @@ from multidegree import Support, polymatroid
 from multidegree.cli import main
 
 from mconvex_oracle import exchange_report
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 OCTAHEDRON = {
     "nverts": 6,
@@ -348,6 +352,67 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err)
+
+
+class TestKPoly:
+    # sha256 of the stdout bytes that the per-node IntPolynomial
+    # recursion printed for these inputs
+    @pytest.mark.parametrize(
+        "fixture, sr_ideal, digest",
+        [
+            ("octahedron.json", True, "594987a29563053c996f13bc6ccff8daed776825a23c298a8e324e3afd178136"),
+            ("icosahedron.json", True, "64183cc4fd03ad2462720348ae6b316e85807defd0c803c6878b2a5a84b3cbf1"),
+            (
+                "octahedron_sr_ideal_pairs.json",
+                False,
+                "594987a29563053c996f13bc6ccff8daed776825a23c298a8e324e3afd178136",
+            ),
+        ],
+        ids=["octahedron", "icosahedron", "octahedron-pairs"],
+    )
+    def test_pinned_bytes(self, capsys, fixture, sr_ideal, digest):
+        document = (FIXTURES / fixture).read_text()
+        if sr_ideal:
+            code, document, _err = run_cli(["sr-ideal", "--json", document], capsys)
+            assert code == 0
+        code, out, _err = run_cli(["kpoly", "--json", document], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_staircase_deeper_than_the_recursion_limit(self, capsys):
+        # K(S/(x^i y^(n-1-i))) = 1 - sum t^g_i + sum t^lcm(g_i, g_(i+1))
+        n = 1200
+        gens = [[i, n - 1 - i] for i in range(n)]
+        ideal = {"nvars": 2, "p": 2, "degrees": [[1, 0], [0, 1]], "generators": gens}
+        doc = run_json(["kpoly", "--json", json.dumps(ideal)], capsys)
+        expected = {(0, 0): 1}
+        expected.update({tuple(g): -1 for g in gens})
+        expected.update({(a + 1, b): 1 for a, b in gens[:-1]})
+        terms = {tuple(t["exp"]): int(t["coef"]) for t in doc["polynomial"]["terms"]}
+        assert terms == expected
+
+    def test_minimality_pair_budget_exit_3(self, capsys):
+        n = 2001
+        gens = [[i, n - 1 - i] for i in range(n)]
+        ideal = {"nvars": 2, "p": 2, "degrees": [[1, 0], [0, 1]], "generators": gens}
+        code, out, err = run_cli(["kpoly", "--json", json.dumps(ideal)], capsys)
+        assert code == 3
+        assert out == ""
+        assert "minimality check over 2001000 generator pairs" in json.loads(err)["error"]
+
+    def test_not_minimal_stderr_pinned(self, capsys):
+        ideal = {
+            "nvars": 3,
+            "p": 2,
+            "degrees": [[1, 0], [0, 1], [1, 1]],
+            "generators": [[1, 1, 0], [2, 0, 1], [1, 0, 0], [0, 1, 1], [0, 2, 1]],
+        }
+        code, out, err = run_cli(["kpoly", "--json", json.dumps(ideal)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            '{"error": "generator list is not minimal: (0, 1, 1) and (0, 2, 1) are comparable"}\n'
+        )
 
 
 class TestConsoleScript:

@@ -3,12 +3,15 @@ Stanley-Reisner constructions.
 
 The brute-force monomial count is the oracle for the Hilbert series; a
 test-local recursion with randomized pivot choices is the oracle for
-pivot-independence of the K-polynomial; the lowest-degree part of
+pivot-independence of the K-polynomial, and the per-node IntPolynomial
+recursion of `kpoly_oracle` the oracle for its packed accumulator and
+node count; the lowest-degree part of
 K(S/I; 1 - t) is the oracle for the multidegree by additivity, and an
 exhaustive subset search the oracle for the minimum primes.
 """
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -38,13 +41,18 @@ from multidegree import (
     quotient_krull_dimension,
     stanley_reisner_ideal,
 )
+from multidegree.hilbert import _minimalize
+
+from kpoly_oracle import kpolynomial_oracle, minimalize
 
 
 def ideal_2vars(*generators):
     return MonomialIdeal(Grading.standard(2), generators)
 
 
-def random_ideal(rng, max_vars=6, max_p=3, entries=(0, 0, 1, 2), max_gens=5):
+def random_ideal(
+    rng, max_vars=6, max_p=3, entries=(0, 0, 1, 2), max_gens=5, degree_entries=(0, 0, 1, 2)
+):
     """Random monomial ideal: non-squarefree generators, non-standard grading."""
     nvars = rng.randint(1, max_vars)
     p = rng.randint(1, max_p)
@@ -52,7 +60,7 @@ def random_ideal(rng, max_vars=6, max_p=3, entries=(0, 0, 1, 2), max_gens=5):
     for _ in range(nvars):
         degree = [0] * p
         while not any(degree):
-            degree = [rng.choice((0, 0, 1, 2)) for _ in range(p)]
+            degree = [rng.choice(degree_entries) for _ in range(p)]
         degrees.append(degree)
     gens = set()
     for _ in range(rng.randint(0, max_gens)):
@@ -113,14 +121,6 @@ def monomial_ideals(draw):
 def kpoly_random_pivots(ideal, rng):
     """Reference recursion choosing pivots at random."""
     grading = ideal.grading
-
-    def minimalize(gens):
-        kept = []
-        for g in sorted(set(gens)):
-            if not any(all(x <= y for x, y in zip(h, g)) for h in kept):
-                kept = [h for h in kept if not all(x <= y for x, y in zip(g, h))]
-                kept.append(g)
-        return tuple(sorted(kept))
 
     def recurse(gens):
         if not gens:
@@ -184,6 +184,107 @@ class TestKPolynomial:
         ico = stanley_reisner_ideal(icosahedron_boundary())
         with pytest.raises(BudgetExceededError):
             kpolynomial(ico, recursion_budget=50)
+
+
+def assert_matches_oracle(ideal):
+    """Equal polynomial, and a node budget that the oracle's node count
+    meets exactly."""
+    expected, nodes = kpolynomial_oracle(ideal)
+    assert kpolynomial(ideal, recursion_budget=nodes) == expected
+    with pytest.raises(BudgetExceededError):
+        kpolynomial(ideal, recursion_budget=nodes - 1)
+
+
+class TestKPolynomialAgainstOracle:
+    def test_random_ideals(self):
+        rng = random.Random(97)
+        for _ in range(200):
+            ideal = random_ideal(
+                rng, entries=(0, 0, 1, 2, 3), max_gens=6, degree_entries=(0, 0, 1, 2, 3)
+            )
+            assert_matches_oracle(ideal)
+
+    def test_pair_gradings(self):
+        complexes = [
+            hollow_triangle(),
+            octahedron_boundary(),
+            icosahedron_boundary(),
+            SimplicialComplex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+            SimplicialComplex(4, [(1, 2, 3), (2, 3, 4)]),
+        ]
+        for complex_ in complexes:
+            assert_matches_oracle(stanley_reisner_ideal(complex_, vars_per_vertex=2))
+        # both variables of a pair in the generators
+        grading = Grading(4, 2, [(1, 0), (0, 1), (1, 0), (0, 1)])
+        assert_matches_oracle(MonomialIdeal(grading, [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 0, 1)]))
+        assert_matches_oracle(MonomialIdeal(grading, [(2, 0, 0, 0), (0, 0, 3, 0), (1, 1, 1, 1)]))
+        # random ideals in which each degree belongs to two variables
+        rng = random.Random(5)
+        for _ in range(100):
+            half = random_ideal(rng, max_vars=3, max_gens=0).grading
+            nvars = 2 * half.nvars
+            draws = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(nvars)) for _ in range(6)]
+            gens = minimalize(g for g in draws if any(g))
+            assert_matches_oracle(MonomialIdeal(Grading(nvars, half.p, half.degree_of * 2), gens))
+
+    def test_exponents_at_the_lcm_bound(self):
+        # the top term of a complete intersection is t^deg(lcm): every
+        # packed digit sits at its largest value b_k
+        cases = [
+            (Grading.standard(3), [(2, 0, 0), (0, 3, 0), (0, 0, 1)]),
+            (Grading(2, 2, [(1, 2), (3, 1)]), [(2, 0), (0, 3)]),
+            (Grading(3, 3, [(1, 0, 2), (0, 1, 0), (3, 3, 1)]), [(1, 0, 0), (0, 2, 0), (0, 0, 2)]),
+        ]
+        for grading, gens in cases:
+            ideal = MonomialIdeal(grading, gens)
+            lcm = [max(column) for column in zip(*gens)]
+            top = grading.degree_of_monomial(lcm)
+            assert kpolynomial(ideal).coefficient(top) == (-1) ** len(gens)
+            assert_matches_oracle(ideal)
+
+    def test_zero_and_single_generator_ideals(self):
+        gradings = [Grading.standard(1), Grading.standard(3), Grading(3, 2, [(1, 2), (3, 0), (1, 1)])]
+        for grading in gradings:
+            assert_matches_oracle(MonomialIdeal(grading, []))
+        single = [
+            (Grading.standard(1), (4,)),
+            (Grading.standard(3), (1, 1, 1)),
+            (Grading(3, 2, [(1, 2), (3, 0), (1, 1)]), (2, 0, 3)),
+            (Grading(3, 2, [(1, 2), (3, 0), (1, 1)]), (0, 5, 0)),
+        ]
+        for grading, g in single:
+            ideal = MonomialIdeal(grading, [g])
+            assert kpolynomial(ideal) == IntPolynomial(
+                grading.p, {(0,) * grading.p: 1, grading.degree_of_monomial(g): -1}
+            )
+            assert_matches_oracle(ideal)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(monomial_ideals())
+    def test_property(self, ideal):
+        assert_matches_oracle(ideal)
+
+    def test_minimalize_matches_oracle_on_colon_ideals(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            gens = random_ideal(rng, entries=(0, 0, 1, 2, 3), max_gens=8).generators
+            for m in gens:
+                quotients = [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens if g != m]
+                assert _minimalize(quotients) == minimalize(quotients)
+                mixed = quotients + list(gens)
+                assert _minimalize(mixed) == minimalize(mixed)
+
+
+class TestMinimalityCheck:
+    def test_many_variables_checked_quickly(self):
+        # 1,121,251 pairs of disjoint supports: the support masks settle
+        # every pair without a coordinate comparison
+        n = 1500
+        gens = [tuple(int(v == i) for v in range(n)) for i in range(n - 1)]
+        start = time.perf_counter()
+        ideal = MonomialIdeal(Grading(n, 1, [(1,)] * n), gens)
+        assert time.perf_counter() - start < 10.0
+        assert len(ideal.generators) == n - 1
 
 
 class TestHilbertOracle:
