@@ -20,7 +20,6 @@ from .hilbert import (
     SimplicialComplex,
     facet_support,
     hilbert_function_oracle,
-    hilbert_series_coefficients_upto,
     hollow_triangle,
     icosahedron_boundary,
     kpolynomial,
@@ -93,7 +92,6 @@ __all__ = [
     "flag_rank_function",
     "flag_simple_inequalities",
     "hilbert_function_oracle",
-    "hilbert_series_coefficients_upto",
     "hollow_triangle",
     "icosahedron_boundary",
     "is_mconvex",

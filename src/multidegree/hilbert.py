@@ -289,51 +289,6 @@ def hilbert_function_oracle(
     return count
 
 
-def hilbert_series_coefficients_upto(
-    ideal: MonomialIdeal, bound: Sequence[int]
-) -> dict[tuple[int, ...], int]:
-    """Coefficients of K(S/I) / prod_vars(1 - t^deg) for all nu <= bound.
-
-    The series is expanded exactly inside the coordinate box; exponents
-    outside the box cannot influence those inside, so the truncation is
-    safe.
-    """
-    grading = ideal.grading
-    box = tuple(int(x) for x in bound)
-    if len(box) != grading.p or any(x < 0 for x in box):
-        raise ValidationError(f"bad truncation box {box}")
-
-    def truncated_mul(
-        a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]
-    ) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                if any(k > m for k, m in zip(key, box)):
-                    continue
-                out[key] = out.get(key, 0) + c1 * c2
-        return {e: c for e, c in out.items() if c != 0}
-
-    series: dict[tuple[int, ...], int] = {(0,) * grading.p: 1}
-    for deg in grading.degree_of:
-        factor: dict[tuple[int, ...], int] = {}
-        k = 0
-        while True:
-            exp = tuple(k * d for d in deg)
-            if any(x > m for x, m in zip(exp, box)):
-                break
-            factor[exp] = 1
-            k += 1
-        series = truncated_mul(series, factor)
-    kpoly = {
-        exp: coef
-        for exp, coef in kpolynomial(ideal).terms.items()
-        if all(x <= m for x, m in zip(exp, box))
-    }
-    return truncated_mul(series, kpoly)
-
-
 def quotient_krull_dimension(ideal: MonomialIdeal) -> int:
     """Krull dimension of S/I: nvars minus the size of a minimum
     variable cover of the generators (`minimum_primes`)."""

@@ -3,11 +3,14 @@ sums, and mixed volumes by polarization.
 
 All geometry is exact: coordinates are rationals, scaled to integers
 before hull computations.  Volumes and extreme points in 3D come from
-one triangulated convex hull, built incrementally.  It checks itself
-(a non-degenerate seed tetrahedron, a closed oriented surface of Euler
-characteristic 2 after every insertion, every point beneath every
-facet plane at the end) and raises AssertionError when a check fails,
-so a wrong volume is never returned silently.
+one triangulated convex hull, built incrementally (de Berg et al.,
+*Computational Geometry*, chapter 11).  Each face carries its plane, so
+visibility is one dot product and the offsets sum to six times the
+volume; the hull is None on flat input, which is how `volume` tells a
+flat polytope.  The hull checks itself (a closed oriented surface of
+Euler characteristic 2 after every insertion, every point beneath every
+face plane at the end, positive volume) and raises AssertionError when
+a check fails, so a wrong volume is never returned silently.
 
 Mixed volumes come from the polarization formula (Schneider, *Convex
 Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
@@ -110,12 +113,6 @@ def _dot(u: IntPoint, v: IntPoint) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _orient3(a: IntPoint, b: IntPoint, c: IntPoint, q: IntPoint) -> int:
-    """Sign volume of the tetrahedron (a, b, c, q): positive when q is
-    on the side the normal (b-a) x (c-a) points to."""
-    return _dot(_cross3(_sub(b, a), _sub(c, a)), _sub(q, a))
-
-
 def _cross2(o: IntPoint, a: IntPoint, b: IntPoint) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -182,67 +179,68 @@ def _hull_2d(points: Sequence[IntPoint]) -> list[IntPoint]:
 # -- 3D hull: incremental construction with self-checks --------------------
 
 
-Triangle = tuple[IntPoint, IntPoint, IntPoint]
+# A face is its corners a, b, c, counterclockwise seen from outside, with
+# the outward normal (b - a) x (c - a) and the offset normal . a.
+Face = tuple[IntPoint, IntPoint, IntPoint, IntPoint, int]
 
 
-def _surface_checks(faces: list[Triangle]) -> None:
+def _face(a: IntPoint, b: IntPoint, c: IntPoint) -> Face:
+    normal = _cross3(_sub(b, a), _sub(c, a))
+    return (a, b, c, normal, _dot(normal, a))
+
+
+def _surface_checks(faces: Sequence[tuple]) -> None:
+    """Closed oriented surface of Euler characteristic 2.  Only a face's
+    first three entries, its corners, are read."""
     edges: dict[tuple[IntPoint, IntPoint], int] = {}
-    for a, b, c in faces:
+    for a, b, c, *_plane in faces:
         for e in ((a, b), (b, c), (c, a)):
             edges[e] = edges.get(e, 0) + 1
     for (u, v), count in edges.items():
         if count != 1 or edges.get((v, u), 0) != 1:
             raise AssertionError("hull surface is not a closed oriented manifold")
-    used = {v for f in faces for v in f}
+    used = {v for f in faces for v in f[:3]}
     if len(used) - len(edges) // 2 + len(faces) != 2:
         raise AssertionError("hull surface is not a topological sphere")
 
 
-def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Triangle]:
-    """Outward-oriented triangulated boundary of the hull of
-    full-dimensional points: grow a seed tetrahedron one point at a time,
-    replacing the faces each new point sees by the cone over their
-    horizon."""
+def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
+    """Outward-oriented triangulated boundary of the hull, or None when
+    the points lie in a plane.
+
+    Each face carries its plane; as a . ((b - a) x (c - a)) = det(a, b, c),
+    the offsets sum to six times the volume.  The seed tetrahedron is the
+    first point a, the first point b != a, the first point c off the line
+    ab and the first point off the plane abc.  Each other point replaces
+    the faces it sees by the cone over their horizon.
+    """
     pts = sorted(set(points))
     try:
-        i1 = next(i for i in range(1, len(pts)) if pts[i] != pts[0])
-        i2 = next(
-            i
-            for i in range(i1 + 1, len(pts))
-            if any(_cross3(_sub(pts[i1], pts[0]), _sub(pts[i], pts[0])))
-        )
-        i3 = next(
-            i
-            for i in range(i2 + 1, len(pts))
-            if _orient3(pts[0], pts[i1], pts[i2], pts[i]) != 0
-        )
+        a = pts[0]
+        b = next(q for q in pts if q != a)
+        ab = _sub(b, a)
+        c = next(q for q in pts if any(_cross3(ab, _sub(q, a))))
+        normal, offset = _face(a, b, c)[3:]
+        d = next(q for q in pts if _dot(normal, q) != offset)
     except StopIteration:
-        raise AssertionError("no seed tetrahedron: points not full-dimensional") from None
-    corners = [pts[0], pts[i1], pts[i2], pts[i3]]
-    faces: list[Triangle] = []
-    for omit in range(4):
-        tri = [corners[k] for k in range(4) if k != omit]
-        if _orient3(tri[0], tri[1], tri[2], corners[omit]) > 0:
-            tri[1], tri[2] = tri[2], tri[1]
-        faces.append((tri[0], tri[1], tri[2]))
+        return None
+    if _dot(normal, d) > offset:
+        b, c = c, b
+    faces = [_face(a, b, c), _face(b, a, d), _face(c, b, d), _face(a, c, d)]
     _surface_checks(faces)
-    seeded = {pts[0], pts[i1], pts[i2], pts[i3]}
     for q in pts:
-        if q in seeded:
-            continue
-        visible = [f for f in faces if _orient3(f[0], f[1], f[2], q) > 0]
+        kept: list[Face] = []
+        visible: list[Face] = []
+        for f in faces:
+            (visible if _dot(f[3], q) > f[4] else kept).append(f)
         if not visible:
             continue
-        visible_set = set(visible)
-        visible_edges = {e for a, b, c in visible for e in ((a, b), (b, c), (c, a))}
-        horizon = [(u, v) for (u, v) in visible_edges if (v, u) not in visible_edges]
-        faces = [f for f in faces if f not in visible_set]
-        faces.extend((u, v, q) for u, v in horizon)
+        edges = {e for u, v, w, *_plane in visible for e in ((u, v), (v, w), (w, u))}
+        faces = kept + [_face(u, v, q) for u, v in edges if (v, u) not in edges]
         _surface_checks(faces)
-    for f in faces:
-        for q in pts:
-            if _orient3(f[0], f[1], f[2], q) > 0:
-                raise AssertionError("a point ended up beyond a hull facet plane")
+    for _u, _v, _w, normal, offset in faces:
+        if any(_dot(normal, q) > offset for q in pts):
+            raise AssertionError("a point ended up beyond a hull face plane")
     return faces
 
 
@@ -263,13 +261,9 @@ def _facet_ring(on_plane: Sequence[IntPoint], normal: IntPoint) -> list[IntPoint
 
 def _volume_3d_scaled(points: Sequence[IntPoint]) -> Fraction:
     faces = _hull_3d_incremental(points)
-    six_vol = 0
-    for a, b, c in faces:
-        six_vol += (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
+    if faces is None:
+        return Fraction(0)
+    six_vol = sum(f[4] for f in faces)
     if six_vol <= 0:
         raise AssertionError("closed outward surface must enclose positive volume")
     return Fraction(six_vol, 6)
@@ -280,8 +274,6 @@ def volume(polytope: LatticePolytope) -> Fraction:
     d = polytope.d
     if d > MAX_AMBIENT_DIM:
         raise UnsupportedSizeError(f"volume unsupported in dimension {d}")
-    if polytope_dim(polytope) < d:
-        return Fraction(0)
     ints, scale = _scale_to_int(polytope.vertices)
     if d == 1:
         lo = min(x for (x,) in ints)
@@ -327,12 +319,14 @@ def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
         return sorted(back[q] for q in ring)
     # dim == 3: the triangles on one facet share a primitive outward plane;
     # the strict ring of each facet drops points inside its edges.
+    faces = _hull_3d_incremental(ints)
+    if faces is None:
+        raise AssertionError("points of rank 3 have no seed tetrahedron")
     facets: dict[tuple[IntPoint, int], set[IntPoint]] = {}
-    for a, b, c in _hull_3d_incremental(ints):
-        normal = _cross3(_sub(b, a), _sub(c, a))
+    for a, b, c, normal, offset in faces:
         g = math.gcd(*normal)
-        normal = tuple(x // g for x in normal)
-        facets.setdefault((normal, _dot(normal, a)), set()).update((a, b, c))
+        plane = (tuple(x // g for x in normal), offset // g)
+        facets.setdefault(plane, set()).update((a, b, c))
     hull_vertices: set[IntPoint] = set()
     for (normal, _offset), on_plane in facets.items():
         hull_vertices.update(_facet_ring(sorted(on_plane), normal))

@@ -171,9 +171,9 @@ class Support:
 class RankFunction:
     """Integer set function on all subsets of [p], indexed by bitmask.
 
-    Construction only checks the table shape; use validate() to test the
-    normalization, monotonicity, and submodularity axioms, which keeps
-    deliberately corrupted tables representable for diagnosis.
+    Construction only checks the table shape; `validate_rank_function`
+    tests the normalization, monotonicity, and submodularity axioms, which
+    keeps deliberately corrupted tables representable for diagnosis.
     """
 
     p: int
@@ -199,9 +199,6 @@ class RankFunction:
     @property
     def full_mask(self) -> int:
         return (1 << self.p) - 1
-
-    def validate(self) -> "RankReport":
-        return validate_rank_function(self)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "values": list(self.values)}

@@ -415,6 +415,77 @@ class TestKPoly:
         )
 
 
+class TestPolytopeBytes:
+    # sha256 of the stdout bytes that the hull without stored planes, with
+    # a rank test for the dimension, printed for these inputs
+    PYRAMID = {
+        "d": 3,
+        "vertices": [
+            [0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0], [1, 1, 0], [1, 0, 0],
+            ["1/2", "1/2", "3/2"],
+        ],
+    }
+    SLIVER = {
+        "d": 3,
+        "vertices": [
+            [0, 0, 0], ["1/3", 0, 0], [0, "1/2", 0], [0, 0, 1], ["1/6", "1/4", 0],
+            [0, "1/4", "1/2"],
+        ],
+    }
+    TILTED = {
+        "d": 3,
+        "vertices": [
+            [0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 2], ["1/2", "1/2", 1], ["1/2", 0, "1/2"],
+        ],
+    }
+    TRIANGLE = {"d": 2, "vertices": [[0, 0], [2, 0], [0, 1], [1, 0]]}
+    SEGMENT = {"d": 2, "vertices": [[0, 0], ["3/2", "1/2"], ["3/4", "1/4"]]}
+    SQUARE = {"d": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1], ["1/2", "1/2"]]}
+    FLAT = [
+        {"d": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], ["1/2", "1/2", 0]]},
+        {"d": 3, "vertices": [[0, 0, 0], ["2/3", "1/3", 0]]},
+        {"d": 3, "vertices": [[1, 0, 0], [1, "1/2", 0], [1, "1/4", 0]]},
+    ]
+
+    @pytest.mark.parametrize(
+        "command, polytopes, digest",
+        [
+            (
+                ["mixedvol"],
+                [PYRAMID, SLIVER],
+                "11bd7c922de923f382278b407662b6397ea02b09ed01ea1c05820674a8278726",
+            ),
+            (
+                ["mixedvol"],
+                [PYRAMID, SLIVER, TILTED],
+                "f9e89965aa70c6cff5a192f34960661fc5edfd3d85675136a22b561ff1dbbbad",
+            ),
+            (
+                ["mixedvol"],
+                [TRIANGLE, SEGMENT, SQUARE],
+                "848134038630674a8c74fc3aab0485eb66d7655b2e88ca65caed8402983c4a2c",
+            ),
+            (
+                ["mixedvol"],
+                FLAT,
+                "25a4002d3263a01a34ef514e7a8e3a98c60658b17ddd77345bdb278fa926546b",
+            ),
+            (
+                ["positivity", "--n", "1,1,1"],
+                FLAT,
+                "17d95b3864a20b76d77a9374229744ce73903599a74539113bd819e587883890",
+            ),
+        ],
+        ids=["mixedvol-3d-pair", "mixedvol-3d-triple", "mixedvol-2d-segment",
+             "mixedvol-3d-flat", "positivity-3d-flat"],
+    )
+    def test_pinned_bytes(self, capsys, command, polytopes, digest):
+        document = json.dumps({"polytopes": polytopes})
+        code, out, _err = run_cli([*command, "--json", document], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 class TestConsoleScript:
     def test_module_invocation(self):
         proc = subprocess.run(

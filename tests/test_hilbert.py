@@ -28,7 +28,6 @@ from multidegree import (
     ValidationError,
     facet_support,
     hilbert_function_oracle,
-    hilbert_series_coefficients_upto,
     hollow_triangle,
     icosahedron_boundary,
     is_mconvex,
@@ -135,6 +134,34 @@ def kpoly_random_pivots(ideal, rng):
         return recurse(rest) - t_deg * recurse(colon)
 
     return recurse(ideal.generators)
+
+
+def hilbert_series_coefficients_upto(ideal, box):
+    """Coefficients of K(S/I) / prod_vars(1 - t^deg) for all nu <= box.
+
+    The series is expanded exactly inside the coordinate box; exponents
+    outside the box cannot influence those inside, so the truncation is
+    safe.
+    """
+
+    def truncated_mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                if all(k <= m for k, m in zip(key, box)):
+                    out[key] = out.get(key, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c != 0}
+
+    series = {(0,) * ideal.grading.p: 1}
+    for deg in ideal.grading.degree_of:
+        factor = {}
+        k = 0
+        while all(k * d <= m for d, m in zip(deg, box)):
+            factor[tuple(k * d for d in deg)] = 1
+            k += 1
+        series = truncated_mul(series, factor)
+    return truncated_mul(series, kpolynomial(ideal).terms)
 
 
 class TestKPolynomial:

@@ -3,10 +3,12 @@ volumes, and the positivity criterion.
 
 The library has one 3D hull, the incremental construction.  The
 exhaustive supporting-plane search in hull_oracle.py is its reference:
-volumes and extreme points are compared on degeneracy-rich random
-configurations of 4 to 40 points (clouds on a small grid, Minkowski
-sums of two random 3-polytopes, sheared grids and prisms, with many
-collinear and coplanar points).
+volumes, extreme points and the planes stored on the faces are compared
+on degeneracy-rich random configurations of 4 to 40 points (clouds on a
+small grid, Minkowski sums of two random 3-polytopes, sheared grids and
+prisms, with many collinear and coplanar points).  The hull's seed
+search is the only dimension test `volume` makes; the rank computation
+`polytope_dim` is its oracle on flat and full-dimensional input.
 """
 
 import math
@@ -36,7 +38,12 @@ from multidegree.mixedvol import (
     extreme_points,
 )
 
-from hull_oracle import enclosed_volume, hull_3d_bruteforce, hull_vertices
+from hull_oracle import (
+    enclosed_volume,
+    hull_3d_bruteforce,
+    hull_vertices,
+    supporting_planes,
+)
 
 
 def cube(d=3):
@@ -88,6 +95,24 @@ def random_configuration(rng):
     base = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(rng.randint(3, 8))]
     levels = sorted(rng.sample(range(-2, 3), rng.randint(2, 4)))
     return sheared([(x, y, z) for x, y in base for z in levels], rng)
+
+
+def random_points(rng, d):
+    """1 to d + 3 points with fractional coordinates in a random affine
+    subspace of dimension 0 to d, so that flat sets are common."""
+    den = rng.randint(1, 3)
+    base = [Fraction(rng.randint(-2, 2), den) for _ in range(d)]
+    directions = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rng.randint(0, d))]
+    points = []
+    for _ in range(rng.randint(1, d + 3)):
+        coefficients = [Fraction(rng.randint(-2, 2), den) for _ in directions]
+        points.append(
+            tuple(
+                b + sum(t * v[k] for t, v in zip(coefficients, directions))
+                for k, b in enumerate(base)
+            )
+        )
+    return points
 
 
 class TestDim:
@@ -167,6 +192,62 @@ class TestVolume:
             LatticePolytope(4, [(0, 0, 0, 0)])
 
 
+class TestFlatInput:
+    NAMED = {
+        "point-1d": (1, [(5,)], True),
+        "point-3d": (3, [(1, 2, 3)], True),
+        "collinear-2d": (2, [(0, 0), (1, 2), (2, 4), ("-1/2", -1)], True),
+        "collinear-3d": (3, [(0, 0, 0), (1, 1, 1), ("1/3", "1/3", "1/3"), (-2, -2, -2)], True),
+        "grid-5x5-3d": (3, [(x, y, x - y) for x in range(5) for y in range(5)], True),
+        "grid-5x5-plus-apex-3d": (
+            3,
+            [(x, y, x - y) for x in range(5) for y in range(5)] + [(0, 0, 1)],
+            False,
+        ),
+        "fractional-plane-3d": (
+            3,
+            [(0, 0, 0), ("1/2", 0, "1/3"), (0, "1/3", "1/2"), ("1/2", "1/3", "5/6")],
+            True,
+        ),
+        "fractional-simplex-3d": (
+            3,
+            [(0, 0, 0), ("1/2", 0, 0), (0, "1/3", 0), (0, 0, "1/4")],
+            False,
+        ),
+        "fractional-segment-2d": (2, [("1/3", "2/3"), ("2/3", "1/3")], True),
+    }
+
+    @staticmethod
+    def assert_flat_iff_zero(k):
+        flat = polytope_dim(k) < k.d
+        assert (volume(k) == 0) == flat
+        if k.d == 3:
+            ints, _scale = _scale_to_int(k.vertices)
+            assert (_hull_3d_incremental(ints) is None) == flat
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named(self, name):
+        d, verts, flat = self.NAMED[name]
+        k = LatticePolytope(d, verts)
+        assert (polytope_dim(k) < d) == flat
+        self.assert_flat_iff_zero(k)
+
+    def test_fractional_simplex_volume(self):
+        d, verts, _flat = self.NAMED["fractional-simplex-3d"]
+        assert volume(LatticePolytope(d, verts)) == Fraction(1, 144)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_randomized(self, d):
+        rng = random.Random(31 + d)
+        flat = 0
+        for _ in range(200):
+            k = LatticePolytope(d, random_points(rng, d))
+            flat += polytope_dim(k) < d
+            self.assert_flat_iff_zero(k)
+        # both kinds of input occur
+        assert 20 < flat < 180
+
+
 class TestHullAgreement:
     def test_incremental_matches_bruteforce_randomized(self):
         rng = random.Random(1234)
@@ -178,7 +259,22 @@ class TestHullAgreement:
             trials += 1
             # a failed self-check raises AssertionError and fails the test
             faces = _hull_3d_incremental(pts)
-            assert enclosed_volume(faces) == enclosed_volume(hull_3d_bruteforce(pts))
+            expected = enclosed_volume(hull_3d_bruteforce(pts))
+            assert enclosed_volume([f[:3] for f in faces]) == expected
+
+    def test_stored_planes_match_oracle_randomized(self):
+        rng = random.Random(2468)
+        trials = 0
+        while trials < 60:
+            pts = random_configuration(rng)
+            if not full_dimensional(pts):
+                continue
+            trials += 1
+            planes = set()
+            for _a, _b, _c, normal, offset in _hull_3d_incremental(pts):
+                g = math.gcd(*normal)
+                planes.add((tuple(x // g for x in normal), offset // g))
+            assert planes == set(supporting_planes(pts))
 
     def test_volume_entry_point_matches_reference(self):
         rng = random.Random(4321)
