@@ -10,7 +10,6 @@ from .flagmoduli import (
     flag_comparator_report,
     flag_msupp,
     flag_rank_function,
-    flag_simple_inequalities,
     m0n_msupp,
     m0n_rank_function,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "flag_comparator_report",
     "flag_msupp",
     "flag_rank_function",
-    "flag_simple_inequalities",
     "hilbert_function_oracle",
     "hollow_triangle",
     "icosahedron_boundary",

@@ -5,6 +5,11 @@ Standard output carries exactly one JSON document; all diagnostics go
 to standard error.  Identical invocations produce identical bytes (all
 collections are emitted in canonical order).  Exit status: 0 success,
 2 validation error, 3 enumeration-budget or unsupported-size error.
+
+One table, `_COMMANDS`, lists the subcommands.  A call that names one
+builds only that subcommand's parser: argparse makes a help formatter
+for every argument it adds, and building all thirteen costs more than
+most jobs spend computing.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import flagmoduli, hilbert, mixedvol, polymatroid, schubert
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
@@ -29,22 +34,19 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_document(args: argparse.Namespace) -> dict:
-    if getattr(args, "json", None) is not None and getattr(args, "input", None) is not None:
+    if args.json is not None and args.input is not None:
         raise ValidationError("give either --input or --json, not both")
-    if getattr(args, "json", None) is not None:
-        text = args.json
-        origin = "--json"
-    elif getattr(args, "input", None) is not None:
-        if args.input == "-":
-            text = sys.stdin.read()
-            origin = "stdin"
-        else:
-            try:
-                with open(args.input, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError as exc:
-                raise ValidationError(f"cannot read {args.input}: {exc}") from exc
-            origin = args.input
+    if args.json is not None:
+        text, origin = args.json, "--json"
+    elif args.input == "-":
+        text, origin = sys.stdin.read(), "stdin"
+    elif args.input is not None:
+        try:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {args.input}: {exc}") from exc
+        origin = args.input
     else:
         raise ValidationError("this subcommand needs --input or --json")
     try:
@@ -64,20 +66,19 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 def _emit(document: object, args: argparse.Namespace) -> int:
     payload = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         try:
-            with open(output, "w", encoding="utf-8") as handle:
+            with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            raise ValidationError(f"cannot write {output}: {exc}") from exc
+            raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     sys.stdout.write(payload)
     return EXIT_OK
 
 
 def _support_view(support: polymatroid.Support, args: argparse.Namespace, bound: int) -> dict:
     """Support JSON in the requested coordinate convention."""
-    if getattr(args, "exponent_coordinates", False):
+    if args.exponent_coordinates:
         return support.complement(bound).to_json_dict()
     return support.to_json_dict()
 
@@ -116,20 +117,16 @@ def _cmd_theta(args: argparse.Namespace) -> int:
     if args.perm is not None:
         pi = schubert.Permutation(_parse_int_list(args.perm, "permutation"))
         diagram = schubert.rothe_diagram(pi)
-        result = {
-            "diagram": diagram.to_json_dict(),
-            "subset": sorted(subset),
-            "theta": schubert.theta(diagram, subset),
-            "length": schubert.length(pi),
-            "projection_codim": schubert.projection_codim(pi, subset),
-        }
     else:
         diagram = schubert.Diagram.from_json_dict(_load_document(args))
-        result = {
-            "diagram": diagram.to_json_dict(),
-            "subset": sorted(subset),
-            "theta": schubert.theta(diagram, subset),
-        }
+    result = {
+        "diagram": diagram.to_json_dict(),
+        "subset": sorted(subset),
+        "theta": schubert.theta(diagram, subset),
+    }
+    if args.perm is not None:
+        result["length"] = schubert.length(pi)
+        result["projection_codim"] = schubert.projection_codim(pi, subset)
     return _emit(result, args)
 
 
@@ -256,24 +253,60 @@ def _cmd_m0n(args: argparse.Namespace) -> int:
     return _emit({"support": support.to_json_dict(), "count": len(support)}, args)
 
 
-_HANDLERS = {
-    "schubert": _cmd_schubert,
-    "theta": _cmd_theta,
-    "msupp-rank": _cmd_msupp_rank,
-    "msupp-linear": _cmd_msupp_linear,
-    "mconvex": _cmd_mconvex,
-    "kpoly": _cmd_kpoly,
-    "multidegree": _cmd_multidegree,
-    "sr-ideal": _cmd_sr_ideal,
-    "facet-support": _cmd_facet_support,
-    "mixedvol": _cmd_mixedvol,
-    "positivity": _cmd_positivity,
-    "flag": _cmd_flag,
-    "m0n": _cmd_m0n,
+class _Command:
+    """A subcommand: its help text, its handler, its own arguments as
+    (option string, add_argument keywords) pairs, and whether it takes
+    --input and --json."""
+
+    # a plain class: a NamedTuple would double this module's import time
+    def __init__(self, help: str, handler: Callable[[argparse.Namespace], int],
+                 arguments: tuple = (), takes_input: bool = True):
+        self.help, self.handler, self.arguments = help, handler, arguments
+        self.takes_input = takes_input
+
+
+_P = ("--p", {"type": int, "help": "number of projective factors"})
+
+# every subcommand, in the order of the help text
+_COMMANDS = {
+    "schubert": _Command("Schubert polynomial and its supports", _cmd_schubert, (
+        ("--perm", {"help": "one-line notation, e.g. 3,2,1"}),
+        ("--exponent-coordinates", {"action": "store_true", "help": "report supports as "
+                                    "polynomial exponents m instead of multidegree types n"}),
+    )),
+    "theta": _Command("column-word statistic of a diagram", _cmd_theta, (
+        ("--perm", {"help": "use the Rothe diagram of this permutation"}),
+        ("--subset", {"help": "comma-separated rows, e.g. 2,3 (empty for the empty set)"}),
+    )),
+    "msupp-rank": _Command(
+        "lattice points of the base polytope of a rank function", _cmd_msupp_rank
+    ),
+    "msupp-linear": _Command("rank function and support of a subspace family", _cmd_msupp_linear),
+    "mconvex": _Command("M-convexity test with an exchange-axiom witness", _cmd_mconvex),
+    "kpoly": _Command("K-polynomial of a monomial ideal", _cmd_kpoly),
+    "multidegree": _Command("multidegree polynomial of a monomial ideal", _cmd_multidegree),
+    "facet-support": _Command(
+        "incidence vectors of the top-dimensional facets", _cmd_facet_support
+    ),
+    "mixedvol": _Command("mixed-volume table of a polytope tuple", _cmd_mixedvol),
+    "sr-ideal": _Command("Stanley-Reisner ideal of a simplicial complex", _cmd_sr_ideal, (
+        ("--vars-per-vertex", {"type": int, "default": 1, "help": "variables per vertex "
+                               "(2 gives the one-projective-line-per-vertex grading)"}),
+    )),
+    "positivity": _Command("positivity and independent-segments criteria", _cmd_positivity, (
+        ("--n", {"help": "type vector, e.g. 1,1,1"}),
+    )),
+    "flag": _Command(
+        "flag variety support and comparator report", _cmd_flag, (_P,), takes_input=False
+    ),
+    "m0n": _Command("moduli-of-rational-curves support (Catalan count)", _cmd_m0n, (
+        _P, ("--count-only", {"action": "store_true", "help": "print only the cardinality"}),
+    ), takes_input=False),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand or with the one named `only`."""
     parser = argparse.ArgumentParser(
         prog="multidegree",
         description="Exact multidegree supports from combinatorial data.",
@@ -285,68 +318,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the JSON schema for an input type and exit "
         f"(one of: {', '.join(sorted(SCHEMAS))})",
     )
-    sub = parser.add_subparsers(dest="subcommand")
-
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
+    if only is None:
+        # argparse names the subcommand argument by its metavar in the
+        # "invalid choice" error, so the full parser sets none
+        sub = parser.add_subparsers(dest="subcommand")
+    else:
+        # the usage line of an "unrecognized arguments" error lists every
+        # subcommand, not only the one registered here
+        sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(_COMMANDS) + "}")
+    for name, command in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--output", help="also write the JSON result to this path")
         p.add_argument("-v", "--verbose", action="count", default=0)
-        if with_input:
+        if command.takes_input:
             p.add_argument("--input", help="path of the input JSON document ('-' for stdin)")
             p.add_argument("--json", help="inline input JSON document")
-
-    p = sub.add_parser("schubert", help="Schubert polynomial and its supports")
-    common(p)
-    p.add_argument("--perm", help="one-line notation, e.g. 3,2,1")
-    p.add_argument(
-        "--exponent-coordinates",
-        action="store_true",
-        help="report supports as polynomial exponents m instead of multidegree types n",
-    )
-
-    p = sub.add_parser("theta", help="column-word statistic of a diagram")
-    common(p)
-    p.add_argument("--perm", help="use the Rothe diagram of this permutation")
-    p.add_argument("--subset", help="comma-separated rows, e.g. 2,3 (empty for the empty set)")
-
-    for name, help_text in [
-        ("msupp-rank", "lattice points of the base polytope of a rank function"),
-        ("msupp-linear", "rank function and support of a subspace family"),
-        ("mconvex", "M-convexity test with an exchange-axiom witness"),
-        ("kpoly", "K-polynomial of a monomial ideal"),
-        ("multidegree", "multidegree polynomial of a monomial ideal"),
-        ("facet-support", "incidence vectors of the top-dimensional facets"),
-        ("mixedvol", "mixed-volume table of a polytope tuple"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-
-    p = sub.add_parser("sr-ideal", help="Stanley-Reisner ideal of a simplicial complex")
-    common(p)
-    p.add_argument(
-        "--vars-per-vertex",
-        type=int,
-        default=1,
-        help="variables per vertex (2 gives the one-projective-line-per-vertex grading)",
-    )
-
-    p = sub.add_parser("positivity", help="positivity and independent-segments criteria")
-    common(p)
-    p.add_argument("--n", help="type vector, e.g. 1,1,1")
-
-    p = sub.add_parser("flag", help="flag variety support and comparator report")
-    common(p, with_input=False)
-    p.add_argument("--p", type=int, help="number of projective factors")
-
-    p = sub.add_parser("m0n", help="moduli-of-rational-curves support (Catalan count)")
-    common(p, with_input=False)
-    p.add_argument("--p", type=int, help="number of projective factors")
-    p.add_argument("--count-only", action="store_true", help="print only the cardinality")
-
+        for option, keywords in command.arguments:
+            p.add_argument(option, **keywords)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.schema is not None:
         sys.stdout.write(
@@ -357,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
-        return _HANDLERS[args.subcommand](args)
+        return _COMMANDS[args.subcommand].handler(args)
     except ValidationError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
     except (BudgetExceededError, UnsupportedSizeError) as exc:

@@ -4,16 +4,15 @@ curves.
 
 The flag support comes from the rank function S(J) counting the
 dimension of the partial flag variety selected by J; that route is the
-ground truth here.  The shorter printed inequality system is also
-implemented verbatim, as a comparator only: read literally it has no
-solution for any p, and the comparator report surfaces rather than
-hides that.
+ground truth here.  The shorter printed inequality system has no
+solution for any p when read literally (see `flag_comparator_report`),
+so the comparator report is built from the support alone; the literal
+system itself is kept in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from math import comb
-from typing import Sequence
 
 from .errors import ValidationError
 from .polymatroid import RankFunction, Support, check_ground_set, msupp_from_rank
@@ -45,55 +44,27 @@ def flag_msupp(p: int) -> Support:
     return msupp_from_rank(flag_rank_function(p))
 
 
-def flag_simple_inequalities(p: int, n: Sequence[int]) -> bool:
-    """Literal evaluation of the printed inequality system:
-
-        1 <= n_k <= sum_{j=1..k}(p-j) - sum_{i<k} n_i   for all k,
-        |n| = binom(p+1, 2).
-
-    Kept verbatim for cross-checking against flag_msupp; no corrected
-    index convention is guessed.
-    """
-    if p < 1:
-        raise ValidationError("p must be at least 1")
-    vec = [int(x) for x in n]
-    if len(vec) != p:
-        raise ValidationError(f"expected a vector of length {p}")
-    if sum(vec) != comb(p + 1, 2):
-        return False
-    bound = 0  # sum_{j=1..k}(p-j) - sum_{i<k} n_i, carried from k - 1 to k
-    for k, n_k in enumerate(vec, start=1):
-        bound += p - k
-        if not 1 <= n_k <= bound:
-            return False
-        bound -= n_k
-    return True
-
-
 def flag_comparator_report(support: Support) -> dict:
     """Pointwise comparison of the rank-route support `flag_msupp(p)`
-    with the literal inequality system.
+    with the printed inequality system
 
-    The literal system is empty for every p: its k = p inequality gives
-    |n| <= sum_{j=1..p}(p-j) = binom(p, 2) < binom(p+1, 2) = |n|.  So no
-    point outside the support can pass it, and one pass over the
-    support's points is the whole comparison: `only_literal_route` is
-    empty, and `only_rank_route` lists the support's points of weight
-    binom(p+1, 2), in the support's order.
+        1 <= n_k <= sum_{j=1..k}(p-j) - sum_{i<k} n_i   for all k,
+        |n| = binom(p+1, 2),
+
+    read literally.  That system is empty for every p: its k = p
+    inequality gives |n| <= sum_{j=1..p}(p-j) = binom(p, 2) <
+    binom(p+1, 2) = |n|.  So `count_literal_route` is 0,
+    `only_literal_route` is empty, and `only_rank_route` lists the
+    support's points of weight binom(p+1, 2), in the support's order.
     """
     p = support.p
-    weight = comb(p + 1, 2)
-    only_rank = []
-    literal_count = 0
-    for point in support.points:
-        if flag_simple_inequalities(p, point):
-            literal_count += 1
-        elif sum(point) == weight:
-            only_rank.append(list(point))
+    # the points of a support share one weight
+    full = support.weight == comb(p + 1, 2)
+    only_rank = [list(point) for point in support.points] if full else []
     return {
         "p": p,
         "count_rank_route": len(support),
-        "count_literal_route": literal_count,
+        "count_literal_route": 0,
         "agree": not only_rank,
         "only_rank_route": only_rank,
         "only_literal_route": [],

@@ -419,8 +419,15 @@ class SimplicialComplex:
                 raise ValidationError("empty facet")
             if any(not 1 <= v <= nverts for v in f):
                 raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
-        for a, b in combinations(cleaned, 2):
-            if set(a) <= set(b) or set(b) <= set(a):
+        pairs = comb(len(cleaned), 2)
+        if pairs > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"nested-facet check over {pairs} facet pairs exceeds "
+                f"{DEFAULT_ENUMERATION_BUDGET}"
+            )
+        masks = [sum(1 << v for v in f) for f in cleaned]
+        for (a, ma), (b, mb) in combinations(zip(cleaned, masks), 2):
+            if ma & mb in (ma, mb):
                 raise ValidationError(f"facets {a} and {b} are nested")
         object.__setattr__(self, "nverts", nverts)
         object.__setattr__(self, "facets", tuple(cleaned))

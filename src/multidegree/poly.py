@@ -15,13 +15,28 @@ decimal strings):
 from __future__ import annotations
 
 import math
+import re
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .polymatroid import Support
+from .polymatroid import Support, _json_int, _json_list
 
 ExponentVector = tuple[int, ...]
+
+
+# the schema's coefficient: an optional minus sign and decimal digits
+_COEF = re.compile(r"-?[0-9]+")
+
+
+def _json_coef(value: object) -> int:
+    """A JSON integer or a decimal string; floats, booleans and other
+    spellings ("1e5", "+1", " 1") are refused."""
+    if not isinstance(value, str):
+        return _json_int(value, "coef")
+    if not _COEF.fullmatch(value):
+        raise ValidationError(f"coef {value!r} is not a decimal integer")
+    return int(value)
 
 
 class IntPolynomial:
@@ -284,8 +299,11 @@ class IntPolynomial:
     def from_json_dict(cls, data: dict) -> "IntPolynomial":
         if not isinstance(data, dict) or "nvars" not in data or "terms" not in data:
             raise ValidationError("polynomial JSON needs 'nvars' and 'terms'")
-        try:
-            terms = [(tuple(t["exp"]), int(t["coef"])) for t in data["terms"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed polynomial terms: {exc}") from exc
-        return cls(int(data["nvars"]), terms)
+        terms = []
+        for term in _json_list(data["terms"], "terms"):
+            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
+                raise ValidationError("a polynomial term needs 'exp' and 'coef'")
+            exp = [_json_int(e, "exponent") for e in _json_list(term["exp"], "exp")]
+            terms.append((exp, _json_coef(term["coef"])))
+        return cls(_json_int(data["nvars"], "nvars"), terms)
+

@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: dispatch, JSON round trips, determinism,
 and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -9,9 +11,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multidegree import Support, polymatroid
-from multidegree.cli import main
+from multidegree import Support, cli, polymatroid
+from multidegree.cli import build_parser, main
 
 from mconvex_oracle import exchange_report
 
@@ -133,6 +137,25 @@ class TestSubcommands:
         assert doc["support"]["points"] == [[1, 2], [2, 1]]
         assert doc["comparator"]["agree"] is False
 
+    # sha256 of the stdout bytes that the comparator printed when it
+    # tested every point against the literal inequality system
+    @pytest.mark.parametrize(
+        "p, digest",
+        [
+            (1, "ba850b36f80f673747f08f0a39936572d62bfade259e7cee7f8f1649639bb0b9"),
+            (2, "ac02af6bac30145be48946c37b8ac0f2fc705bdfe407cc13eca0dab203099f21"),
+            (3, "4b704cc7cd362cac0a2c6f29a09172578f7fe5cc1c5f424d9f262eb40d30e5d9"),
+            (4, "7ba900e61e73875af3e7defb31ed7f58dffa96db156e206aaae7a9ee7a3f3a5c"),
+            (5, "28e5fefebc3d2fabb2a2fd9eef501518eb32edb6df8c727be8833cd633dc44b0"),
+            (6, "99d40e290376087fed16ca54f7c5311b6a787e87f44f17486c98a0f07e8dab08"),
+            (7, "84074ce0927a223311d1b250e00c2b149e96b34b1123fa4800d3162780be0d4b"),
+        ],
+    )
+    def test_flag_pinned_bytes(self, capsys, p, digest):
+        code, out, _err = run_cli(["flag", "--p", str(p)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_m0n(self, capsys):
         doc = run_json(["m0n", "--p", "4"], capsys)
         assert doc["count"] == 14
@@ -241,6 +264,16 @@ class TestDeterminismAndErrors:
         assert code == 3
         assert out == ""
         assert "minimal non-face search" in json.loads(err)["error"]
+
+    def test_nested_facet_budget_exit_3(self, capsys):
+        # 4,498,500 facet pairs; refused before any is compared
+        complex_ = {"nverts": 3000, "facets": [[v] for v in range(1, 3001)]}
+        start = time.perf_counter()
+        code, out, err = run_cli(["facet-support", "--json", json.dumps(complex_)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "nested-facet check over 4498500 facet pairs" in json.loads(err)["error"]
 
     def test_invalid_rank_table_validated_once(self, capsys, monkeypatch):
         # the exit-2 report is the one msupp_from_rank computed, byte for byte
@@ -484,6 +517,296 @@ class TestPolytopeBytes:
         code, out, _err = run_cli([*command, "--json", document], capsys)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# The help and error bytes of the CLI at an 80-column terminal.  The
+# texts are argparse's, so they are pinned for this interpreter's
+# argparse (Python 3.11); another version may word or wrap them
+# differently.
+COMMANDS = [
+    "schubert", "theta", "msupp-rank", "msupp-linear", "mconvex", "kpoly", "multidegree",
+    "facet-support", "mixedvol", "sr-ideal", "positivity", "flag", "m0n",
+]
+
+HELP = {
+    None: """\
+usage: multidegree [-h] [--schema NAME]
+                   {schubert,theta,msupp-rank,msupp-linear,mconvex,kpoly,multidegree,facet-support,mixedvol,sr-ideal,positivity,flag,m0n}
+                   ...
+
+Exact multidegree supports from combinatorial data.
+
+positional arguments:
+  {schubert,theta,msupp-rank,msupp-linear,mconvex,kpoly,multidegree,facet-support,mixedvol,sr-ideal,positivity,flag,m0n}
+    schubert            Schubert polynomial and its supports
+    theta               column-word statistic of a diagram
+    msupp-rank          lattice points of the base polytope of a rank function
+    msupp-linear        rank function and support of a subspace family
+    mconvex             M-convexity test with an exchange-axiom witness
+    kpoly               K-polynomial of a monomial ideal
+    multidegree         multidegree polynomial of a monomial ideal
+    facet-support       incidence vectors of the top-dimensional facets
+    mixedvol            mixed-volume table of a polytope tuple
+    sr-ideal            Stanley-Reisner ideal of a simplicial complex
+    positivity          positivity and independent-segments criteria
+    flag                flag variety support and comparator report
+    m0n                 moduli-of-rational-curves support (Catalan count)
+
+options:
+  -h, --help            show this help message and exit
+  --schema NAME         print the JSON schema for an input type and exit (one
+                        of: diagram, mixed_volume_table, monomial_ideal,
+                        permutation, polynomial, polytope, polytope_tuple,
+                        rank_function, simplicial_complex, subspace_family,
+                        support)
+""",
+    'schubert': """\
+usage: multidegree schubert [-h] [--output OUTPUT] [-v] [--input INPUT]
+                            [--json JSON] [--perm PERM]
+                            [--exponent-coordinates]
+
+options:
+  -h, --help            show this help message and exit
+  --output OUTPUT       also write the JSON result to this path
+  -v, --verbose
+  --input INPUT         path of the input JSON document ('-' for stdin)
+  --json JSON           inline input JSON document
+  --perm PERM           one-line notation, e.g. 3,2,1
+  --exponent-coordinates
+                        report supports as polynomial exponents m instead of
+                        multidegree types n
+""",
+    'theta': """\
+usage: multidegree theta [-h] [--output OUTPUT] [-v] [--input INPUT]
+                         [--json JSON] [--perm PERM] [--subset SUBSET]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+  --perm PERM      use the Rothe diagram of this permutation
+  --subset SUBSET  comma-separated rows, e.g. 2,3 (empty for the empty set)
+""",
+    'msupp-rank': """\
+usage: multidegree msupp-rank [-h] [--output OUTPUT] [-v] [--input INPUT]
+                              [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'msupp-linear': """\
+usage: multidegree msupp-linear [-h] [--output OUTPUT] [-v] [--input INPUT]
+                                [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'mconvex': """\
+usage: multidegree mconvex [-h] [--output OUTPUT] [-v] [--input INPUT]
+                           [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'kpoly': """\
+usage: multidegree kpoly [-h] [--output OUTPUT] [-v] [--input INPUT]
+                         [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'multidegree': """\
+usage: multidegree multidegree [-h] [--output OUTPUT] [-v] [--input INPUT]
+                               [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'facet-support': """\
+usage: multidegree facet-support [-h] [--output OUTPUT] [-v] [--input INPUT]
+                                 [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'mixedvol': """\
+usage: multidegree mixedvol [-h] [--output OUTPUT] [-v] [--input INPUT]
+                            [--json JSON]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+""",
+    'sr-ideal': """\
+usage: multidegree sr-ideal [-h] [--output OUTPUT] [-v] [--input INPUT]
+                            [--json JSON] [--vars-per-vertex VARS_PER_VERTEX]
+
+options:
+  -h, --help            show this help message and exit
+  --output OUTPUT       also write the JSON result to this path
+  -v, --verbose
+  --input INPUT         path of the input JSON document ('-' for stdin)
+  --json JSON           inline input JSON document
+  --vars-per-vertex VARS_PER_VERTEX
+                        variables per vertex (2 gives the one-projective-line-
+                        per-vertex grading)
+""",
+    'positivity': """\
+usage: multidegree positivity [-h] [--output OUTPUT] [-v] [--input INPUT]
+                              [--json JSON] [--n N]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --input INPUT    path of the input JSON document ('-' for stdin)
+  --json JSON      inline input JSON document
+  --n N            type vector, e.g. 1,1,1
+""",
+    'flag': """\
+usage: multidegree flag [-h] [--output OUTPUT] [-v] [--p P]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --p P            number of projective factors
+""",
+    'm0n': """\
+usage: multidegree m0n [-h] [--output OUTPUT] [-v] [--p P] [--count-only]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  also write the JSON result to this path
+  -v, --verbose
+  --p P            number of projective factors
+  --count-only     print only the cardinality
+""",
+}
+
+USAGE = """\
+usage: multidegree [-h] [--schema NAME]
+                   {schubert,theta,msupp-rank,msupp-linear,mconvex,kpoly,multidegree,facet-support,mixedvol,sr-ideal,positivity,flag,m0n}
+                   ...
+"""
+
+
+def run_argparse(argv, capsys, monkeypatch):
+    """Exit code, stdout and stderr of `main(argv)` at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on -h and on bad arguments
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestHelpAndErrorBytes:
+    def test_top_level_help(self, capsys, monkeypatch):
+        assert run_argparse(["-h"], capsys, monkeypatch) == (0, HELP[None], "")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, capsys, monkeypatch, command):
+        assert run_argparse([command, "-h"], capsys, monkeypatch) == (0, HELP[command], "")
+
+    def test_missing_subcommand(self, capsys, monkeypatch):
+        assert run_argparse([], capsys, monkeypatch) == (2, "", USAGE)
+
+    def test_unknown_subcommand(self, capsys, monkeypatch):
+        choices = ", ".join(f"'{c}'" for c in COMMANDS)
+        assert run_argparse(["frobnicate"], capsys, monkeypatch) == (
+            2,
+            "",
+            USAGE + "multidegree: error: argument subcommand: invalid choice: "
+            f"'frobnicate' (choose from {choices})\n",
+        )
+
+    @pytest.mark.parametrize("extra", ["--bogus", "extra"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unrecognized_arguments(self, capsys, monkeypatch, command, extra):
+        assert run_argparse([command, extra], capsys, monkeypatch) == (
+            2,
+            "",
+            USAGE + f"multidegree: error: unrecognized arguments: {extra}\n",
+        )
+
+    def test_invalid_int_value(self, capsys, monkeypatch):
+        assert run_argparse(["flag", "--p", "x"], capsys, monkeypatch) == (
+            2,
+            "",
+            "usage: multidegree flag [-h] [--output OUTPUT] [-v] [--p P]\n"
+            "multidegree flag: error: argument --p: invalid int value: 'x'\n",
+        )
+
+
+def parse_outcome(parser, argv):
+    """The Namespace, or argparse's exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def option_strings():
+    """Every option string of the parser: the top level's, the ones all
+    subcommands share, and each subcommand's own."""
+    common = ["-h", "--help", "--schema", "--output", "-v", "--verbose", "--input", "--json"]
+    return common + sorted({o for c in cli._COMMANDS.values() for o, _ in c.arguments})
+
+
+JUNK = ["", "x", "-", "--", "-1", "3", "1,2", "rank_function", "{}", "--bogus", "-x", "--p=2", "--ou"]
+# deferred, so that this module imports where the table is absent
+ARGUMENT = st.deferred(lambda: st.sampled_from(COMMANDS + option_strings() + JUNK) | st.text(max_size=3))
+
+
+class TestPartialParser:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(COMMANDS), st.lists(ARGUMENT, max_size=6))
+    def test_same_parse_as_the_full_parser(self, command, rest):
+        argv = [command, *rest]
+        assert parse_outcome(build_parser(command), argv) == parse_outcome(build_parser(), argv)
+
+    def test_a_call_builds_only_its_own_subparser(self, capsys, monkeypatch):
+        seen = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: seen.append(only) or build(only))
+        run_json(["m0n", "--p", "3"], capsys)
+        run_json(["--schema", "support"], capsys)
+        run_cli([], capsys)
+        assert seen == ["m0n", None, None]
 
 
 class TestConsoleScript:

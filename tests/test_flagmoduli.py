@@ -11,7 +11,6 @@ from multidegree import (
     flag_comparator_report,
     flag_msupp,
     flag_rank_function,
-    flag_simple_inequalities,
     is_mconvex,
     m0n_msupp,
     m0n_rank_function,
@@ -49,6 +48,31 @@ def prefix_enumeration(p):
 
     extend([], 0)
     return tuple(sorted(points))
+
+
+def flag_simple_inequalities(p, n):
+    """Literal evaluation of the printed inequality system:
+
+        1 <= n_k <= sum_{j=1..k}(p-j) - sum_{i<k} n_i   for all k,
+        |n| = binom(p+1, 2).
+
+    Kept verbatim for cross-checking against flag_msupp; no corrected
+    index convention is guessed.
+    """
+    if p < 1:
+        raise ValidationError("p must be at least 1")
+    vec = [int(x) for x in n]
+    if len(vec) != p:
+        raise ValidationError(f"expected a vector of length {p}")
+    if sum(vec) != comb(p + 1, 2):
+        return False
+    bound = 0  # sum_{j=1..k}(p-j) - sum_{i<k} n_i, carried from k - 1 to k
+    for k, n_k in enumerate(vec, start=1):
+        bound += p - k
+        if not 1 <= n_k <= bound:
+            return False
+        bound -= n_k
+    return True
 
 
 def comparator_oracle(support):

@@ -522,6 +522,9 @@ class TestStanleyReisner:
     def test_nested_facets_rejected(self):
         with pytest.raises(ValidationError):
             SimplicialComplex(3, [(1, 2), (1, 2, 3)])
+        # the larger facet comes first in sorted order
+        with pytest.raises(ValidationError, match=r"facets \(1, 2, 3\) and \(1, 3\) are nested"):
+            SimplicialComplex(3, [(1, 3), (1, 2, 3)])
 
 
 class TestFacetSupport:

@@ -187,6 +187,34 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             IntPolynomial.from_json_dict({"nvars": 2})
 
+    # int() would truncate the floats and read the booleans and the
+    # spaced or signed strings
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"nvars": 2.9, "terms": [{"exp": [1.5, True], "coef": "3"}]},
+            {"nvars": 2, "terms": [{"exp": [1, 1], "coef": 2.7}]},
+            {"nvars": True, "terms": [{"exp": [1], "coef": "1"}]},
+            {"nvars": 1, "terms": [{"exp": [True], "coef": "1"}]},
+            {"nvars": 1, "terms": [{"exp": [1], "coef": True}]},
+            {"nvars": 1, "terms": [{"exp": [1], "coef": "1e5"}]},
+            {"nvars": 1, "terms": [{"exp": [1], "coef": " 1"}]},
+            {"nvars": 1, "terms": [{"exp": [1], "coef": "+1"}]},
+            {"nvars": 1, "terms": [{"exp": [1], "coef": "1.0"}]},
+            {"nvars": 1, "terms": [{"exp": "1", "coef": "1"}]},
+            {"nvars": 1, "terms": [{"exp": [1]}]},
+            {"nvars": 1, "terms": [[1]]},
+            {"nvars": 1, "terms": 5},
+        ],
+    )
+    def test_non_integer_json_rejected(self, data):
+        with pytest.raises(ValidationError):
+            IntPolynomial.from_json_dict(data)
+
+    def test_integer_and_decimal_coefficients(self):
+        data = {"nvars": 2, "terms": [{"exp": [1, 0], "coef": -4}, {"exp": [0, 1], "coef": "-0"}]}
+        assert IntPolynomial.from_json_dict(data) == poly(2, ((1, 0), -4))
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValidationError):
             IntPolynomial(1, [((-1,), 1)])
