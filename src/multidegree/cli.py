@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from . import flagmoduli, hilbert, mixedvol, polymatroid, schubert
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
-from .schemas import SCHEMAS
+from .schemas import SCHEMAS, check
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,6 +55,8 @@ def _load_document(args: argparse.Namespace) -> dict:
         raise ValidationError(
             f"malformed JSON from {origin} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer of more digits than int() reads
+        raise ValidationError(f"unreadable JSON from {origin}: {exc}") from exc
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -201,10 +203,12 @@ def _cmd_facet_support(args: argparse.Namespace) -> int:
 
 
 def _parse_polytopes(document: dict) -> list[mixedvol.LatticePolytope]:
-    if not isinstance(document, dict) or "polytopes" not in document:
-        raise ValidationError("input JSON needs a 'polytopes' array")
-    polytopes = polymatroid._json_list(document["polytopes"], "polytopes")
-    return [mixedvol.LatticePolytope.from_json_dict(k) for k in polytopes]
+    """The polytopes of a `polytope_tuple` document.  Its n is not read
+    here: `mixedvol` and `positivity --n` ignore it."""
+    if isinstance(document, dict) and "n" in document:
+        document = {key: value for key, value in document.items() if key != "n"}
+    check("polytope_tuple", document)
+    return [mixedvol.LatticePolytope(k["d"], k["vertices"]) for k in document["polytopes"]]
 
 
 def _cmd_mixedvol(args: argparse.Namespace) -> int:
@@ -218,10 +222,8 @@ def _cmd_positivity(args: argparse.Namespace) -> int:
     if args.n is not None:
         n = _parse_int_list(args.n, "type vector")
     elif "n" in document:
-        n = [
-            polymatroid._json_int(x, "entry of n")
-            for x in polymatroid._json_list(document["n"], "n")
-        ]
+        check("polytope_tuple", document)
+        n = document["n"]
     else:
         raise ValidationError("positivity needs --n or an 'n' field in the input")
     # the two criteria are one rank test, so the decision is made once

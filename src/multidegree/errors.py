@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types and budgets shared across the library.
 
 The CLI maps ValidationError to exit status 2 and the resource-limit
 errors to exit status 3; everything else is a genuine bug.
 """
+
+# the most steps an exhaustive loop may take, and nodes a recursion may visit
+DEFAULT_ENUMERATION_BUDGET = 2_000_000
+DEFAULT_RECURSION_BUDGET = 200_000
 
 
 class ValidationError(ValueError):

@@ -44,12 +44,15 @@ from math import comb, prod
 from operator import le
 from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import (
+    DEFAULT_ENUMERATION_BUDGET,
+    DEFAULT_RECURSION_BUDGET,
+    BudgetExceededError,
+    ValidationError,
+)
 from .poly import IntPolynomial
-from .polymatroid import Support, _json_int, _json_rows
-
-DEFAULT_ENUMERATION_BUDGET = 2_000_000
-DEFAULT_RECURSION_BUDGET = 200_000
+from .polymatroid import Support
+from .schemas import check
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,10 @@ class MonomialIdeal:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MonomialIdeal":
-        needed = {"nvars", "p", "degrees", "generators"}
-        if not isinstance(data, dict) or not needed <= set(data):
-            raise ValidationError(f"monomial ideal JSON needs {sorted(needed)}")
-        grading = Grading(
-            _json_int(data["nvars"], "nvars"),
-            _json_int(data["p"], "p"),
-            _json_rows(data["degrees"], "degrees", _json_int),
-        )
-        return cls(grading, _json_rows(data["generators"], "generators", _json_int))
+        """An ideal from a document of the `monomial_ideal` schema."""
+        check("monomial_ideal", data)
+        grading = Grading(data["nvars"], data["p"], data["degrees"])
+        return cls(grading, data["generators"])
 
 
 def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -482,10 +480,9 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimplicialComplex":
-        if not isinstance(data, dict) or "nverts" not in data or "facets" not in data:
-            raise ValidationError("simplicial complex JSON needs 'nverts' and 'facets'")
-        facets = _json_rows(data["facets"], "facets", _json_int)
-        return cls(_json_int(data["nverts"], "nverts"), facets)
+        """A complex from a document of the `simplicial_complex` schema."""
+        check("simplicial_complex", data)
+        return cls(data["nverts"], data["facets"])
 
 
 def stanley_reisner_ideal(

@@ -25,16 +25,15 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import UnsupportedSizeError, ValidationError
-from .linalg import rank_rational
-from .polymatroid import (
-    SubspaceFamily,
-    _json_int,
-    _json_rational,
-    _json_rows,
-    compositions,
-    linear_rank,
+from .errors import (
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
+    UnsupportedSizeError,
+    ValidationError,
 )
+from .linalg import rank_rational
+from .polymatroid import SubspaceFamily, compositions, linear_rank
+from .schemas import check
 
 MAX_AMBIENT_DIM = 3
 
@@ -60,7 +59,10 @@ class LatticePolytope:
             raise UnsupportedSizeError(
                 f"ambient dimension {d} exceeds the supported maximum {MAX_AMBIENT_DIM}"
             )
-        pts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
+        try:
+            pts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
+        except ValueError as exc:  # e.g. more digits than int() reads
+            raise ValidationError(f"vertex: {exc}") from exc
         if not pts:
             raise ValidationError("polytope needs at least one vertex")
         for pt in pts:
@@ -80,10 +82,9 @@ class LatticePolytope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LatticePolytope":
-        if not isinstance(data, dict) or "d" not in data or "vertices" not in data:
-            raise ValidationError("polytope JSON needs 'd' and 'vertices'")
-        vertices = _json_rows(data["vertices"], "vertices", _json_rational)
-        return cls(_json_int(data["d"], "d"), vertices)
+        """A polytope from a document of the `polytope` schema."""
+        check("polytope", data)
+        return cls(data["d"], data["vertices"])
 
 
 # -- exact primitives --------------------------------------------------------
@@ -372,7 +373,12 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
                   prod_i binom(n_i, m_i) vol(sum_i m_i K_i).
 
     Each volume of a weighted Minkowski sum is computed once per weight
-    vector m and shared by every entry that needs it.
+    vector m and shared by every entry that needs it.  A weight vector
+    with support S sums prod_{i in S} |V_i| vertices, and C(d, |S|) of
+    them have that support, so the sums hold
+    sum_k C(d, k) e_k(|V_1|, ..., |V_p|) points in all; more than
+    DEFAULT_ENUMERATION_BUDGET raises BudgetExceededError before any is
+    built.
     """
     if not polytopes:
         raise ValidationError("mixed volumes of zero polytopes")
@@ -381,6 +387,16 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     if any(k.d != d for k in polytopes):
         raise ValidationError("polytopes have mismatched ambient dimensions")
     canon = [k.canonicalize() for k in polytopes]
+    # e[j] = e_j(|V_1|, ..., |V_p|), the elementary symmetric polynomials
+    e = [1] + [0] * d
+    for k in canon:
+        for j in range(d, 0, -1):
+            e[j] += e[j - 1] * len(k.vertices)
+    points = sum(math.comb(d, j) * e[j] for j in range(1, d + 1))
+    if points > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"Minkowski sums of {points} points exceed {DEFAULT_ENUMERATION_BUDGET}"
+        )
     volumes: dict[tuple[int, ...], Fraction] = {}
     entries: dict[tuple[int, ...], Fraction] = {}
     for n in compositions(d, p):

@@ -15,28 +15,14 @@ decimal strings):
 from __future__ import annotations
 
 import math
-import re
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .polymatroid import Support, _json_int, _json_list
+from .polymatroid import Support
+from .schemas import check
 
 ExponentVector = tuple[int, ...]
-
-
-# the schema's coefficient: an optional minus sign and decimal digits
-_COEF = re.compile(r"-?[0-9]+")
-
-
-def _json_coef(value: object) -> int:
-    """A JSON integer or a decimal string; floats, booleans and other
-    spellings ("1e5", "+1", " 1") are refused."""
-    if not isinstance(value, str):
-        return _json_int(value, "coef")
-    if not _COEF.fullmatch(value):
-        raise ValidationError(f"coef {value!r} is not a decimal integer")
-    return int(value)
 
 
 class IntPolynomial:
@@ -62,7 +48,10 @@ class IntPolynomial:
                 )
             if any(e < 0 for e in key):
                 raise ValidationError(f"negative exponent in {key}")
-            acc[key] = acc.get(key, 0) + int(coef)
+            try:
+                acc[key] = acc.get(key, 0) + int(coef)
+            except ValueError as exc:  # e.g. more digits than int() reads
+                raise ValidationError(f"coefficient of {key}: {exc}") from exc
         self._terms: dict[ExponentVector, int] = {k: c for k, c in acc.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
@@ -297,13 +286,7 @@ class IntPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntPolynomial":
-        if not isinstance(data, dict) or "nvars" not in data or "terms" not in data:
-            raise ValidationError("polynomial JSON needs 'nvars' and 'terms'")
-        terms = []
-        for term in _json_list(data["terms"], "terms"):
-            if not isinstance(term, dict) or "exp" not in term or "coef" not in term:
-                raise ValidationError("a polynomial term needs 'exp' and 'coef'")
-            exp = [_json_int(e, "exponent") for e in _json_list(term["exp"], "exp")]
-            terms.append((exp, _json_coef(term["coef"])))
-        return cls(_json_int(data["nvars"], "nvars"), terms)
+        """A polynomial from a document of the `polynomial` schema."""
+        check("polynomial", data)
+        return cls(data["nvars"], [(term["exp"], term["coef"]) for term in data["terms"]])
 

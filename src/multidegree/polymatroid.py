@@ -30,14 +30,14 @@ characterization.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError
 from .linalg import extend_basis, is_prime
+from .schemas import check
 
 MAX_GROUND_SET = 20
 
@@ -62,43 +62,6 @@ def _set_to_mask(subset: Iterable[int], p: int) -> int:
             raise ValidationError(f"element {j} outside ground set 1..{p}")
         mask |= 1 << (j - 1)
     return mask
-
-
-def _json_int(value: object, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{what} must be an integer, not {type(value).__name__}")
-    return value
-
-
-def _json_list(value: object, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{what} must be an array, not {type(value).__name__}")
-    return value
-
-
-def _json_rows(value: object, what: str, parse: Callable[[object, str], object]) -> list[list]:
-    """An array of arrays whose entries are read by parse(entry, what)."""
-    return [
-        [parse(x, f"entry of {what}") for x in _json_list(row, f"row of {what}")]
-        for row in _json_list(value, what)
-    ]
-
-
-# the schema's "a" or "a/b", with the denominator b nonzero
-_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
-
-
-def _json_rational(value: object, what: str) -> Fraction:
-    """A JSON integer or a string "a" or "a/b"; floats, booleans, zero
-    denominators and other spellings ("1e5", "0.5", " 1") are refused."""
-    if not isinstance(value, str):
-        return Fraction(_json_int(value, what))
-    if not _RATIONAL.fullmatch(value):
-        raise ValidationError(
-            f"{what} {value!r} is not an integer a or a fraction a/b with b > 0"
-        )
-    return Fraction(value)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -162,9 +125,9 @@ class Support:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Support":
-        if not isinstance(data, dict) or "p" not in data or "points" not in data:
-            raise ValidationError("support JSON needs 'p' and 'points'")
-        return cls(_json_int(data["p"], "p"), _json_rows(data["points"], "points", _json_int))
+        """A support from a document of the `support` schema."""
+        check("support", data)
+        return cls(data["p"], data["points"])
 
 
 @dataclass(frozen=True)
@@ -205,10 +168,9 @@ class RankFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RankFunction":
-        if not isinstance(data, dict) or "p" not in data or "values" not in data:
-            raise ValidationError("rank function JSON needs 'p' and 'values'")
-        values = [_json_int(v, "rank value") for v in _json_list(data["values"], "values")]
-        return cls(_json_int(data["p"], "p"), values)
+        """A rank function from a document of the `rank_function` schema."""
+        check("rank_function", data)
+        return cls(data["p"], data["values"])
 
 
 @dataclass(frozen=True)
@@ -454,7 +416,10 @@ class SubspaceFamily:
         for idx, gens in enumerate(generators):
             vecs = []
             for vec in gens:
-                entries = tuple(Fraction(x) for x in vec)
+                try:
+                    entries = tuple(Fraction(x) for x in vec)
+                except ValueError as exc:  # e.g. more digits than int() reads
+                    raise ValidationError(f"subspace {idx + 1}: {exc}") from exc
                 if len(entries) != ambient_dim:
                     raise ValidationError(
                         f"subspace {idx + 1} has a vector of length "
@@ -485,16 +450,9 @@ class SubspaceFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubspaceFamily":
-        if not isinstance(data, dict) or "ambient" not in data or "subspaces" not in data:
-            raise ValidationError("subspace family JSON needs 'ambient' and 'subspaces'")
-        subspaces = [
-            _json_rows(gens, "subspace", _json_rational)
-            for gens in _json_list(data["subspaces"], "subspaces")
-        ]
-        field = data.get("field", "Q")
-        if not isinstance(field, str):
-            raise ValidationError(f"field must be a string, not {type(field).__name__}")
-        return cls(_json_int(data["ambient"], "ambient"), subspaces, field=field)
+        """A family from a document of the `subspace_family` schema."""
+        check("subspace_family", data)
+        return cls(data["ambient"], data["subspaces"], field=data.get("field", "Q"))
 
 
 def _parse_field(field: str) -> int | None:

@@ -17,7 +17,8 @@ from typing import Iterable
 from .errors import ValidationError
 from .poly import IntPolynomial
 from .polymatroid import RankFunction, Support, msupp_from_rank
-from .polymatroid import _json_int, _json_list, _json_rows, _set_to_mask, check_ground_set
+from .polymatroid import _set_to_mask, check_ground_set
+from .schemas import check
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,10 @@ class Permutation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Permutation":
-        if not isinstance(data, dict) or "one_line" not in data:
-            raise ValidationError("permutation JSON needs 'one_line'")
-        perm = cls(
-            _json_int(x, "entry of one_line") for x in _json_list(data["one_line"], "one_line")
-        )
-        if "p" in data and _json_int(data["p"], "p") != perm.p:
+        """A permutation from a document of the `permutation` schema."""
+        check("permutation", data)
+        perm = cls(data["one_line"])
+        if "p" in data and data["p"] != perm.p:
             raise ValidationError("permutation JSON 'p' disagrees with 'one_line'")
         return perm
 
@@ -137,13 +136,9 @@ class Diagram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Diagram":
-        if not isinstance(data, dict) or "p" not in data or "cells" not in data:
-            raise ValidationError("diagram JSON needs 'p' and 'cells'")
-        cells = _json_rows(data["cells"], "cells", _json_int)
-        for cell in cells:
-            if len(cell) != 2:
-                raise ValidationError(f"cell {cell} is not a (row, col) pair")
-        return cls(_json_int(data["p"], "p"), cells)
+        """A diagram from a document of the `diagram` schema."""
+        check("diagram", data)
+        return cls(data["p"], data["cells"])
 
 
 def rothe_diagram(pi: Permutation) -> Diagram:

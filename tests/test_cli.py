@@ -386,6 +386,31 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "error" in json.loads(err)
 
+    # Python reads at most 4,300 digits into an int
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("msupp-rank", '{"p":1,"values":[0,' + "9" * 5000 + "]}"),
+            ("mixedvol", '{"polytopes":[{"d":1,"vertices":[["' + "9" * 5000 + '"]]}]}'),
+        ],
+        ids=["json-integer", "rational-string"],
+    )
+    def test_five_thousand_digits_exit_2(self, capsys, command, text):
+        code, out, err = run_cli([command, "--json", text], capsys)
+        assert code == 2
+        assert out == ""
+        assert "digits" in json.loads(err)["error"]
+
+    def test_mixed_volume_budget_exit_3(self, capsys):
+        # 120 unit segments in R^3: sum_k C(3, k) e_k(2, ..., 2) points
+        segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(120)]
+        start = time.perf_counter()
+        code, out, err = run_cli(["mixedvol", "--json", json.dumps({"polytopes": segments})], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert out == ""
+        assert "2333120 points" in json.loads(err)["error"]
+
 
 class TestKPoly:
     # sha256 of the stdout bytes that the per-node IntPolynomial
@@ -818,3 +843,68 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout == "42\n"
+
+
+# a valid document of each input type, with the calls that read it
+MUTATION_BASES = [
+    (json.loads((FIXTURES / "intro_example_rank.json").read_text()), [["msupp-rank"]]),
+    (INTRO_SUBSPACES, [["msupp-linear"]]),
+    ({"p": 3, "points": [[0, 1, 2], [1, 0, 2], [1, 1, 1], [0, 2, 1]]}, [["mconvex"]]),
+    ({"p": 5, "one_line": [4, 2, 5, 3, 1]}, [["schubert"]]),
+    (json.loads((FIXTURES / "rothe_42531.json").read_text()), [["theta", "--subset", "2,3"]]),
+    (
+        {"nvars": 3, "p": 2, "degrees": [[1, 0], [0, 1], [1, 1]], "generators": [[1, 1, 0], [0, 0, 2]]},
+        [["kpoly"], ["multidegree"]],
+    ),
+    (OCTAHEDRON, [["sr-ideal"], ["facet-support"]]),
+    (
+        {"polytopes": [{"d": 2, "vertices": [[0, 0], ["1/2", 0], [0, 1]]}, {"d": 2, "vertices": [[0, 0], [1, 1]]}], "n": [1, 1]},
+        [["mixedvol"], ["positivity"], ["positivity", "--n", "2,0"]],
+    ),
+]
+BIG = "<5,000 digits>"
+
+
+def json_paths(document, prefix=()):
+    yield prefix
+    if isinstance(document, dict):
+        for key, value in document.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(document, list):
+        for i, value in enumerate(document):
+            yield from json_paths(value, prefix + (i,))
+
+
+@st.composite
+def mutated_calls(draw):
+    """argv of a call on a valid document with one fault put in."""
+    document, calls = draw(st.sampled_from(MUTATION_BASES))
+    document = json.loads(json.dumps(document))
+    path = draw(st.sampled_from([p for p in json_paths(document) if p]))
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["type", "delete", "integer", "rational"]))
+    if kind == "delete":
+        del parent[path[-1]]
+    elif kind == "type":
+        parent[path[-1]] = draw(st.sampled_from(["x", 1.5, 2.0, True, None, {}, [], [[]], 7]))
+    elif kind == "integer":
+        parent[path[-1]] = draw(st.sampled_from([-1, -7, BIG, "-" + BIG]))
+    else:
+        parent[path[-1]] = draw(st.sampled_from(["1/0", "2/00", "1/", "/2", "a", "1.5", "1e5", " 1", "+1", "1/-2", "-" + BIG]))
+    text = json.dumps(document).replace(f'"{BIG}"', "9" * 5000).replace(f'"-{BIG}"', "-" + "9" * 5000)
+    return [*draw(st.sampled_from(calls)), "--json", text]
+
+
+class TestExitCodes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_calls())
+    def test_mutated_documents_exit_0_2_or_3(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert out.getvalue() == ""
+            assert isinstance(json.loads(err.getvalue().splitlines()[-1]), dict)
