@@ -358,11 +358,11 @@ class MixedVolumeTable:
         raise ValidationError(f"no entry for {key}; need |n| = {self.d}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "entries": [{"n": list(n), "v": str(v)} for n, v in self.entries],
-        }
+        try:
+            entries = [{"n": list(n), "v": str(v)} for n, v in self.entries]
+        except ValueError as exc:  # a value of more digits than str() writes
+            raise UnsupportedSizeError(f"a mixed volume is too long to print: {exc}") from exc
+        return {"d": self.d, "p": self.p, "entries": entries}
 
 
 def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:

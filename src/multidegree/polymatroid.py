@@ -33,9 +33,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import gt, lt, sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import UnsupportedSizeError, ValidationError
+from .errors import (
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
+    UnsupportedSizeError,
+    ValidationError,
+)
 from .linalg import extend_basis, is_prime
 from .schemas import check
 
@@ -210,6 +217,14 @@ class InvalidRankError(ValidationError):
         self.report = report
 
 
+def _rotated(values: list, times: int) -> list:
+    """`values` with its index bits rotated right `times` times: one
+    rotation moves the entries at odd indices behind those at even ones."""
+    for _ in range(times):
+        values = values[0::2] + values[1::2]
+    return values
+
+
 def validate_rank_function(r: RankFunction) -> RankReport:
     """Check normalization, monotonicity, and submodularity.
 
@@ -217,46 +232,77 @@ def validate_rank_function(r: RankFunction) -> RankReport:
     r(T+i) + r(T+j) >= r(T+i+j) + r(T), which is equivalent to the
     subset-pair form; a reported witness pair (T+i, T+j) genuinely
     violates the pair inequality.
+
+    The table is checked by whole-list operations, with no Python loop
+    over subsets.  The rotation w = w[0::2] + w[1::2] moves bit 0 of
+    every index to the top, so after i rotations element i sits at bit
+    0, and the marginals m_i(T) = r(T+i) - r(T) are the differences of
+    the odd and even entries.  Monotonicity at i is min(m_i) >= 0.  By
+    the local characterization above, submodularity at (i, j), j > i,
+    is m_i(T) >= m_i(T+j) for every T; m_i, rotated in the same way,
+    puts j at bit 0 and compares its even half against its odd half.
+    Only a failing element or pair is mapped back to subsets, by a list
+    of masks rotated alongside.  The checks visit elements first, but
+    the report lists every violation mask-major, as an ordered walk of
+    the subsets would: monotonicity by (T, j), then submodularity by
+    (T, i, j).  These keys are distinct, so sorting them gives that
+    order exactly.
     """
+    p, values = r.p, r.values
+    monotone: list[tuple[int, int]] = []  # (T, j): r(T) > r(T + j)
+    submodular: list[tuple[int, int, int]] = []  # (T, i, j) failing at T
+    w, masks = list(values), None  # masks: the subset at each place of w, once needed
+    for i in range(p):
+        m = list(map(sub, w[1::2], w[0::2]))
+        if min(m) < 0:
+            if masks is None:
+                masks = _rotated(list(range(1 << p)), i)
+            monotone += [(t, i) for t in compress(masks[0::2], map(gt, w[0::2], w[1::2]))]
+        at = None  # the subset T at each place of m, once needed
+        for j in range(i + 1, p):
+            low, high = m[0::2], m[1::2]
+            if any(map(lt, low, high)):
+                if at is None:
+                    if masks is None:
+                        masks = _rotated(list(range(1 << p)), i)
+                    at = _rotated(masks[0::2], j - i - 1)
+                submodular += [(t, i, j) for t in compress(at[0::2], map(lt, low, high))]
+            m = low + high
+            if at is not None:
+                at = at[0::2] + at[1::2]
+        w = w[0::2] + w[1::2]
+        if masks is not None:
+            masks = masks[0::2] + masks[1::2]
     violations: list[RankViolation] = []
-    if r.values[0] != 0:
-        violations.append(
-            RankViolation(
-                "normalization", ((),), f"rank of the empty set is {r.values[0]}, not 0"
-            )
-        )
-    full = r.full_mask
-    for mask in range(full + 1):
-        for j in range(r.p):
-            bit = 1 << j
-            if mask & bit:
-                continue
-            if r.values[mask] > r.values[mask | bit]:
-                violations.append(
-                    RankViolation(
-                        "monotonicity",
-                        (_mask_to_set(mask), _mask_to_set(mask | bit)),
-                        f"rank drops from {r.values[mask]} to {r.values[mask | bit]}",
-                    )
+    try:
+        if values[0] != 0:
+            violations.append(
+                RankViolation(
+                    "normalization", ((),), f"rank of the empty set is {values[0]}, not 0"
                 )
-    for mask in range(full + 1):
-        for i in range(r.p):
-            if mask >> i & 1:
-                continue
-            for j in range(i + 1, r.p):
-                if mask >> j & 1:
-                    continue
-                a, b = mask | 1 << i, mask | 1 << j
-                lhs = r.values[a] + r.values[b]
-                rhs = r.values[a | b] + r.values[mask]
-                if lhs < rhs:
-                    violations.append(
-                        RankViolation(
-                            "submodularity",
-                            (_mask_to_set(a), _mask_to_set(b)),
-                            f"r(T1) + r(T2) = {lhs} < {rhs} = r(T1 u T2) + r(T1 n T2)",
-                        )
-                    )
+            )
+        for t, j in sorted(monotone):
+            larger = t | 1 << j
+            violations.append(
+                RankViolation(
+                    "monotonicity",
+                    (_mask_to_set(t), _mask_to_set(larger)),
+                    f"rank drops from {values[t]} to {values[larger]}",
+                )
+            )
+        for t, i, j in sorted(submodular):
+            a, b = t | 1 << i, t | 1 << j
+            lhs = values[a] + values[b]
+            rhs = values[a | b] + values[t]
+            violations.append(
+                RankViolation(
+                    "submodularity",
+                    (_mask_to_set(a), _mask_to_set(b)),
+                    f"r(T1) + r(T2) = {lhs} < {rhs} = r(T1 u T2) + r(T1 n T2)",
+                )
+            )
+    except ValueError as exc:  # a witness sum of more digits than str() writes
+        raise ValidationError(f"invalid rank function, too long to report: {exc}") from exc
     return RankReport(valid=not violations, violations=tuple(violations))
 
 
@@ -267,21 +313,32 @@ def msupp_from_rank(r: RankFunction) -> Support:
     function r_v(A) = min(r(A), r(A + 1) - v) on the elements 2..p.  The
     slice is nonempty exactly for r([p]) - r([p] - 1) <= v <= r({1}), so
     the recursion on slices meets no dead end, and it emits the points in
-    lexicographic order.  An invalid table raises InvalidRankError, which
-    carries the full validation report.
+    lexicographic order.  With two elements left, every value v of the
+    first gives one point, completed by the weight; a range that would
+    take the support past DEFAULT_ENUMERATION_BUDGET points raises
+    BudgetExceededError before it is listed.  An invalid table raises
+    InvalidRankError, which carries the full validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:
         raise InvalidRankError(report)
+    if r.p == 1:
+        return Support._from_sorted(1, [(r.values[1],)])
     points: list[tuple[int, ...]] = []
 
     def extend(prefix: tuple[int, ...], values: Sequence[int]) -> None:
-        if len(values) == 1:
-            points.append(prefix)
+        low, high = values[-1] - values[-2], values[1]
+        if len(values) == 4:
+            if len(points) + high - low + 1 > DEFAULT_ENUMERATION_BUDGET:
+                raise BudgetExceededError(
+                    f"support exceeds the enumeration budget of "
+                    f"{DEFAULT_ENUMERATION_BUDGET} points"
+                )
+            points.extend([prefix + (v, values[3] - v) for v in range(low, high + 1)])
             return
         # even masks leave out the current first element, odd ones hold it
         without, with_ = values[0::2], values[1::2]
-        for v in range(values[-1] - values[-2], values[1] + 1):
+        for v in range(low, high + 1):
             extend(prefix + (v,), [min(a, b - v) for a, b in zip(without, with_)])
 
     extend((), r.values)

@@ -401,6 +401,36 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "digits" in json.loads(err)["error"]
 
+    def test_rank_report_past_the_digit_limit_exit_2(self, capsys):
+        # each entry is read, but the witness sum r({1,2}) + r({}) has 4,301 digits
+        big = "9" * 4300
+        document = '{"p":2,"values":[%s,0,0,%s]}' % (big, big)
+        code, out, err = run_cli(["msupp-rank", "--json", document], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "digits" in json.loads(err)["error"]
+
+    def test_mixed_volume_past_the_digit_limit_exit_3(self, capsys):
+        # the area 1/(2 q^2) of this triangle has about 8,000 digits
+        q = "1/" + "7" * 4000
+        body = {"polytopes": [{"d": 2, "vertices": [["0", "0"], [q, "0"], ["0", q]]}]}
+        code, out, err = run_cli(["mixedvol", "--json", json.dumps(body)], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "digits" in json.loads(err)["error"]
+
+    def test_support_budget_exit_3(self, capsys):
+        # n_1 + n_2 = 10^9: a billion points in a 60-byte document
+        n = 10**9
+        start = time.perf_counter()
+        code, out, err = run_cli(["msupp-rank", "--json", json.dumps({"p": 2, "values": [0, n, n, n]})], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert "budget" in json.loads(err)["error"]
+
     def test_mixed_volume_budget_exit_3(self, capsys):
         # 120 unit segments in R^3: sum_k C(3, k) e_k(2, ..., 2) points
         segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(120)]
@@ -908,3 +938,24 @@ class TestExitCodes:
         if code != 0:
             assert out.getvalue() == ""
             assert isinstance(json.loads(err.getvalue().splitlines()[-1]), dict)
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
+
+
+class TestBenchmarkPool:
+    """The benchmark's byte check on its `msupp-rank` jobs, run as a test:
+    every job keeps its recorded exit code, stdout and stderr report."""
+
+    @pytest.mark.parametrize("workload", ["certify", "enumerate"])
+    def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
+        with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
+            classes = json.load(handle)["classes"]
+        jobs = [job for c in classes for job in c["jobs"] if job["argv"][0] == "msupp-rank"]
+        assert jobs
+        for job in jobs:
+            code, out, err = run_cli(job["argv"], capsys)
+            assert code == job["exit"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["stdout_sha256"]
+            if job.get("stderr_json") is not None:
+                assert json.loads(err.splitlines()[-1]) == job["stderr_json"]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multidegree import (
+    BudgetExceededError,
     InvalidRankError,
     RankFunction,
     SubspaceFamily,
@@ -27,9 +28,11 @@ from multidegree import (
     rank_from_support,
     validate_rank_function,
 )
+from multidegree import polymatroid
 
 from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_oracle
 from rank_oracle import sympy_rank
+from rank_report_oracle import validate_rank_oracle
 
 INTRO_RANK = RankFunction(3, [0, 1, 2, 2, 3, 3, 3, 3])
 INTRO_POINTS = ((0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1))
@@ -138,6 +141,59 @@ class TestValidate:
             RankFunction(21, [0] * (1 << 21))
 
 
+def coverage_values(p, weights, covers, scale=1):
+    """The table of r(J) = scale * (total weight of the items covered by J),
+    where element j covers the items in the bitmask covers[j]: a valid
+    rank function (a weighted coverage function)."""
+    union = [0] * (1 << p)
+    for mask in range(1, 1 << p):
+        low = mask & -mask
+        union[mask] = union[mask ^ low] | covers[low.bit_length() - 1]
+    return [scale * sum(w for k, w in enumerate(weights) if u >> k & 1) for u in union]
+
+
+@st.composite
+def rank_tables(draw):
+    """Valid tables of p <= 8 elements with 1-3 entries corrupted, some
+    of several hundred digits, or tables of arbitrary small entries."""
+    p = draw(st.integers(1, 8))
+    size = 1 << p
+    kind = draw(st.sampled_from(["corrupted", "long", "arbitrary"]))
+    if kind == "arbitrary":
+        return RankFunction(p, draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+    scale = 10**300 if kind == "long" else 1
+    weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    covers = draw(st.lists(st.integers(0, (1 << len(weights)) - 1), min_size=p, max_size=p))
+    values = coverage_values(p, weights, covers, scale)
+    for _ in range(draw(st.integers(1, 3))):
+        mask = draw(st.integers(0, size - 1))
+        values[mask] += draw(st.integers(-3, 3)) * scale + draw(st.integers(-1, 1))
+    return RankFunction(p, values)
+
+
+class TestValidateAgainstOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rank_tables())
+    def test_report_equals_the_oracle(self, r):
+        assert validate_rank_function(r) == validate_rank_oracle(r)
+
+    def test_report_equals_the_oracle_on_large_ground_sets(self):
+        rng = random.Random(127)
+        invalid = 0
+        for p in (9, 10, 11):
+            for _ in range(4):
+                weights = [rng.randint(0, 4) for _ in range(rng.randint(1, 6))]
+                covers = [rng.randrange(1 << len(weights)) for _ in range(p)]
+                values = coverage_values(p, weights, covers)
+                for _ in range(rng.randint(1, 3)):
+                    values[rng.randrange(1 << p)] += rng.choice([-2, -1, 1, 2])
+                r = RankFunction(p, values)
+                report = validate_rank_function(r)
+                assert report == validate_rank_oracle(r)
+                invalid += not report.valid
+        assert invalid >= 10
+
+
 class TestMsuppFromRank:
     def test_intro_example(self):
         assert msupp_from_rank(INTRO_RANK).points == INTRO_POINTS
@@ -156,6 +212,18 @@ class TestMsuppFromRank:
         assert isinstance(caught.value, ValidationError)
         assert caught.value.report == validate_rank_function(r)
         assert str(caught.value) == "invalid rank function: submodularity at ((1,), (2,))"
+
+    def test_budget_counts_points_before_listing_them(self, monkeypatch):
+        monkeypatch.setattr(polymatroid, "DEFAULT_ENUMERATION_BUDGET", 10)
+        assert len(msupp_from_rank(RankFunction(2, [0, 9, 9, 9]))) == 10
+        with pytest.raises(BudgetExceededError):
+            msupp_from_rank(RankFunction(2, [0, 10, 10, 10]))
+        # every nonempty set of rank 3: C(5, 2) = 10 points, over four ranges
+        uniform = RankFunction(3, [0] + [3] * 7)
+        assert len(msupp_from_rank(uniform)) == 10
+        monkeypatch.setattr(polymatroid, "DEFAULT_ENUMERATION_BUDGET", 9)
+        with pytest.raises(BudgetExceededError):
+            msupp_from_rank(uniform)
 
     def test_matches_brute_force_randomized(self):
         rng = random.Random(101)
