@@ -2,28 +2,32 @@
 sums, and mixed volumes by polarization.
 
 All geometry is exact: coordinates are rationals, scaled to integers
-before hull computations.  Volumes and extreme points in 3D come from
-one triangulated convex hull, built incrementally (de Berg et al.,
-*Computational Geometry*, chapter 11).  Each face carries its plane, so
-visibility is one dot product and the offsets sum to six times the
-volume; the hull is None on flat input, which is how `volume` tells a
-flat polytope.  The hull checks itself (a closed oriented surface of
-Euler characteristic 2 after every insertion, every point beneath every
-face plane at the end, positive volume) and raises AssertionError when
-a check fails, so a wrong volume is never returned silently.
+before hull computations.  One integer kernel gives d! times the volume
+of the hull of integer points: hi - lo, twice the shoelace area, or the
+sum of the face offsets of a triangulated 3D hull built incrementally
+(de Berg et al., *Computational Geometry*, chapter 11), each face with
+its plane.  The hull checks itself and raises AssertionError when a
+check fails, so a wrong volume is never returned silently: a closed
+oriented surface of Euler characteristic 2 (in full for the seed and the
+end; after each insertion, on the half-edges and vertex use counts it
+changes), every point beneath every face plane, positive volume.
 
 Mixed volumes come from the polarization formula (Schneider, *Convex
 Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
-Minkowski sums of the K_i with integer weights m <= n.
+Minkowski sums of the K_i with integer weights m <= n.  All vertices are
+scaled once, by the lcm L of their denominators, so V(K; n) is a signed
+integer sum of kernel values over d!^2 L^d.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from operator import add, countOf, mul, sub
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -91,15 +95,12 @@ class LatticePolytope:
 
 
 def _scale_to_int(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
-    scale = 1
-    for pt in points:
-        for x in pt:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for pt in points for x in pt))
     return [tuple(int(x * scale) for x in pt) for pt in points], scale
 
 
 def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _cross3(u: IntPoint, v: IntPoint) -> IntPoint:
@@ -111,7 +112,7 @@ def _cross3(u: IntPoint, v: IntPoint) -> IntPoint:
 
 
 def _dot(u: IntPoint, v: IntPoint) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _cross2(o: IntPoint, a: IntPoint, b: IntPoint) -> int:
@@ -145,15 +146,17 @@ def minkowski_sum(
         raise ValidationError("weights must be nonnegative")
     if all(w == 0 for w in weights):
         raise ValidationError("at least one weight must be positive")
-    active = [
-        [tuple(w * x for x in v) for v in k.vertices]
-        for k, w in zip(polytopes, weights)
-        if w > 0
-    ]
-    sums = {
-        tuple(sum(c) for c in zip(*combo)): None for combo in product(*active)
-    }
-    return LatticePolytope(d, list(sums))
+    return LatticePolytope(d, _weighted_sum([k.vertices for k in polytopes], weights))
+
+
+def _weighted_sum(vertex_lists: Sequence[Sequence[tuple]], weights: Sequence[int]) -> set[tuple]:
+    """The points sum_i w_i v_i with each v_i from vertex_lists[i]."""
+    sums = {(0,) * len(vertex_lists[0][0])}
+    for verts, w in zip(vertex_lists, weights):
+        if w:
+            step = [tuple(w * x for x in v) for v in verts]
+            sums = {tuple(map(add, u, v)) for u in sums for v in step}
+    return sums
 
 
 # -- 2D hull -----------------------------------------------------------------
@@ -186,8 +189,11 @@ Face = tuple[IntPoint, IntPoint, IntPoint, IntPoint, int]
 
 
 def _face(a: IntPoint, b: IntPoint, c: IntPoint) -> Face:
-    normal = _cross3(_sub(b, a), _sub(c, a))
-    return (a, b, c, normal, _dot(normal, a))
+    ax, ay, az = a
+    ux, uy, uz = b[0] - ax, b[1] - ay, b[2] - az
+    vx, vy, vz = c[0] - ax, c[1] - ay, c[2] - az
+    nx, ny, nz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return (a, b, c, (nx, ny, nz), nx * ax + ny * ay + nz * az)
 
 
 def _surface_checks(faces: Sequence[tuple]) -> None:
@@ -202,6 +208,29 @@ def _surface_checks(faces: Sequence[tuple]) -> None:
             raise AssertionError("hull surface is not a closed oriented manifold")
     used = {v for f in faces for v in f[:3]}
     if len(used) - len(edges) // 2 + len(faces) != 2:
+        raise AssertionError("hull surface is not a topological sphere")
+
+
+def _replace_faces(
+    half_edges: set, uses: Counter, old: Sequence[tuple], new: Sequence[tuple]
+) -> None:
+    """Replace the faces `old` of a closed oriented surface, given by its
+    directed half-edges and vertex use counts, by the faces `new`; raise
+    AssertionError exactly when `_surface_checks` would on the new face
+    list.  Only a half-edge that changed can lose its reverse."""
+    removed = [e for a, b, c, *_plane in old for e in ((a, b), (b, c), (c, a))]
+    added = [e for a, b, c, *_plane in new for e in ((a, b), (b, c), (c, a))]
+    half_edges.difference_update(removed)
+    size = len(half_edges)
+    half_edges.update(added)
+    if len(half_edges) != size + len(added) or any(
+        ((u, v) in half_edges) != ((v, u) in half_edges) for u, v in removed + added
+    ):
+        raise AssertionError("hull surface is not a closed oriented manifold")
+    uses.subtract(v for f in old for v in f[:3])
+    uses.update(v for f in new for v in f[:3])
+    # closed, with no half-edge twice: E = |half_edges| / 2, F = |half_edges| / 3
+    if len(uses) - countOf(uses.values(), 0) - len(half_edges) // 6 != 2:
         raise AssertionError("hull surface is not a topological sphere")
 
 
@@ -229,18 +258,24 @@ def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
         b, c = c, b
     faces = [_face(a, b, c), _face(b, a, d), _face(c, b, d), _face(a, c, d)]
     _surface_checks(faces)
+    half_edges, uses = set(), Counter()
+    _replace_faces(half_edges, uses, (), faces)
     for q in pts:
+        x, y, z = q
         kept: list[Face] = []
         visible: list[Face] = []
         for f in faces:
-            (visible if _dot(f[3], q) > f[4] else kept).append(f)
+            nx, ny, nz = f[3]
+            (visible if nx * x + ny * y + nz * z > f[4] else kept).append(f)
         if not visible:
             continue
         edges = {e for u, v, w, *_plane in visible for e in ((u, v), (v, w), (w, u))}
-        faces = kept + [_face(u, v, q) for u, v in edges if (v, u) not in edges]
-        _surface_checks(faces)
-    for _u, _v, _w, normal, offset in faces:
-        if any(_dot(normal, q) > offset for q in pts):
+        cone = [_face(u, v, q) for u, v in edges if (v, u) not in edges]
+        _replace_faces(half_edges, uses, visible, cone)
+        faces = kept + cone
+    _surface_checks(faces)
+    for _u, _v, _w, (nx, ny, nz), offset in faces:
+        if any(nx * x + ny * y + nz * z > offset for x, y, z in pts):
             raise AssertionError("a point ended up beyond a hull face plane")
     return faces
 
@@ -260,14 +295,21 @@ def _facet_ring(on_plane: Sequence[IntPoint], normal: IntPoint) -> list[IntPoint
     return ring
 
 
-def _volume_3d_scaled(points: Sequence[IntPoint]) -> Fraction:
+def _scaled_volume(d: int, points: Collection[IntPoint]) -> int:
+    """d! times the volume of the hull of the integer points (0 if flat)."""
+    if d == 1:
+        return max(points)[0] - min(points)[0]
+    if d == 2:
+        ring = _hull_2d(points)
+        edges = zip(ring, ring[1:] + ring[:1])
+        return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in edges))
     faces = _hull_3d_incremental(points)
     if faces is None:
-        return Fraction(0)
+        return 0
     six_vol = sum(f[4] for f in faces)
     if six_vol <= 0:
         raise AssertionError("closed outward surface must enclose positive volume")
-    return Fraction(six_vol, 6)
+    return six_vol
 
 
 def volume(polytope: LatticePolytope) -> Fraction:
@@ -276,19 +318,7 @@ def volume(polytope: LatticePolytope) -> Fraction:
     if d > MAX_AMBIENT_DIM:
         raise UnsupportedSizeError(f"volume unsupported in dimension {d}")
     ints, scale = _scale_to_int(polytope.vertices)
-    if d == 1:
-        lo = min(x for (x,) in ints)
-        hi = max(x for (x,) in ints)
-        return Fraction(hi - lo, scale)
-    if d == 2:
-        ring = _hull_2d(ints)
-        twice = 0
-        for i in range(len(ring)):
-            x1, y1 = ring[i]
-            x2, y2 = ring[(i + 1) % len(ring)]
-            twice += x1 * y2 - x2 * y1
-        return Fraction(abs(twice), 2 * scale**2)
-    return _volume_3d_scaled(ints) / scale**3
+    return Fraction(_scaled_volume(d, ints), math.factorial(d) * scale**d)
 
 
 def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
@@ -301,14 +331,8 @@ def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
     base = ints[0]
     diffs = [_sub(q, base) for q in ints[1:]]
     dim = rank_rational(diffs)
-    if dim == 0:
-        return [pts[0]]
-    if dim == 1:
-        direction = next(v for v in diffs if any(v))
-        axis = next(k for k in range(d) if direction[k] != 0)
-        lo = min(ints, key=lambda q: q[axis] * (1 if direction[axis] > 0 else -1))
-        hi = max(ints, key=lambda q: q[axis] * (1 if direction[axis] > 0 else -1))
-        return sorted({back[lo], back[hi]})
+    if dim == 1:  # on a line, the lexicographic order is the order along it
+        return [pts[0], pts[-1]]
     if dim == 2:
         if d == 2:
             ring = _hull_2d(ints)
@@ -372,8 +396,10 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
         V(K; n) = (1/d!) sum_{0 != m <= n} (-1)^(d-|m|)
                   prod_i binom(n_i, m_i) vol(sum_i m_i K_i).
 
-    Each volume of a weighted Minkowski sum is computed once per weight
-    vector m and shared by every entry that needs it.  A weight vector
+    The vertices are scaled once by the lcm L of their denominators, and
+    D(m) = d! L^d vol(sum_i m_i K_i), an integer, is computed once per
+    weight vector m and shared by every entry that needs it; an entry is
+    its signed integer sum over d!^2 L^d.  A weight vector
     with support S sums prod_{i in S} |V_i| vertices, and C(d, |S|) of
     them have that support, so the sums hold
     sum_k C(d, k) e_k(|V_1|, ..., |V_p|) points in all; more than
@@ -397,19 +423,23 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
         raise BudgetExceededError(
             f"Minkowski sums of {points} points exceed {DEFAULT_ENUMERATION_BUDGET}"
         )
-    volumes: dict[tuple[int, ...], Fraction] = {}
+    flat, scale = _scale_to_int([v for k in canon for v in k.vertices])
+    rest = iter(flat)
+    lattice = [[next(rest) for _v in k.vertices] for k in canon]
+    scaled: dict[tuple[int, ...], int] = {}  # D(m), by weight vector m
+    denominator = math.factorial(d) ** 2 * scale**d
     entries: dict[tuple[int, ...], Fraction] = {}
     for n in compositions(d, p):
-        total = Fraction(0)
+        total = 0
         for m in product(*(range(x + 1) for x in n)):
             if not any(m):
                 continue
-            if m not in volumes:
-                volumes[m] = volume(minkowski_sum(canon, m))
+            if m not in scaled:
+                scaled[m] = _scaled_volume(d, _weighted_sum(lattice, m))
             coefficient = math.prod(math.comb(x, y) for x, y in zip(n, m))
-            total += (-1) ** (d - sum(m)) * coefficient * volumes[m]
-        entries[n] = total / math.factorial(d)
-        if entries[n] < 0:
+            total += (-1) ** (d - sum(m)) * coefficient * scaled[m]
+        entries[n] = Fraction(total, denominator)
+        if total < 0:
             raise AssertionError(f"negative mixed volume at {n}: {entries[n]}")
     return MixedVolumeTable(p, d, entries)
 

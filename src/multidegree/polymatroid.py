@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from operator import gt, lt, sub
+from operator import gt, index, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -55,6 +55,14 @@ def check_ground_set(p: int) -> None:
         raise UnsupportedSizeError(
             f"ground set size {p} exceeds the supported maximum {MAX_GROUND_SET}"
         )
+
+
+def _integer(x: object) -> int:
+    """x as an int; a float, a bool or any other non-integer raises
+    ValidationError where int() would truncate it."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValidationError(f"entry {x!r} is not an integer")
+    return index(x)
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:
@@ -89,7 +97,7 @@ class Support:
     points: tuple[tuple[int, ...], ...]
 
     def __init__(self, p: int, points: Iterable[Iterable[int]]):
-        pts = sorted({tuple(int(x) for x in pt) for pt in points})
+        pts = sorted({tuple(x if type(x) is int else _integer(x) for x in pt) for pt in points})
         for pt in pts:
             if len(pt) != p:
                 raise ValidationError(f"point {pt} has length {len(pt)}, expected {p}")
@@ -158,7 +166,8 @@ class RankFunction:
                 f"rank table has {len(values)} entries, expected {1 << p}"
             )
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
+        values = tuple(v if type(v) is int else _integer(v) for v in values)
+        object.__setattr__(self, "values", values)
 
     def of_mask(self, mask: int) -> int:
         return self.values[mask]

@@ -944,18 +944,31 @@ POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 
 
 class TestBenchmarkPool:
-    """The benchmark's byte check on its `msupp-rank` jobs, run as a test:
-    every job keeps its recorded exit code, stdout and stderr report."""
+    """The benchmark's byte check on its `msupp-rank` jobs and on every
+    `polytopes` job, run as a test: each job keeps its recorded exit
+    code, stdout and stderr report.  The pool files are only read."""
 
-    @pytest.mark.parametrize("workload", ["certify", "enumerate"])
-    def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
-        with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
-            classes = json.load(handle)["classes"]
-        jobs = [job for c in classes for job in c["jobs"] if job["argv"][0] == "msupp-rank"]
+    @staticmethod
+    def replay(jobs, capsys):
         assert jobs
         for job in jobs:
             code, out, err = run_cli(job["argv"], capsys)
-            assert code == job["exit"]
-            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["stdout_sha256"]
+            assert code == job["exit"], job["argv"]
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["stdout_sha256"], job["argv"]
             if job.get("stderr_json") is not None:
                 assert json.loads(err.splitlines()[-1]) == job["stderr_json"]
+
+    @staticmethod
+    def pool_jobs(workload):
+        with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
+            return [job for c in json.load(handle)["classes"] for job in c["jobs"]]
+
+    @pytest.mark.parametrize("workload", ["certify", "enumerate"])
+    def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
+        jobs = [job for job in self.pool_jobs(workload) if job["argv"][0] == "msupp-rank"]
+        self.replay(jobs, capsys)
+
+    def test_polytopes_jobs_keep_their_bytes(self, capsys):
+        jobs = self.pool_jobs("polytopes")
+        assert len(jobs) == 120
+        self.replay(jobs, capsys)

@@ -8,15 +8,20 @@ on degeneracy-rich random configurations of 4 to 40 points (clouds on a
 small grid, Minkowski sums of two random 3-polytopes, sheared grids and
 prisms, with many collinear and coplanar points).  The hull's seed
 search is the only dimension test `volume` makes; the rank computation
-`polytope_dim` is its oracle on flat and full-dimensional input.
+`polytope_dim` is its oracle on flat and full-dimensional input.  Whole
+mixed-volume tables are compared with mixedvol_oracle.py, and the hull's
+per-insertion surface update with the full surface check.
 """
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidegree import (
     LatticePolytope,
@@ -30,11 +35,15 @@ from multidegree import (
     volume,
 )
 from multidegree.linalg import rank_rational
+from multidegree import mixedvol
 from multidegree.mixedvol import (
+    _face,
     _hull_3d_incremental,
+    _replace_faces,
     _scale_to_int,
+    _scaled_volume,
     _sub,
-    _volume_3d_scaled,
+    _surface_checks,
     extreme_points,
 )
 
@@ -44,6 +53,7 @@ from hull_oracle import (
     hull_vertices,
     supporting_planes,
 )
+from mixedvol_oracle import mixed_volumes_oracle
 
 
 def cube(d=3):
@@ -113,6 +123,45 @@ def random_points(rng, d):
             )
         )
     return points
+
+
+def raises_assertion(check, *args):
+    try:
+        check(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+def insertion(rng):
+    """A hull surface of part of a random configuration, a further point
+    q, the faces q sees and the cone of faces over their horizon."""
+    while True:
+        pts = random_configuration(rng)
+        rng.shuffle(pts)
+        k = rng.randint(4, len(pts))
+        if len(pts) < 5 or not full_dimensional(pts[:k]):
+            continue
+        faces = _hull_3d_incremental(pts[:k])
+        for q in pts[k:] + [tuple(rng.randint(-4, 4) for _ in range(3))]:
+            visible = [f for f in faces if sum(map(math.prod, zip(f[3], q))) > f[4]]
+            if visible:
+                edges = {e for u, v, w, *_p in visible for e in ((u, v), (v, w), (w, u))}
+                cone = [_face(u, v, q) for u, v in edges if (v, u) not in edges]
+                return faces, visible, cone
+
+
+def vertex_lists(d, p):
+    """p polytopes in R^d of 1 to 4 vertices (3 in 3D when p >= 3, to
+    keep the brute-force oracle fast), each with its own denominator, so
+    flat members and mixed lattices are common."""
+    most = 3 if d == 3 and p >= 3 else 4
+
+    def polytope(den):
+        coordinate = st.integers(-2, 2).map(lambda x: Fraction(x, den))
+        return st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=most)
+
+    return st.lists(st.integers(1, 4).flatmap(polytope), min_size=p, max_size=p)
 
 
 class TestDim:
@@ -307,9 +356,94 @@ class TestHullAgreement:
     def test_degenerate_rich_configurations(self):
         # grids and prisms: lots of collinear and coplanar points
         grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
-        assert _volume_3d_scaled(grid) == 4
+        assert _scaled_volume(3, grid) == 6 * 4
         prism = [(x, y, z) for (x, y) in ((0, 0), (2, 0), (0, 2), (1, 1)) for z in (0, 3)]
-        assert _volume_3d_scaled(prism) == 6
+        assert _scaled_volume(3, prism) == 6 * 6
+
+
+class TestIncrementalSurfaceCheck:
+    """The per-insertion update `_replace_faces` against the full surface
+    check, and faults injected into the hull."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["none", "drop", "flip", "duplicate", "rewire", "keep-visible"]),
+    )
+    def test_raises_exactly_when_full_check_does(self, seed, mutation):
+        rng = random.Random(seed)
+        faces, visible, cone = insertion(rng)
+        i = rng.randrange(len(cone))
+        if mutation == "drop":
+            del cone[i]
+        elif mutation == "flip":
+            a, b, c = cone[i][:3]
+            cone[i] = _face(a, c, b)
+        elif mutation == "duplicate":
+            cone.append(cone[i])
+        elif mutation == "rewire":  # another apex, on the surface when it can be
+            a, b, _q = cone[i][:3]
+            apexes = sorted({v for f in faces for v in f[:3]} - {a, b}) + [(9, 9, 9)]
+            cone[i] = _face(a, b, rng.choice(apexes))
+        elif mutation == "keep-visible":
+            del visible[rng.randrange(len(visible))]
+        kept = [f for f in faces if f not in visible]
+        half_edges, uses = set(), Counter()
+        _replace_faces(half_edges, uses, (), faces)
+        full = raises_assertion(_surface_checks, kept + cone)
+        assert raises_assertion(_replace_faces, half_edges, uses, visible, cone) == full
+        assert full == (mutation != "none")
+
+    @pytest.mark.parametrize("fault", ["flip", "repeat"])
+    def test_injected_fault_ends_in_assertion(self, monkeypatch, fault):
+        rng = random.Random(8642)
+        real_face = mixedvol._face
+        for _ in range(8):
+            pts = random_configuration(rng)
+            if not full_dimensional(pts):
+                continue
+            calls = []
+            monkeypatch.setattr(mixedvol, "_face", lambda *c: calls.append(c) or real_face(*c))
+            _hull_3d_incremental(pts)
+            # calls 0-4 build the seed; every later one is a cone face
+            for k in range(5, len(calls)):
+                seen = []
+
+                def faulty(a, b, c, k=k, seen=seen):
+                    seen.append((a, b, c))
+                    if len(seen) - 1 != k:
+                        return real_face(a, b, c)
+                    return real_face(a, c, b) if fault == "flip" else real_face(*seen[-2])
+
+                monkeypatch.setattr(mixedvol, "_face", faulty)
+                with pytest.raises(AssertionError):
+                    _hull_3d_incremental(pts)
+
+
+class TestMixedVolumeOracle:
+    """The whole table against polarization in Fraction arithmetic over
+    brute-force volumes (tests/mixedvol_oracle.py)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_whole_table_matches_oracle(self, d, p, data):
+        polytopes = data.draw(vertex_lists(d, p))
+        table = mixed_volumes([LatticePolytope(d, verts) for verts in polytopes])
+        assert dict(table.entries) == mixed_volumes_oracle(d, polytopes)
+
+    def test_denominators_differ_between_polytopes(self):
+        f = Fraction
+        vertex_lists = [
+            [(0, 0, 0), (f(1, 2), 0, 0), (0, f(3, 2), 0), (0, 0, f(1, 2))],
+            [(0, 0, 0), (f(1, 3), f(2, 3), f(1, 3))],
+            [(0, f(1, 5), 0), (f(2, 5), 0, f(1, 5)), (0, 0, f(3, 5))],
+        ]
+        table = mixed_volumes([LatticePolytope(3, verts) for verts in vertex_lists])
+        expected = mixed_volumes_oracle(3, vertex_lists)
+        assert dict(table.entries) == expected
+        assert expected[(1, 1, 1)] > 0 and expected[(0, 0, 3)] == 0
 
 
 class TestCanonicalize:

@@ -140,6 +140,14 @@ class TestValidate:
         with pytest.raises(UnsupportedSizeError):
             RankFunction(21, [0] * (1 << 21))
 
+    @pytest.mark.parametrize(
+        "values", [[0, 1.9, 1.5, 2.99], [0, 1.0, 1, 2], [False, True, True, 2], [0, 1, 1, "2"]]
+    )
+    def test_non_integer_entries_rejected(self, values):
+        # int() would truncate 1.9 to 1 and read True as 1
+        with pytest.raises(ValidationError):
+            RankFunction(2, values)
+
 
 def coverage_values(p, weights, covers, scale=1):
     """The table of r(J) = scale * (total weight of the items covered by J),
@@ -282,6 +290,12 @@ class TestMConvex:
     def test_mixed_weights_rejected(self):
         with pytest.raises(ValidationError):
             Support(2, [(1, 0), (1, 1)])
+
+    @pytest.mark.parametrize("point", [(1.7, 0.2), (1.0, 0), (True, False), (1, "0")])
+    def test_non_integer_coordinates_rejected(self, point):
+        # int() would truncate (1.7, 0.2) to (1, 0) and read True as 1
+        with pytest.raises(ValidationError):
+            Support(2, [point])
 
 
 def perturbations(rng, s):
