@@ -238,7 +238,7 @@ def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_
                 e, digit = divmod(e, base)
                 exponent.append(digit)
             terms[tuple(exponent)] = c
-    return IntPolynomial(grading.p, terms)
+    return IntPolynomial._from_terms(grading.p, terms)
 
 
 def hilbert_function_oracle(

@@ -19,14 +19,25 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .polymatroid import Support
+from .polymatroid import Support, _integer
 from .schemas import check
 
 ExponentVector = tuple[int, ...]
 
 
 class IntPolynomial:
-    """Immutable sparse multivariate polynomial over the integers."""
+    """Immutable sparse multivariate polynomial over the integers.
+
+    The public constructor checks its input: `nvars`, every exponent
+    entry and every coefficient must be an int (a float or a bool raises
+    ValidationError, where int() would truncate or read it), and every
+    exponent must be a nonnegative vector of length `nvars`.  Repeated
+    exponents add up and zero coefficients are dropped.
+    `from_json_dict` also reads decimal-string coefficients.  Every
+    operation builds its result with `_from_terms`, which drops zero
+    coefficients and checks nothing else, since its exponents come from
+    checked polynomials.
+    """
 
     __slots__ = ("nvars", "_terms")
 
@@ -35,26 +46,34 @@ class IntPolynomial:
         nvars: int,
         terms: Mapping[Iterable[int], int] | Iterable[tuple[Iterable[int], int]] = (),
     ):
+        nvars = _integer(nvars)
         if nvars < 0:
             raise ValidationError("nvars must be nonnegative")
         self.nvars = nvars
         acc: dict[ExponentVector, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
-            key = tuple(int(e) for e in exp)
+            key = tuple(e if type(e) is int else _integer(e) for e in exp)
             if len(key) != nvars:
                 raise ValidationError(
                     f"exponent vector {key} has length {len(key)}, expected {nvars}"
                 )
             if any(e < 0 for e in key):
                 raise ValidationError(f"negative exponent in {key}")
-            try:
-                acc[key] = acc.get(key, 0) + int(coef)
-            except ValueError as exc:  # e.g. more digits than int() reads
-                raise ValidationError(f"coefficient of {key}: {exc}") from exc
+            acc[key] = acc.get(key, 0) + (coef if type(coef) is int else _integer(coef))
         self._terms: dict[ExponentVector, int] = {k: c for k, c in acc.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict[ExponentVector, int]) -> "IntPolynomial":
+        """A polynomial from int coefficients keyed by nonnegative int
+        tuples of length nvars; zero coefficients are dropped and nothing
+        else is checked."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = {e: c for e, c in terms.items() if c}
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
@@ -124,17 +143,17 @@ class IntPolynomial:
         acc = dict(self._terms)
         for exp, coef in other._terms.items():
             acc[exp] = acc.get(exp, 0) + coef
-        return IntPolynomial(self.nvars, acc)
+        return IntPolynomial._from_terms(self.nvars, acc)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.nvars, {e: -c for e, c in self._terms.items()})
+        return IntPolynomial._from_terms(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(
+            return IntPolynomial._from_terms(
                 self.nvars, {e: c * other for e, c in self._terms.items()}
             )
         self._check_compatible(other)
@@ -143,7 +162,7 @@ class IntPolynomial:
             for e2, c2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return IntPolynomial(self.nvars, acc)
+        return IntPolynomial._from_terms(self.nvars, acc)
 
     __rmul__ = __mul__
 
@@ -159,7 +178,7 @@ class IntPolynomial:
             e = list(exp)
             e[a], e[b] = e[b], e[a]
             acc[tuple(e)] = coef
-        return IntPolynomial(self.nvars, acc)
+        return IntPolynomial._from_terms(self.nvars, acc)
 
     def divided_difference(self, i: int) -> "IntPolynomial":
         """Apply the i-th divided difference (f - s_i f) / (t_i - t_{i+1}).
@@ -173,14 +192,21 @@ class IntPolynomial:
             raise ValidationError(
                 f"divided difference index {i} out of range 1..{self.nvars - 1}"
             )
-        numerator = self - self.swap_variables(i, i + 1)
         vi, vnext = i - 1, i
-        # Group the numerator by the exponent of t_i.
+        # The numerator f - s_i f, grouped by the exponent of t_i, in one
+        # pass: a term t^e gives +t^e and -t^(s_i e), and cancels when
+        # e_i = e_{i+1}.
         by_degree: dict[int, dict[ExponentVector, int]] = {}
-        for exp, coef in numerator._terms.items():
-            k = exp[vi]
-            stripped = exp[:vi] + (0,) + exp[vi + 1 :]
-            by_degree.setdefault(k, {})[stripped] = coef
+        for exp, coef in self._terms.items():
+            x, y = exp[vi], exp[vnext]
+            if x != y:
+                head, tail = exp[:vi], exp[vnext + 1 :]
+                row = by_degree.setdefault(x, {})
+                key = head + (0, y) + tail
+                row[key] = row.get(key, 0) + coef
+                row = by_degree.setdefault(y, {})
+                key = head + (0, x) + tail
+                row[key] = row.get(key, 0) - coef
         if not by_degree:
             return IntPolynomial.zero(self.nvars)
         top = max(by_degree)
@@ -209,7 +235,7 @@ class IntPolynomial:
             raise AssertionError(
                 "nonzero remainder in divided difference; internal arithmetic bug"
             )
-        return IntPolynomial(self.nvars, quotient)
+        return IntPolynomial._from_terms(self.nvars, quotient)
 
     def substitute_one_minus(self) -> "IntPolynomial":
         """Replace every variable t_i by (1 - t_i), fully expanded."""
@@ -222,7 +248,7 @@ class IntPolynomial:
                 for e_i, k_i in zip(exp, k):
                     weight *= math.comb(e_i, k_i)
                 acc[k] = acc.get(k, 0) + weight
-        return IntPolynomial(self.nvars, acc)
+        return IntPolynomial._from_terms(self.nvars, acc)
 
     # -- degree filters and support ----------------------------------------
 
@@ -234,7 +260,7 @@ class IntPolynomial:
 
     def truncate_total_degree(self, d: int) -> "IntPolynomial":
         """Keep exactly the terms whose exponents sum to d."""
-        return IntPolynomial(
+        return IntPolynomial._from_terms(
             self.nvars, {e: c for e, c in self._terms.items() if sum(e) == d}
         )
 
@@ -288,5 +314,11 @@ class IntPolynomial:
     def from_json_dict(cls, data: dict) -> "IntPolynomial":
         """A polynomial from a document of the `polynomial` schema."""
         check("polynomial", data)
-        return cls(data["nvars"], [(term["exp"], term["coef"]) for term in data["terms"]])
+        terms = []
+        for term in data["terms"]:
+            try:  # the schema admits an int or a decimal string
+                terms.append((term["exp"], int(term["coef"])))
+            except ValueError as exc:  # e.g. more digits than int() reads
+                raise ValidationError(f"coefficient of {term['exp']}: {exc}") from exc
+        return cls(data["nvars"], terms)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import gt, index, lt, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -132,11 +132,22 @@ class Support:
         return len(self.points)
 
     def complement(self, bound: int) -> "Support":
-        """Map every point n to bound*(1,...,1) - n."""
-        return Support(self.p, [tuple(bound - x for x in pt) for pt in self.points])
+        """Map every point n to bound*(1,...,1) - n.
+
+        The map reverses lexicographic order and keeps the points
+        distinct and of one weight, so the reversed list needs no sort;
+        only the bound is checked, against every coordinate.
+        """
+        bound = _integer(bound)
+        if max(chain.from_iterable(self.points), default=bound) > bound:
+            raise ValidationError(f"complement bound {bound} is below a coordinate")
+        return Support._from_sorted(
+            self.p, [tuple([bound - x for x in pt]) for pt in reversed(self.points)]
+        )
 
     def to_json_dict(self) -> dict:
-        return {"p": self.p, "points": [list(pt) for pt in self.points]}
+        # json writes the point tuples as arrays
+        return {"p": self.p, "points": self.points}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Support":
@@ -315,44 +326,81 @@ def validate_rank_function(r: RankFunction) -> RankReport:
     return RankReport(valid=not violations, violations=tuple(violations))
 
 
+def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
+    """The root of the slices of B(r), for a valid r on p >= 2 elements,
+    as a DAG with one node (count, children) per distinct slice table.
+
+    count is the slice's number of lattice points.  The children are the
+    pairs (v, node of r_v) for every feasible first coordinate v, or,
+    with two elements left, (low, high, weight) for the points (v,
+    weight - v), low <= v <= high.  Every slice is nonempty, so a range
+    of more values than DEFAULT_ENUMERATION_BUDGET, or a count past it,
+    raises BudgetExceededError before any point is built.  The tables
+    key a dict that dies with the call; the nodes hold their children.
+    """
+    budget = DEFAULT_ENUMERATION_BUDGET
+    exceeded = f"support exceeds the enumeration budget of {budget} points"
+    memo: dict[tuple[int, ...], tuple[int, list | tuple[int, int, int]]] = {}
+
+    def node(values: tuple[int, ...]) -> tuple[int, list | tuple[int, int, int]]:
+        found = memo.get(values)
+        if found is not None:
+            return found
+        low, high = values[-1] - values[-2], values[1]
+        if high - low >= budget:
+            raise BudgetExceededError(exceeded)
+        if len(values) == 4:
+            found = (high - low + 1, (low, high, values[3]))
+        else:
+            # even masks leave out the current first element, odd ones hold it
+            without, with_ = values[0::2], values[1::2]
+            count, children = 0, []
+            for v in range(low, high + 1):
+                child = node(tuple([min(a, b - v) for a, b in zip(without, with_)]))
+                count += child[0]
+                if count > budget:
+                    raise BudgetExceededError(exceeded)
+                children.append((v, child))
+            found = (count, children)
+        memo[values] = found
+        return found
+
+    return node(r.values)
+
+
 def msupp_from_rank(r: RankFunction) -> Support:
     """All n in N^p with n(J) <= r(J) for proper subsets J and |n| = r([p]).
 
     Fixing n_1 = v slices B(r) down to the base polytope of the rank
     function r_v(A) = min(r(A), r(A + 1) - v) on the elements 2..p.  The
     slice is nonempty exactly for r([p]) - r([p] - 1) <= v <= r({1}), so
-    the recursion on slices meets no dead end, and it emits the points in
-    lexicographic order.  With two elements left, every value v of the
-    first gives one point, completed by the weight; a range that would
-    take the support past DEFAULT_ENUMERATION_BUDGET points raises
-    BudgetExceededError before it is listed.  An invalid table raises
+    the recursion on slices meets no dead end.  Many prefixes lead to the
+    same slice table (m0n at p = 10: 4,862 prefixes of length 8, 9
+    tables), so `_slice_dag` computes each distinct table's children and
+    point count once, and refuses a support past DEFAULT_ENUMERATION_BUDGET
+    points by its count.  Then the DAG is walked top down and the points
+    come out in lexicographic order.  An invalid table raises
     InvalidRankError, which carries the full validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:
         raise InvalidRankError(report)
-    if r.p == 1:
+    p = r.p
+    if p == 1:
         return Support._from_sorted(1, [(r.values[1],)])
     points: list[tuple[int, ...]] = []
 
-    def extend(prefix: tuple[int, ...], values: Sequence[int]) -> None:
-        low, high = values[-1] - values[-2], values[1]
-        if len(values) == 4:
-            if len(points) + high - low + 1 > DEFAULT_ENUMERATION_BUDGET:
-                raise BudgetExceededError(
-                    f"support exceeds the enumeration budget of "
-                    f"{DEFAULT_ENUMERATION_BUDGET} points"
-                )
-            points.extend([prefix + (v, values[3] - v) for v in range(low, high + 1)])
+    def emit(prefix: tuple[int, ...], children) -> None:
+        if len(prefix) == p - 2:
+            low, high, weight = children
+            points.extend([prefix + (v, weight - v) for v in range(low, high + 1)])
             return
-        # even masks leave out the current first element, odd ones hold it
-        without, with_ = values[0::2], values[1::2]
-        for v in range(low, high + 1):
-            extend(prefix + (v,), [min(a, b - v) for a, b in zip(without, with_)])
+        for v, (_, grandchildren) in children:
+            emit(prefix + (v,), grandchildren)
 
-    extend((), r.values)
+    emit((), _slice_dag(r)[1])
     # lexicographic, distinct, nonnegative (r is monotone) and of weight r([p])
-    return Support._from_sorted(r.p, points)
+    return Support._from_sorted(p, points)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,9 @@ def length(pi: Permutation) -> int:
     )
 
 
-@lru_cache(maxsize=None)
+# A benchmark run of the enumerate workload leaves 461 entries; the bound
+# keeps a long-lived process from holding every polynomial it ever met.
+@lru_cache(maxsize=1024)
 def _schubert_cached(one_line: tuple[int, ...]) -> IntPolynomial:
     p = len(one_line)
     pi = Permutation(one_line)

@@ -431,6 +431,13 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "budget" in json.loads(err)["error"]
 
+    def test_flag_p8_budget_exit_3(self, capsys):
+        # 3,104,160 points, refused by their count before one is listed
+        code, out, err = run_cli(["flag", "--p", "8"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "budget" in json.loads(err)["error"]
+
     def test_mixed_volume_budget_exit_3(self, capsys):
         # 120 unit segments in R^3: sum_k C(3, k) e_k(2, ..., 2) points
         segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(120)]

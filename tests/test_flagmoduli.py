@@ -1,11 +1,13 @@
 """Flag-variety and rational-curves supports, with the literal
 inequality comparator and the Catalan cardinality law."""
 
+import tracemalloc
 from math import comb
 
 import pytest
 
 from multidegree import (
+    BudgetExceededError,
     Support,
     ValidationError,
     flag_comparator_report,
@@ -134,6 +136,17 @@ class TestFlagSupport:
     def test_p_must_be_positive(self):
         with pytest.raises(ValidationError):
             flag_msupp(0)
+
+    def test_p8_refused_before_its_points_are_built(self):
+        # listing the first 2,000,000 of its 3,104,160 points took ~247 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                flag_msupp(8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestComparator:

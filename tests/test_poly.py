@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidegree import IntPolynomial, ValidationError
 
@@ -218,3 +220,55 @@ class TestSerialization:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValidationError):
             IntPolynomial(1, [((-1,), 1)])
+
+    # int() would truncate the floats and read the booleans
+    @pytest.mark.parametrize(
+        "nvars, terms",
+        [
+            (2, [((1.5, True), 2.7)]),
+            (2, [((1.5, 1), 2)]),
+            (2, [((True, 1), 2)]),
+            (2, [((1, 1), 2.7)]),
+            (2, [((1, 1), True)]),
+            (2, [((1, 1), "3")]),
+            (2.0, [((1, 1), 2)]),
+            (True, [((1,), 2)]),
+        ],
+    )
+    def test_non_integer_constructor_input_rejected(self, nvars, terms):
+        with pytest.raises(ValidationError):
+            IntPolynomial(nvars, terms)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    """(f, g, i): two polynomials in 2 to 4 variables with coefficients
+    that often cancel, and a divided-difference index."""
+    nvars = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    terms = st.lists(st.tuples(exps, st.integers(-3, 3)), max_size=6)
+    f, g = IntPolynomial(nvars, draw(terms)), IntPolynomial(nvars, draw(terms))
+    return f, g, draw(st.integers(1, nvars - 1))
+
+
+def assert_well_formed(h):
+    """No zero coefficient, nonnegative int exponents of length nvars,
+    and equal to the same terms through the checked constructor."""
+    for exp, coef in h.terms.items():
+        assert type(coef) is int and coef != 0
+        assert len(exp) == h.nvars
+        assert all(type(e) is int and e >= 0 for e in exp)
+    assert h == IntPolynomial(h.nvars, h.terms)
+
+
+class TestTrustedResults:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polynomial_pairs())
+    def test_every_result_is_well_formed(self, case):
+        f, g, i = case
+        swapped = f.swap_variables(i, i + 1)
+        quotient = f.divided_difference(i)
+        for h in (f + g, f - g, -f, f * g, f * 3, f * 0, swapped, quotient):
+            assert_well_formed(h)
+        divisor = IntPolynomial.variable(f.nvars, i) - IntPolynomial.variable(f.nvars, i + 1)
+        assert quotient * divisor == f - swapped

@@ -3,7 +3,8 @@
 The randomized checks generate rank functions as minima of nonnegative
 modular functions plus constants, filtered through the validator, or as
 linear ranks of random subspace families over Q and F_5, and cross-check
-msupp_from_rank against a pruning-free enumeration of all compositions.
+msupp_from_rank against a pruning-free enumeration of all compositions
+and against the slice recursion without a memo.
 """
 
 import random
@@ -31,6 +32,7 @@ from multidegree import (
 from multidegree import polymatroid
 
 from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_oracle
+from msupp_oracle import slice_points
 from rank_oracle import sympy_rank
 from rank_report_oracle import validate_rank_oracle
 
@@ -253,6 +255,35 @@ class TestMsuppFromRank:
             assert is_mconvex(support).mconvex
 
 
+@st.composite
+def rank_tables(draw):
+    """A valid rank table on at most 8 elements: a minimum of modular
+    functions, the rank of a random subspace family, or the rank of an
+    M-convex support, a Minkowski sum of sets {e_j : j in A}."""
+    p = draw(st.integers(1, 8))
+    source = draw(st.sampled_from(["modular", "linear", "support"]))
+    if source == "support":
+        summands = draw(st.lists(st.sets(st.integers(0, p - 1), min_size=1), min_size=1, max_size=4))
+        points = {(0,) * p}
+        for a in summands:
+            points = {x[:j] + (x[j] + 1,) + x[j + 1 :] for x in points for j in a}
+        return rank_from_support(Support(p, points))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if source == "modular":
+        return random_valid_rank(rng, p)
+    return linear_rank(random_family(rng, p, rng.choice(["Q", "Fp:5"])))
+
+
+class TestMsuppAgainstSliceRecursion:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rank_tables())
+    def test_points_order_and_count(self, r):
+        support = msupp_from_rank(r)
+        assert list(support.points) == slice_points(r)
+        if r.p > 1:
+            assert polymatroid._slice_dag(r)[0] == len(support)
+
+
 class TestMConvex:
     def test_two_point_exchange(self):
         assert is_mconvex(Support(2, [(1, 2), (2, 1)])).mconvex
@@ -369,7 +400,7 @@ class TestMConvexOracles:
             p = rng.randint(1, 6)
             assert_matches_oracles(Support(p, [[rng.randint(0, 5) for _ in range(p)]]))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_supports())
     def test_property(self, s):
         assert_matches_oracles(s)
@@ -562,6 +593,18 @@ class TestSupportType:
     def test_complement(self):
         s = Support(2, [(0, 2)])
         assert s.complement(2).points == ((2, 0),)
+
+    def test_complement_reverses_the_order(self):
+        s = msupp_from_rank(INTRO_RANK)
+        complement = s.complement(3)
+        assert complement == Support(3, [[3 - x for x in pt] for pt in s.points])
+        assert complement.points == tuple(sorted(complement.points))
+        assert complement.complement(3) == s
+
+    @pytest.mark.parametrize("bound", [2, 1.5, True])
+    def test_complement_bound_below_a_coordinate_or_not_an_integer(self, bound):
+        with pytest.raises(ValidationError):
+            msupp_from_rank(INTRO_RANK).complement(bound)
 
     def test_negative_coordinate_rejected(self):
         with pytest.raises(ValidationError):

@@ -69,13 +69,14 @@ def accepts(name, document):
 
 
 def valid_documents():
-    """(schema name, document) for every fixture and every output."""
+    """(schema name, document) for every fixture and every output, the
+    outputs as `json` writes them (tuples become arrays)."""
     out = [(FIXTURE_SCHEMAS[f.name], json.loads(f.read_text())) for f in sorted(FIXTURES.glob("*.json"))]
-    out += [(name, obj.to_json_dict()) for name, obj in OBJECTS]
+    outputs = [(name, obj.to_json_dict()) for name, obj in OBJECTS]
     polytopes = [SQUARE.to_json_dict(), TRIANGLE.to_json_dict()]
-    out.append(("polytope_tuple", {"polytopes": polytopes, "n": [1, 1]}))
-    out.append(("mixed_volume_table", mixed_volumes([SQUARE, TRIANGLE]).to_json_dict()))
-    return out
+    outputs.append(("polytope_tuple", {"polytopes": polytopes, "n": [1, 1]}))
+    outputs.append(("mixed_volume_table", mixed_volumes([SQUARE, TRIANGLE]).to_json_dict()))
+    return out + [(name, json.loads(json.dumps(document))) for name, document in outputs]
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
