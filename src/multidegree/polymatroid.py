@@ -47,6 +47,8 @@ from .linalg import extend_basis, is_prime
 from .schemas import check
 
 MAX_GROUND_SET = 20
+# table entries the slice memo of msupp_from_rank may keep on small ground sets
+MEMO_FLOOR = 1 << 14
 
 
 def check_ground_set(p: int) -> None:
@@ -146,8 +148,7 @@ class Support:
         )
 
     def to_json_dict(self) -> dict:
-        # json writes the point tuples as arrays
-        return {"p": self.p, "points": self.points}
+        return {"p": self.p, "points": [list(pt) for pt in self.points]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Support":
@@ -328,21 +329,30 @@ def validate_rank_function(r: RankFunction) -> RankReport:
 
 def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
     """The root of the slices of B(r), for a valid r on p >= 2 elements,
-    as a DAG with one node (count, children) per distinct slice table.
+    as a DAG with one node (count, children) per distinct slice table
+    that the memo below holds.
 
     count is the slice's number of lattice points.  The children are the
     pairs (v, node of r_v) for every feasible first coordinate v, or,
     with two elements left, (low, high, weight) for the points (v,
     weight - v), low <= v <= high.  Every slice is nonempty, so a range
     of more values than DEFAULT_ENUMERATION_BUDGET, or a count past it,
-    raises BudgetExceededError before any point is built.  The tables
-    key a dict that dies with the call; the nodes hold their children.
+    raises BudgetExceededError before any point is built.
+
+    The tables key a dict that dies with the call; the nodes hold their
+    children.  The dict keeps at most max(2^p, MEMO_FLOOR) table entries
+    in all, so it never outgrows the input table by much, however few
+    tables repeat (r(A) = k when A meets {1, 2} and 0 otherwise has k + 1
+    distinct first slices of 2^(p-1) entries).  A table that does not fit
+    is worked out again each time it is reached, as without a memo.
     """
     budget = DEFAULT_ENUMERATION_BUDGET
     exceeded = f"support exceeds the enumeration budget of {budget} points"
     memo: dict[tuple[int, ...], tuple[int, list | tuple[int, int, int]]] = {}
+    room = max(len(r.values), MEMO_FLOOR)
 
     def node(values: tuple[int, ...]) -> tuple[int, list | tuple[int, int, int]]:
+        nonlocal room
         found = memo.get(values)
         if found is not None:
             return found
@@ -362,7 +372,9 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
                     raise BudgetExceededError(exceeded)
                 children.append((v, child))
             found = (count, children)
-        memo[values] = found
+        if len(values) <= room:
+            memo[values] = found
+            room -= len(values)
         return found
 
     return node(r.values)
@@ -377,10 +389,12 @@ def msupp_from_rank(r: RankFunction) -> Support:
     the recursion on slices meets no dead end.  Many prefixes lead to the
     same slice table (m0n at p = 10: 4,862 prefixes of length 8, 9
     tables), so `_slice_dag` computes each distinct table's children and
-    point count once, and refuses a support past DEFAULT_ENUMERATION_BUDGET
-    points by its count.  Then the DAG is walked top down and the points
-    come out in lexicographic order.  An invalid table raises
-    InvalidRankError, which carries the full validation report.
+    point count once, in a memo no larger than the input table (or
+    MEMO_FLOOR entries), and refuses a support past
+    DEFAULT_ENUMERATION_BUDGET points by its count.  Then the DAG is
+    walked top down and the points come out in lexicographic order.  An
+    invalid table raises InvalidRankError, which carries the full
+    validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:

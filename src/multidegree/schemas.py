@@ -16,8 +16,6 @@ than `check` does:
 - Python's `$` also matches before a final newline, so a Python
   validator takes "1\\n" for a match of "^-?[0-9]+$"; `check` matches the
   whole string, as the ECMA 262 regular expressions of draft-07 do.
-A tuple is an array to `check`, as it is to `json`, so the output of a
-`to_json_dict` that holds tuples reads back.
 """
 
 from __future__ import annotations
@@ -98,7 +96,7 @@ SCHEMAS: dict[str, dict] = {
     }.items()
 }
 
-_TYPES = {"object": dict, "array": (list, tuple), "string": str, "integer": int}
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int}
 
 
 def check(name: str, document: object) -> None:

@@ -8,6 +8,7 @@ and against the slice recursion without a memo.
 """
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -282,6 +283,25 @@ class TestMsuppAgainstSliceRecursion:
         assert list(support.points) == slice_points(r)
         if r.p > 1:
             assert polymatroid._slice_dag(r)[0] == len(support)
+
+    def test_memo_stays_near_the_recursion_in_memory(self):
+        # r(A) = 300 when A meets {1, 2}: 301 points, but 301 distinct first
+        # slices of 2^11 entries (about 22 MB if all kept) and no repeats
+        r = RankFunction(12, [300 if mask & 3 else 0 for mask in range(1 << 12)])
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                result = run(r)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        validate_peak, _ = peak(validate_rank_function)
+        recursion_peak, points = peak(slice_points)
+        memo_peak, support = peak(msupp_from_rank)
+        assert list(support.points) == points
+        assert memo_peak < max(validate_peak, recursion_peak) + 2**20
 
 
 class TestMConvex:
