@@ -20,22 +20,21 @@ from .polymatroid import RankFunction, Support, check_ground_set, msupp_from_ran
 
 def flag_rank_function(p: int) -> RankFunction:
     """r(J) = sum over i<j of d_i d_j for the gap sizes d of J in [p],
-    the dimension of the partial flag variety of the subspace sizes J."""
+    the dimension of the partial flag variety of the subspace sizes J.
+
+    As the gaps sum to p + 1, r(J) = C(p+1, 2) - sum_d C(d, 2): the
+    dimension of the complete flag variety less that of its fibres.
+    below[mask] sums C(d, 2) over the gaps below max(J): those of the
+    mask without max(J), and one more."""
     check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
-    values = []
-    for mask in range(1 << p):
-        chosen = [j + 1 for j in range(p) if mask >> j & 1]
-        cuts = [0] + chosen + [p + 1]
-        gaps = [cuts[k + 1] - cuts[k] for k in range(len(cuts) - 1)]
-        values.append(
-            sum(
-                gaps[i] * gaps[j]
-                for i in range(len(gaps))
-                for j in range(i + 1, len(gaps))
-            )
-        )
+    below = [0] * (1 << p)
+    for mask in range(1, 1 << p):
+        rest = mask ^ (1 << (mask.bit_length() - 1))
+        below[mask] = below[rest] + comb(mask.bit_length() - rest.bit_length(), 2)
+    full = comb(p + 1, 2)
+    values = [full - below[m] - comb(p + 1 - m.bit_length(), 2) for m in range(1 << p)]
     return RankFunction(p, values)
 
 
@@ -82,11 +81,7 @@ def m0n_rank_function(p: int) -> RankFunction:
     check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
-    values = []
-    for mask in range(1 << p):
-        chosen = [j + 1 for j in range(p) if mask >> j & 1]
-        values.append(max(chosen) if chosen else 0)
-    return RankFunction(p, values)
+    return RankFunction(p, [mask.bit_length() for mask in range(1 << p)])
 
 
 def m0n_msupp(p: int) -> Support:

@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import IntPolynomial
-from .polymatroid import Support
+from .polymatroid import Support, _integer
 from .schemas import check
 
 
@@ -64,11 +64,12 @@ class Grading:
     degree_of: tuple[tuple[int, ...], ...]
 
     def __init__(self, nvars: int, p: int, degree_of: Sequence[Sequence[int]]):
+        nvars, p = _integer(nvars), _integer(p)
         if len(degree_of) != nvars:
             raise ValidationError(
                 f"grading lists {len(degree_of)} degrees for {nvars} variables"
             )
-        degrees = tuple(tuple(int(x) for x in d) for d in degree_of)
+        degrees = tuple(tuple(map(_integer, d)) for d in degree_of)
         for v, d in enumerate(degrees):
             if len(d) != p:
                 raise ValidationError(f"degree of variable {v + 1} has length {len(d)}")
@@ -109,7 +110,7 @@ class MonomialIdeal:
     generators: tuple[tuple[int, ...], ...]
 
     def __init__(self, grading: Grading, generators: Iterable[Iterable[int]]):
-        gens = sorted({tuple(int(x) for x in g) for g in generators})
+        gens = sorted({tuple(x if type(x) is int else _integer(x) for x in g) for g in generators})
         for g in gens:
             if len(g) != grading.nvars:
                 raise ValidationError(
@@ -409,7 +410,8 @@ class SimplicialComplex:
     facets: tuple[tuple[int, ...], ...]
 
     def __init__(self, nverts: int, facets: Iterable[Iterable[int]]):
-        cleaned = sorted({tuple(sorted(set(int(v) for v in f))) for f in facets})
+        nverts = _integer(nverts)
+        cleaned = sorted({tuple(sorted(set(map(_integer, f)))) for f in facets})
         if not cleaned:
             raise ValidationError("a complex needs at least one facet")
         for f in cleaned:

@@ -10,9 +10,10 @@ Q and residues mod p over F_p, so ranks and solutions are exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
 
 
 def _mod(vec: list, prime: int | None) -> list:
@@ -51,8 +52,14 @@ def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division; more than DEFAULT_ENUMERATION_BUDGET
+    candidate divisors raise BudgetExceededError before the first."""
     if n < 2:
         return False
+    if isqrt(n) > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"trial division of {n} exceeds {DEFAULT_ENUMERATION_BUDGET} divisors"
+        )
     d = 2
     while d * d <= n:
         if n % d == 0:

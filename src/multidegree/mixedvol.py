@@ -8,9 +8,9 @@ sum of the face offsets of a triangulated 3D hull built incrementally
 (de Berg et al., *Computational Geometry*, chapter 11), each face with
 its plane.  The hull checks itself and raises AssertionError when a
 check fails, so a wrong volume is never returned silently: a closed
-oriented surface of Euler characteristic 2 (in full for the seed and the
-end; after each insertion, on the half-edges and vertex use counts it
-changes), every point beneath every face plane, positive volume.
+oriented surface of Euler characteristic 2 (checked once per surface, on
+the half-edges and vertex use counts that the seed and each insertion
+change), every point beneath every face plane, positive volume.
 
 Mixed volumes come from the polarization formula (Schneider, *Convex
 Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
@@ -196,28 +196,16 @@ def _face(a: IntPoint, b: IntPoint, c: IntPoint) -> Face:
     return (a, b, c, (nx, ny, nz), nx * ax + ny * ay + nz * az)
 
 
-def _surface_checks(faces: Sequence[tuple]) -> None:
-    """Closed oriented surface of Euler characteristic 2.  Only a face's
-    first three entries, its corners, are read."""
-    edges: dict[tuple[IntPoint, IntPoint], int] = {}
-    for a, b, c, *_plane in faces:
-        for e in ((a, b), (b, c), (c, a)):
-            edges[e] = edges.get(e, 0) + 1
-    for (u, v), count in edges.items():
-        if count != 1 or edges.get((v, u), 0) != 1:
-            raise AssertionError("hull surface is not a closed oriented manifold")
-    used = {v for f in faces for v in f[:3]}
-    if len(used) - len(edges) // 2 + len(faces) != 2:
-        raise AssertionError("hull surface is not a topological sphere")
-
-
 def _replace_faces(
     half_edges: set, uses: Counter, old: Sequence[tuple], new: Sequence[tuple]
 ) -> None:
     """Replace the faces `old` of a closed oriented surface, given by its
     directed half-edges and vertex use counts, by the faces `new`; raise
-    AssertionError exactly when `_surface_checks` would on the new face
-    list.  Only a half-edge that changed can lose its reverse."""
+    AssertionError exactly when the new face list is not a closed oriented
+    surface of Euler characteristic 2 (the full check `_surface_checks`
+    in tests/hull_oracle.py).  Only a half-edge that changed can lose its
+    reverse.  From the empty surface, `old` is empty and every half-edge
+    of `new` is checked."""
     removed = [e for a, b, c, *_plane in old for e in ((a, b), (b, c), (c, a))]
     added = [e for a, b, c, *_plane in new for e in ((a, b), (b, c), (c, a))]
     half_edges.difference_update(removed)
@@ -257,7 +245,6 @@ def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
     if _dot(normal, d) > offset:
         b, c = c, b
     faces = [_face(a, b, c), _face(b, a, d), _face(c, b, d), _face(a, c, d)]
-    _surface_checks(faces)
     half_edges, uses = set(), Counter()
     _replace_faces(half_edges, uses, (), faces)
     for q in pts:
@@ -273,7 +260,6 @@ def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
         cone = [_face(u, v, q) for u, v in edges if (v, u) not in edges]
         _replace_faces(half_edges, uses, visible, cone)
         faces = kept + cone
-    _surface_checks(faces)
     for _u, _v, _w, (nx, ny, nz), offset in faces:
         if any(nx * x + ny * y + nz * z > offset for x, y, z in pts):
             raise AssertionError("a point ended up beyond a hull face plane")

@@ -183,59 +183,27 @@ class IntPolynomial:
     def divided_difference(self, i: int) -> "IntPolynomial":
         """Apply the i-th divided difference (f - s_i f) / (t_i - t_{i+1}).
 
-        The numerator is antisymmetric in t_i, t_{i+1}, so the division
-        is exact.  It is carried out by synthetic division in t_i with
-        t_{i+1} playing the role of the evaluation point; a nonzero
-        remainder would mean corrupted arithmetic and aborts hard.
+        The quotient is taken term by term (Macdonald, *Notes on Schubert
+        Polynomials*, 1991).  Let a and b be the exponents of t_i and
+        t_{i+1} in a term c t^e.  The term gives 0 when a = b, and when
+        a > b it gives c sum_{k=b}^{a-1} t_i^k t_{i+1}^(a+b-1-k), every
+        other exponent unchanged; when a < b, a and b swap and c changes
+        sign.  The division is exact, so no remainder is left to check.
         """
         if not 1 <= i < self.nvars:
             raise ValidationError(
                 f"divided difference index {i} out of range 1..{self.nvars - 1}"
             )
-        vi, vnext = i - 1, i
-        # The numerator f - s_i f, grouped by the exponent of t_i, in one
-        # pass: a term t^e gives +t^e and -t^(s_i e), and cancels when
-        # e_i = e_{i+1}.
-        by_degree: dict[int, dict[ExponentVector, int]] = {}
+        acc: dict[ExponentVector, int] = {}
         for exp, coef in self._terms.items():
-            x, y = exp[vi], exp[vnext]
-            if x != y:
-                head, tail = exp[:vi], exp[vnext + 1 :]
-                row = by_degree.setdefault(x, {})
-                key = head + (0, y) + tail
-                row[key] = row.get(key, 0) + coef
-                row = by_degree.setdefault(y, {})
-                key = head + (0, x) + tail
-                row[key] = row.get(key, 0) - coef
-        if not by_degree:
-            return IntPolynomial.zero(self.nvars)
-        top = max(by_degree)
-        quotient: dict[ExponentVector, int] = {}
-        carry: dict[ExponentVector, int] = {}
-
-        def shift_next(terms: dict[ExponentVector, int]) -> dict[ExponentVector, int]:
-            # multiply by t_{i+1}
-            return {
-                e[:vnext] + (e[vnext] + 1,) + e[vnext + 1 :]: c for e, c in terms.items()
-            }
-
-        for k in range(top, 0, -1):
-            current = dict(carry)
-            for e, c in by_degree.get(k, {}).items():
-                current[e] = current.get(e, 0) + c
-            current = {e: c for e, c in current.items() if c != 0}
-            for e, c in current.items():
-                key = e[:vi] + (k - 1,) + e[vi + 1 :]
-                quotient[key] = quotient.get(key, 0) + c
-            carry = shift_next(current)
-        remainder = dict(carry)
-        for e, c in by_degree.get(0, {}).items():
-            remainder[e] = remainder.get(e, 0) + c
-        if any(c != 0 for c in remainder.values()):
-            raise AssertionError(
-                "nonzero remainder in divided difference; internal arithmetic bug"
-            )
-        return IntPolynomial._from_terms(self.nvars, quotient)
+            a, b = exp[i - 1], exp[i]
+            if a < b:
+                a, b, coef = b, a, -coef
+            head, tail = exp[: i - 1], exp[i + 1 :]
+            for k in range(b, a):
+                key = head + (k, a + b - 1 - k) + tail
+                acc[key] = acc.get(key, 0) + coef
+        return IntPolynomial._from_terms(self.nvars, acc)
 
     def substitute_one_minus(self) -> "IntPolynomial":
         """Replace every variable t_i by (1 - t_i), fully expanded."""

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
 from .poly import IntPolynomial
 from .polymatroid import RankFunction, Support, msupp_from_rank
-from .polymatroid import _set_to_mask, check_ground_set
+from .polymatroid import _integer, _set_to_mask, check_ground_set
 from .schemas import check
 
 
@@ -29,7 +29,7 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __init__(self, one_line: Iterable[int]):
-        entries = tuple(int(x) for x in one_line)
+        entries = tuple(map(_integer, one_line))
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValidationError(f"{entries} is not a permutation of 1..{len(entries)}")
         object.__setattr__(self, "p", len(entries))
@@ -81,15 +81,21 @@ class Permutation:
         return perm
 
 
+def _grid(p: int) -> range:
+    """1..p, the rows and the columns of the p x p grid; a grid of more
+    than DEFAULT_ENUMERATION_BUDGET cells raises BudgetExceededError, so
+    every walk over one is refused before it starts."""
+    if p * p > DEFAULT_ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"the {p}x{p} grid exceeds {DEFAULT_ENUMERATION_BUDGET} cells"
+        )
+    return range(1, p + 1)
+
+
 def length(pi: Permutation) -> int:
     """Number of inversions."""
     entries = pi.one_line
-    return sum(
-        1
-        for i in range(pi.p)
-        for j in range(i + 1, pi.p)
-        if entries[i] > entries[j]
-    )
+    return sum(entries[i - 1] > entries[j] for i in _grid(pi.p) for j in range(i, pi.p))
 
 
 # A benchmark run of the enumerate workload leaves 461 entries; the bound
@@ -124,9 +130,10 @@ class Diagram:
     cells: frozenset[tuple[int, int]]
 
     def __init__(self, p: int, cells: Iterable[tuple[int, int]]):
+        p = _integer(p)
         if p < 0:
             raise ValidationError(f"grid size {p} is negative")
-        cell_set = frozenset((int(r), int(c)) for r, c in cells)
+        cell_set = frozenset((_integer(r), _integer(c)) for r, c in cells)
         for r, c in cell_set:
             if not (1 <= r <= p and 1 <= c <= p):
                 raise ValidationError(f"cell ({r},{c}) outside the {p}x{p} grid")
@@ -146,12 +153,8 @@ class Diagram:
 def rothe_diagram(pi: Permutation) -> Diagram:
     """Cells (i, j) with pi(i) > j and pi^{-1}(j) > i."""
     inv = pi.inverse()
-    cells = [
-        (i, j)
-        for i in range(1, pi.p + 1)
-        for j in range(1, pi.p + 1)
-        if pi(i) > j and inv(j) > i
-    ]
+    grid = _grid(pi.p)
+    cells = [(i, j) for i in grid for j in grid if pi(i) > j and inv(j) > i]
     return Diagram(pi.p, cells)
 
 
@@ -162,17 +165,18 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
     is absent and r is in the subset, ")" if the cell is present and r
     is outside, and a star if the cell is present and r is inside.
     """
+    grid = _grid(d.p)
     members = set()
     for r in subset:
         if not 1 <= r <= d.p:
             raise ValidationError(f"row {r} outside 1..{d.p}")
         members.add(r)
     total = 0
-    for c in range(1, d.p + 1):
+    for c in grid:
         open_count = 0
         matched = 0
         stars = 0
-        for r in range(1, d.p + 1):
+        for r in grid:
             in_diagram = (r, c) in d.cells
             in_subset = r in members
             if in_diagram and in_subset:

@@ -1,13 +1,16 @@
-"""Exhaustive supporting-plane oracle for the 3D convex hull.
+"""Exhaustive supporting-plane oracle for the 3D convex hull, and the
+full surface check.
 
 Every triple of points spans a candidate plane; a plane supports the
 hull when no point lies strictly on both sides of it.  The facets are
 the distinct supporting planes, each with the points lying on it.  The
 search is cubic in the number of points, several times slower than the
 library's hull, and shares nothing with the incremental construction in
-`multidegree.mixedvol` apart from the exact integer primitives, the
-planar ring `_facet_ring` and the surface checks its triangulation must
-pass.
+`multidegree.mixedvol` apart from the exact integer primitives and the
+planar ring `_facet_ring`.  Its triangulation must pass
+`_surface_checks`, which reads a whole face list at once; the library
+checks each surface by the half-edges that change (`_replace_faces`),
+and `_surface_checks` is the oracle for that update.
 """
 
 from __future__ import annotations
@@ -16,7 +19,23 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from multidegree.mixedvol import _cross3, _dot, _facet_ring, _sub, _surface_checks
+from multidegree.mixedvol import _cross3, _dot, _facet_ring, _sub
+
+
+def _surface_checks(faces):
+    """Closed oriented surface of Euler characteristic 2, or
+    AssertionError.  Only a face's first three entries, its corners, are
+    read."""
+    edges = {}
+    for a, b, c, *_plane in faces:
+        for e in ((a, b), (b, c), (c, a)):
+            edges[e] = edges.get(e, 0) + 1
+    for (u, v), count in edges.items():
+        if count != 1 or edges.get((v, u), 0) != 1:
+            raise AssertionError("hull surface is not a closed oriented manifold")
+    used = {v for f in faces for v in f[:3]}
+    if len(used) - len(edges) // 2 + len(faces) != 2:
+        raise AssertionError("hull surface is not a topological sphere")
 
 
 def supporting_planes(points):

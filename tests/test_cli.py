@@ -448,6 +448,32 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "2333120 points" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a 4000 x 4000 grid walked column by column
+            (["theta", "--subset", "", "--json", '{"p":4000,"cells":[]}'], "4000x4000 grid"),
+            # trial division up to isqrt(2^61 - 1), about 1.5 * 10^9
+            (
+                ["msupp-linear", "--json", '{"ambient":1,"field":"Fp:2305843009213693951","subspaces":[[["1"]]]}'],
+                "trial division",
+            ),
+        ],
+        ids=["theta-grid", "prime-field"],
+    )
+    def test_unbounded_loop_budget_exit_3(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert message in json.loads(err)["error"]
+
+    def test_prime_below_the_trial_division_budget(self, capsys):
+        document = '{"ambient":1,"field":"Fp:2147483647","subspaces":[[["1"]]]}'
+        doc = run_json(["msupp-linear", "--json", document], capsys)
+        assert doc["support"]["points"] == [[1]]
+
 
 class TestKPoly:
     # sha256 of the stdout bytes that the per-node IntPolynomial
@@ -973,6 +999,12 @@ class TestBenchmarkPool:
     @pytest.mark.parametrize("workload", ["certify", "enumerate"])
     def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
         jobs = [job for job in self.pool_jobs(workload) if job["argv"][0] == "msupp-rank"]
+        self.replay(jobs, capsys)
+
+    def test_schubert_and_theta_jobs_keep_their_bytes(self, capsys):
+        # every permutation size of the pool, up to p = 9
+        jobs = [job for job in self.pool_jobs("enumerate") if job["argv"][0] in ("schubert", "theta")]
+        assert len(jobs) == 90
         self.replay(jobs, capsys)
 
     def test_polytopes_jobs_keep_their_bytes(self, capsys):

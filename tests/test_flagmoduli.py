@@ -77,6 +77,17 @@ def flag_simple_inequalities(p, n):
     return True
 
 
+def flag_rank_oracle(p):
+    """r(J) as the sum over i<j of d_i d_j for the gap sizes d of J,
+    mask by mask."""
+    values = []
+    for mask in range(1 << p):
+        cuts = [0] + [j + 1 for j in range(p) if mask >> j & 1] + [p + 1]
+        gaps = [b - a for a, b in zip(cuts, cuts[1:])]
+        values.append(sum(x * y for i, x in enumerate(gaps) for y in gaps[i + 1 :]))
+    return tuple(values)
+
+
 def comparator_oracle(support):
     """The comparator by walking every composition of binom(p+1, 2)
     into p parts and testing each against both routes."""
@@ -113,6 +124,10 @@ class TestFlagRank:
         for p in range(1, 7):
             r = flag_rank_function(p)
             assert r.of_set(range(1, p + 1)) == comb(p + 1, 2)
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_matches_gap_product_sum(self, p):
+        assert flag_rank_function(p).values == flag_rank_oracle(p)
 
     def test_valid_up_to_p8(self):
         for p in range(1, 9):
@@ -201,6 +216,13 @@ class TestModuliSupport:
         r = m0n_rank_function(3)
         assert r.values == (0, 1, 2, 2, 3, 3, 3, 3)
         assert validate_rank_function(r).valid
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_rank_is_max_of_the_set(self, p):
+        assert m0n_rank_function(p).values == tuple(
+            max((j + 1 for j in range(p) if mask >> j & 1), default=0)
+            for mask in range(1 << p)
+        )
 
     def test_p3_points(self):
         assert m0n_msupp(3).points == (

@@ -577,6 +577,22 @@ class TestGradingValidation:
         with pytest.raises(ValidationError):
             Grading(2, 2, [(1, 0)])
 
+    def test_non_integer_degree_rejected(self):
+        # int() read 1.5 as 1
+        with pytest.raises(ValidationError, match="not an integer"):
+            Grading(2, 1, [[1.5], [1]])
+
+    def test_non_integer_generator_rejected(self):
+        with pytest.raises(ValidationError, match="not an integer"):
+            MonomialIdeal(Grading.standard(2), [(1, True)])
+
+    def test_non_integer_complex_rejected(self):
+        # 3.7 was kept as the vertex count, and 2.0 read as vertex 2
+        with pytest.raises(ValidationError, match="not an integer"):
+            SimplicialComplex(3.7, [[1, 2], [3]])
+        with pytest.raises(ValidationError, match="not an integer"):
+            SimplicialComplex(3, [[1, 2.0], [3]])
+
     def test_json_round_trip(self):
         ideal = stanley_reisner_ideal(octahedron_boundary(), vars_per_vertex=2)
         assert MonomialIdeal.from_json_dict(ideal.to_json_dict()) == ideal

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import pytest
 
-from multidegree.errors import ValidationError
-from multidegree.linalg import extend_basis, rank_mod_p, rank_rational, solve_rational
+from multidegree.errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
+from multidegree.linalg import extend_basis, is_prime, rank_mod_p, rank_rational, solve_rational
 
 from rank_oracle import sympy_rank
 
@@ -114,6 +114,16 @@ def test_ragged_rows_raise():
 def test_non_prime_modulus_raises(modulus):
     with pytest.raises(ValidationError, match="not prime"):
         rank_mod_p([[1, 0]], modulus)
+
+
+def test_trial_division_budget():
+    # 2^31 - 1 needs 46,340 candidate divisors; 2^61 - 1 about 1.5 * 10^9
+    assert is_prime(2**31 - 1)
+    assert not is_prime((DEFAULT_ENUMERATION_BUDGET + 1) ** 2 - 1)
+    with pytest.raises(BudgetExceededError):
+        is_prime((DEFAULT_ENUMERATION_BUDGET + 1) ** 2)
+    with pytest.raises(BudgetExceededError):
+        is_prime(2**61 - 1)
 
 
 @pytest.mark.parametrize("prime", [None, 5])

@@ -10,7 +10,8 @@ prisms, with many collinear and coplanar points).  The hull's seed
 search is the only dimension test `volume` makes; the rank computation
 `polytope_dim` is its oracle on flat and full-dimensional input.  Whole
 mixed-volume tables are compared with mixedvol_oracle.py, and the hull's
-per-insertion surface update with the full surface check.
+surface update, on the seed and on each insertion, with the full surface
+check of hull_oracle.py.
 """
 
 import math
@@ -43,11 +44,11 @@ from multidegree.mixedvol import (
     _scale_to_int,
     _scaled_volume,
     _sub,
-    _surface_checks,
     extreme_points,
 )
 
 from hull_oracle import (
+    _surface_checks,
     enclosed_volume,
     hull_3d_bruteforce,
     hull_vertices,
@@ -149,6 +150,37 @@ def insertion(rng):
                 edges = {e for u, v, w, *_p in visible for e in ((u, v), (v, w), (w, u))}
                 cone = [_face(u, v, q) for u, v in edges if (v, u) not in edges]
                 return faces, visible, cone
+
+
+def seed_tetrahedron(rng):
+    """The four outward faces of a random tetrahedron, as the hull seeds
+    them: the fourth corner lies beneath the plane of the first face."""
+    while True:
+        a, b, c, d = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(4))
+        normal, offset = _face(a, b, c)[3:]
+        side = sum(map(math.prod, zip(normal, d))) - offset
+        if side:
+            if side > 0:
+                b, c = c, b
+            return [_face(a, b, c), _face(b, a, d), _face(c, b, d), _face(a, c, d)]
+
+
+def mutate(rng, faces, mutation, vertices):
+    """Fault one face of the list in place: drop it, flip it, repeat it,
+    or rewire it to a new apex, one of `vertices` when it can be, else a
+    point off the surface.  Any other mutation leaves the list as it is."""
+    i = rng.randrange(len(faces))
+    if mutation == "drop":
+        del faces[i]
+    elif mutation == "flip":
+        a, b, c = faces[i][:3]
+        faces[i] = _face(a, c, b)
+    elif mutation == "duplicate":
+        faces.append(faces[i])
+    elif mutation == "rewire":
+        a, b, c = faces[i][:3]
+        apexes = sorted(vertices - {a, b, c}) + [(9, 9, 9)]
+        faces[i] = _face(a, b, rng.choice(apexes))
 
 
 def vertex_lists(d, p):
@@ -362,8 +394,9 @@ class TestHullAgreement:
 
 
 class TestIncrementalSurfaceCheck:
-    """The per-insertion update `_replace_faces` against the full surface
-    check, and faults injected into the hull."""
+    """The surface update `_replace_faces`, on the seed and on each
+    insertion, against the full surface check of hull_oracle.py, and
+    faults injected into the hull."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -373,25 +406,27 @@ class TestIncrementalSurfaceCheck:
     def test_raises_exactly_when_full_check_does(self, seed, mutation):
         rng = random.Random(seed)
         faces, visible, cone = insertion(rng)
-        i = rng.randrange(len(cone))
-        if mutation == "drop":
-            del cone[i]
-        elif mutation == "flip":
-            a, b, c = cone[i][:3]
-            cone[i] = _face(a, c, b)
-        elif mutation == "duplicate":
-            cone.append(cone[i])
-        elif mutation == "rewire":  # another apex, on the surface when it can be
-            a, b, _q = cone[i][:3]
-            apexes = sorted({v for f in faces for v in f[:3]} - {a, b}) + [(9, 9, 9)]
-            cone[i] = _face(a, b, rng.choice(apexes))
-        elif mutation == "keep-visible":
+        mutate(rng, cone, mutation, {v for f in faces for v in f[:3]})
+        if mutation == "keep-visible":
             del visible[rng.randrange(len(visible))]
         kept = [f for f in faces if f not in visible]
         half_edges, uses = set(), Counter()
         _replace_faces(half_edges, uses, (), faces)
         full = raises_assertion(_surface_checks, kept + cone)
         assert raises_assertion(_replace_faces, half_edges, uses, visible, cone) == full
+        assert full == (mutation != "none")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["none", "drop", "flip", "duplicate", "rewire"]),
+    )
+    def test_seed_raises_exactly_when_full_check_does(self, seed, mutation):
+        rng = random.Random(seed)
+        faces = seed_tetrahedron(rng)
+        mutate(rng, faces, mutation, {v for f in faces for v in f[:3]})
+        full = raises_assertion(_surface_checks, faces)
+        assert raises_assertion(_replace_faces, set(), Counter(), (), faces) == full
         assert full == (mutation != "none")
 
     @pytest.mark.parametrize("fault", ["flip", "repeat"])
@@ -405,8 +440,10 @@ class TestIncrementalSurfaceCheck:
             calls = []
             monkeypatch.setattr(mixedvol, "_face", lambda *c: calls.append(c) or real_face(*c))
             _hull_3d_incremental(pts)
-            # calls 0-4 build the seed; every later one is a cone face
-            for k in range(5, len(calls)):
+            # call 0 gives the seed's first plane and calls 1-4 its faces;
+            # every later one is a cone face.  Repeating call 0 may give
+            # face 1 unchanged, so a repeat starts at face 2.
+            for k in range(1 if fault == "flip" else 2, len(calls)):
                 seen = []
 
                 def faulty(a, b, c, k=k, seen=seen):

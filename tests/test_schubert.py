@@ -12,6 +12,7 @@ import pytest
 
 import multidegree.schubert as schubert_module
 from multidegree import (
+    BudgetExceededError,
     Diagram,
     IntPolynomial,
     Permutation,
@@ -61,6 +62,22 @@ class TestPermutation:
     def test_json_round_trip(self):
         pi = Permutation((2, 4, 1, 3))
         assert Permutation.from_json_dict(pi.to_json_dict()) == pi
+
+    def test_non_integer_entries_rejected(self):
+        # int() read these as the permutation (2, 1)
+        with pytest.raises(ValidationError, match="not an integer"):
+            Permutation([2.0, 1.9])
+
+    def test_grid_walks_refused_past_the_budget(self):
+        # p^2 = 2,250,000 cells, more than DEFAULT_ENUMERATION_BUDGET
+        pi = Permutation.longest(1500)
+        with pytest.raises(BudgetExceededError):
+            length(pi)
+        with pytest.raises(BudgetExceededError):
+            rothe_diagram(pi)
+        with pytest.raises(BudgetExceededError):
+            theta(Diagram(1500, []), [])
+        assert length(Permutation.longest(1414)) == 1414 * 1413 // 2
 
 
 class TestSchubertPolynomial:
@@ -153,6 +170,13 @@ class TestRotheDiagram:
 
     def test_json_round_trip(self):
         assert Diagram.from_json_dict(FIGURE_DIAGRAM.to_json_dict()) == FIGURE_DIAGRAM
+
+    def test_non_integer_cells_rejected(self):
+        # int() read the cell (1.2, True) as (1, 1)
+        with pytest.raises(ValidationError, match="not an integer"):
+            Diagram(2, [(1.2, True)])
+        with pytest.raises(ValidationError, match="not an integer"):
+            Diagram(2.5, [])
 
 
 class TestTheta:
