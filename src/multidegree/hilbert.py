@@ -253,7 +253,7 @@ def hilbert_function_oracle(
     and deliberately shares no code with it.
     """
     grading = ideal.grading
-    target = tuple(int(x) for x in nu)
+    target = tuple(map(_integer, nu))
     if len(target) != grading.p:
         raise ValidationError(f"degree vector {target} has length {len(target)}")
     if any(x < 0 for x in target):

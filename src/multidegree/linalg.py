@@ -1,42 +1,58 @@
-"""Exact linear algebra over the rationals and over prime fields.
+"""Exact linear algebra over Q and over prime fields, in integers.
 
-One Gaussian elimination, `extend_basis`, serves every routine.  It grows
-an echelon basis, a list of (pivot column, row) pairs: each row is 1 at
-its pivot and was reduced by the rows before it, so reducing a new row by
-the basis in order clears every pivot column.  Entries are Fractions over
-Q and residues mod p over F_p, so ranks and solutions are exact.
+`integer_row` reads each row once: a primitive integer vector over Q,
+residues over F_p.  One elimination, `extend_basis`, serves every
+routine.  It grows an echelon basis of (pivot column, row) pairs; each
+row is nonzero at its pivot and was reduced by the rows before it, so
+reducing a new row by the basis in order clears every pivot column.
+A step b * vec - a * pivot (a = vec[col], b = pivot[col]) is divided by
+its gcd over Q and reduced mod p over F_p, so no Fraction is built
+(integer-preserving elimination: Bareiss, Math. Comp. 22 (1968)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
 
 
-def _mod(vec: list, prime: int | None) -> list:
-    return vec if prime is None else [x % prime for x in vec]
+def integer_row(row: Sequence, prime: int | None = None) -> list[int]:
+    """`row` as an integer vector on the same line: over Q, times the lcm
+    of its denominators and over their gcd; over F_prime, its residues."""
+    if prime is not None:
+        return [int(x) % prime for x in row]
+    entries = [Fraction(x) for x in row]
+    scale = lcm(*(x.denominator for x in entries))
+    vec = [x.numerator * (scale // x.denominator) for x in entries]
+    g = gcd(*vec)
+    return [x // g for x in vec] if g > 1 else vec
 
 
-def extend_basis(basis: list, rows: Sequence[Sequence], prime: int | None = None) -> list:
+def extend_basis(basis: list, rows: Sequence[Sequence[int]], prime: int | None = None) -> list:
     """A new basis: `basis` plus the independent remainders of `rows`, over
-    Q or F_prime.  `basis` itself is never changed, so sibling extensions
-    may share it.  Rows stop being read once the basis spans the space."""
+    Q or F_prime.  Rows are integer vectors as `integer_row` makes them.
+    `basis` itself is never changed, so sibling extensions may share it.
+    Rows stop being read once the basis spans the space."""
     basis = list(basis)
-    for row in rows:
-        if len(basis) == len(row):
+    for vec in rows:
+        if len(basis) == len(vec):
             break
-        vec = [Fraction(x) for x in row] if prime is None else _mod(list(map(int, row)), prime)
         for col, pivot_row in basis:
-            factor = vec[col]
-            if factor:
-                vec = _mod([a - factor * b for a, b in zip(vec, pivot_row)], prime)
+            a = vec[col]
+            if a:
+                b = pivot_row[col]
+                if prime:
+                    vec = [(b * x - a * y) % prime for x, y in zip(vec, pivot_row)]
+                else:
+                    vec = [b * x - a * y for x, y in zip(vec, pivot_row)]
+                    g = gcd(*vec)
+                    vec = [x // g for x in vec] if g > 1 else vec
         col = next((i for i, x in enumerate(vec) if x), None)
         if col is not None:
-            inv = 1 / vec[col] if prime is None else pow(vec[col], -1, prime)
-            basis.append((col, _mod([x * inv for x in vec], prime)))
+            basis.append((col, vec))
     return basis
 
 
@@ -46,9 +62,9 @@ def _check_rectangular(rows: Sequence[Sequence]) -> None:
 
 
 def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of the matrix with the given rows, by Gaussian elimination over Q."""
+    """Rank of the matrix with the given rows over Q."""
     _check_rectangular(rows)
-    return len(extend_basis([], rows))
+    return len(extend_basis([], [integer_row(row) for row in rows]))
 
 
 def is_prime(n: int) -> bool:
@@ -73,7 +89,7 @@ def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     _check_rectangular(rows)
-    return len(extend_basis([], rows, p))
+    return len(extend_basis([], [integer_row(row, p) for row in rows], p))
 
 
 def solve_rational(
@@ -84,12 +100,12 @@ def solve_rational(
     aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     if any(len(row) != n + 1 for row in aug):
         raise ValidationError("solve_rational expects a square matrix")
-    basis = extend_basis([], aug)
+    basis = extend_basis([], [integer_row(row) for row in aug])
     if len(basis) < n or any(col == n for col, _row in basis):
         raise ValidationError("singular linear system")
-    # a row is 1 at its pivot and 0 at the pivots before it; from the last
-    # row up, x is still 0 there, so the dot product holds only known terms
+    # from the last row up, x is still 0 at the row's own pivot and at the
+    # pivots before it, where the row is 0: the dot product holds known terms
     x = [Fraction(0)] * n
     for col, row in reversed(basis):
-        x[col] = row[n] - sum(a * b for a, b in zip(row, x))
+        x[col] = (row[n] - sum(a * b for a, b in zip(row, x))) / row[col]
     return x

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import rank_rational
-from .polymatroid import SubspaceFamily, compositions, linear_rank
+from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
 from .schemas import check
 
 MAX_AMBIENT_DIM = 3
@@ -57,6 +57,7 @@ class LatticePolytope:
     vertices: tuple[Point, ...]
 
     def __init__(self, d: int, vertices: Iterable[Iterable[Fraction | int | str]]):
+        d = _integer(d)
         if d < 1:
             raise ValidationError("ambient dimension must be at least 1")
         if d > MAX_AMBIENT_DIM:
@@ -361,7 +362,7 @@ class MixedVolumeTable:
         object.__setattr__(self, "entries", tuple(sorted(entries.items())))
 
     def value(self, n: Sequence[int]) -> Fraction:
-        key = tuple(int(x) for x in n)
+        key = tuple(map(_integer, n))
         for exp, val in self.entries:
             if exp == key:
                 return val
@@ -442,7 +443,7 @@ def positivity_criterion(
     d = polytopes[0].d
     if any(k.d != d for k in polytopes):
         raise ValidationError("polytopes have mismatched ambient dimensions")
-    counts = [int(x) for x in n]
+    counts = list(map(_integer, n))
     if len(counts) != p or any(x < 0 for x in counts):
         raise ValidationError(f"type vector {counts} must be in N^{p}")
     if sum(counts) != d:

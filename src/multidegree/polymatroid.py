@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedSizeError,
     ValidationError,
 )
-from .linalg import extend_basis, is_prime
+from .linalg import extend_basis, integer_row, is_prime
 from .schemas import check
 
 MAX_GROUND_SET = 20
@@ -537,6 +537,7 @@ class SubspaceFamily:
         generators: Sequence[Sequence[Sequence[Fraction | int | str]]],
         field: str = "Q",
     ):
+        ambient_dim = _integer(ambient_dim)
         if ambient_dim < 0:
             raise ValidationError("ambient dimension must be nonnegative")
         prime = _parse_field(field)
@@ -601,8 +602,9 @@ def _parse_field(field: str) -> int | None:
 def linear_rank(fam: SubspaceFamily) -> RankFunction:
     """Rank function r(J) = dim of the sum of the subspaces V_j, j in J.
 
-    Ranks come from exact Gaussian elimination, over Q or over the
-    tagged prime field.  The subsets are visited depth first, adding
+    Ranks come from exact elimination in integers, over Q or over the
+    tagged prime field.  Each generator is read once, by `integer_row`,
+    before the walk.  The subsets are visited depth first, adding
     elements in increasing order, and each subset's echelon basis is its
     parent's basis extended by the generators of the one added element:
     2^p - 1 extensions, no elimination from scratch, and at most p + 1
@@ -613,12 +615,13 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
     if p < 1:
         raise ValidationError("subspace family must be nonempty")
     prime = _parse_field(fam.field)
+    generators = [[integer_row(vec, prime) for vec in gens] for gens in fam.generators]
     values = [0] * (1 << p)
 
     def visit(mask: int, basis: list, start: int) -> None:
         for j in range(start, p):
             child = mask | 1 << j
-            extended = extend_basis(basis, fam.generators[j], prime)
+            extended = extend_basis(basis, generators[j], prime)
             values[child] = len(extended)
             visit(child, extended, j + 1)
 

@@ -117,8 +117,10 @@ def schubert_polynomial(pi: Permutation) -> IntPolynomial:
     """Schubert polynomial in p variables, by the ascent recursion.
 
     The result is independent of which ascent is resolved first; the
-    implementation always takes the smallest for determinism.
+    implementation always takes the smallest for determinism.  The
+    recursion is C(p, 2) - length(pi) calls deep, so p is capped first.
     """
+    check_ground_set(pi.p)
     return _schubert_cached(pi.one_line)
 
 
@@ -158,6 +160,28 @@ def rothe_diagram(pi: Permutation) -> Diagram:
     return Diagram(pi.p, cells)
 
 
+def _column_words(d: Diagram) -> list[list[tuple[int, bool]]]:
+    """Each nonempty column read top to bottom down to its last cell, as
+    (row bit, cell present) pairs; a row below adds at most an unclosed "("."""
+    last = {c: r for r, c in sorted(d.cells)}  # the lowest row wins
+    return [[(1 << (r - 1), (r, c) in d.cells) for r in range(1, last[c] + 1)] for c in sorted(last)]
+
+
+def _column_theta(word: list[tuple[int, bool]], mask: int) -> int:
+    """Matched "()" pairs plus stars of one column word, for the rows in `mask`."""
+    open_count = total = 0
+    for bit, present in word:
+        if not mask & bit:
+            if present and open_count:
+                open_count -= 1
+                total += 1
+        elif present:
+            total += 1
+        else:
+            open_count += 1
+    return total
+
+
 def theta(d: Diagram, subset: Iterable[int]) -> int:
     """Column-word statistic: matched "()" pairs plus stars, summed over columns.
 
@@ -165,40 +189,26 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
     is absent and r is in the subset, ")" if the cell is present and r
     is outside, and a star if the cell is present and r is inside.
     """
-    grid = _grid(d.p)
-    members = set()
+    _grid(d.p)
+    mask = 0
     for r in subset:
         if not 1 <= r <= d.p:
             raise ValidationError(f"row {r} outside 1..{d.p}")
-        members.add(r)
-    total = 0
-    for c in grid:
-        open_count = 0
-        matched = 0
-        stars = 0
-        for r in grid:
-            in_diagram = (r, c) in d.cells
-            in_subset = r in members
-            if in_diagram and in_subset:
-                stars += 1
-            elif in_diagram:
-                if open_count > 0:
-                    open_count -= 1
-                    matched += 1
-            elif in_subset:
-                open_count += 1
-        total += matched + stars
-    return total
+        mask |= 1 << (r - 1)
+    return sum(_column_theta(word, mask) for word in _column_words(d))
 
 
 def theta_rank_function(d: Diagram) -> RankFunction:
-    """Table of theta over all subsets of [p]."""
-    p = d.p
-    check_ground_set(p)
-    values = [
-        theta(d, [j + 1 for j in range(p) if mask >> j & 1]) for mask in range(1 << p)
-    ]
-    return RankFunction(p, values)
+    """Table of theta over all subsets of [p].  A column word of L rows
+    sees only a mask's first L bits, so its share is tabulated once over
+    those 2^L masks and added to every entry."""
+    check_ground_set(d.p)
+    values = [0] * (1 << d.p)
+    for word in _column_words(d):
+        low_rows = (1 << len(word)) - 1
+        column = [_column_theta(word, mask) for mask in range(low_rows + 1)]
+        values = [v + column[mask & low_rows] for mask, v in enumerate(values)]
+    return RankFunction(d.p, values)
 
 
 def schubert_support_polytope(pi: Permutation) -> Support:

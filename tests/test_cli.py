@@ -469,6 +469,14 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert message in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("p", [40, 60])
+    def test_schubert_past_the_ground_set_cap_exit_3(self, capsys, p):
+        # the identity's divided-difference recursion runs C(p, 2) calls deep
+        code, out, err = run_cli(["schubert", "--perm", ",".join(map(str, range(1, p + 1)))], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"ground set size {p}" in json.loads(err)["error"]
+
     def test_prime_below_the_trial_division_budget(self, capsys):
         document = '{"ambient":1,"field":"Fp:2147483647","subspaces":[[["1"]]]}'
         doc = run_json(["msupp-linear", "--json", document], capsys)
@@ -977,9 +985,10 @@ POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 
 
 class TestBenchmarkPool:
-    """The benchmark's byte check on its `msupp-rank` jobs and on every
-    `polytopes` job, run as a test: each job keeps its recorded exit
-    code, stdout and stderr report.  The pool files are only read."""
+    """The benchmark's byte check on its `msupp-rank`, `msupp-linear`,
+    `schubert` and `theta` jobs and on every `polytopes` job, run as a
+    test: each job keeps its recorded exit code, stdout and stderr
+    report.  The pool files are only read."""
 
     @staticmethod
     def replay(jobs, capsys):
@@ -999,6 +1008,12 @@ class TestBenchmarkPool:
     @pytest.mark.parametrize("workload", ["certify", "enumerate"])
     def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
         jobs = [job for job in self.pool_jobs(workload) if job["argv"][0] == "msupp-rank"]
+        self.replay(jobs, capsys)
+
+    def test_msupp_linear_jobs_keep_their_bytes(self, capsys):
+        # linear-Q, linear-Q10 and linear-Fp: p = 7 to 10, over Q and F_p
+        jobs = [job for job in self.pool_jobs("enumerate") if job["argv"][0] == "msupp-linear"]
+        assert len(jobs) == 35
         self.replay(jobs, capsys)
 
     def test_schubert_and_theta_jobs_keep_their_bytes(self, capsys):

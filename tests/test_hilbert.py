@@ -333,6 +333,10 @@ class TestHilbertOracle:
     def test_cross_term_kills_mixed_degree(self):
         assert hilbert_function_oracle(ideal_2vars((1, 1)), (1, 1)) == 0
 
+    def test_float_degree_refused(self):
+        with pytest.raises(ValidationError, match="not an integer"):
+            hilbert_function_oracle(ideal_2vars(), (1.5, 1))
+
     def test_budget(self):
         grading = Grading(6, 1, [(1,)] * 6)
         ideal = MonomialIdeal(grading, [])

@@ -1,5 +1,6 @@
 """Exact elimination over Q and F_p, checked against sympy's domain
-matrices on seeded random matrices.
+matrices on seeded random matrices, and against the elimination in
+Fractions of rank_oracle.py.
 
 The random matrices mix three shapes: independent random rows, rows
 that are small combinations of a few base rows (rank well below both
@@ -11,12 +12,23 @@ import copy
 import random
 from fractions import Fraction
 
+from math import gcd
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multidegree.errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
-from multidegree.linalg import extend_basis, is_prime, rank_mod_p, rank_rational, solve_rational
+from multidegree.linalg import (
+    extend_basis,
+    integer_row,
+    is_prime,
+    rank_mod_p,
+    rank_rational,
+    solve_rational,
+)
 
-from rank_oracle import sympy_rank
+from rank_oracle import fraction_extend_basis, sympy_rank
 
 PRIMES = (2, 3, 5, 7)
 
@@ -140,3 +152,52 @@ def test_extend_basis_leaves_its_input_unchanged(prime):
         assert basis == before
         assert first[: len(basis)] == basis and second[: len(basis)] == basis
         assert len(first) == len(second) == len(extend_basis([], rows, prime))
+
+
+@st.composite
+def matrices(draw, prime):
+    """Base rows, then small integer combinations of them, shuffled; over
+    Q the entries include Fractions with denominators up to 10^12."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    if prime is None:
+        entry = st.one_of(entry, st.fractions(-(10**6), 10**6, max_denominator=10**12))
+    vector = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(vector, min_size=1, max_size=5))
+    weights = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combos = [
+        [sum(w * b[k] for w, b in zip(ws, base)) for k in range(ncols)]
+        for ws in draw(st.lists(weights, max_size=6))
+    ]
+    return draw(st.permutations(base + combos))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_extensions_match_fraction_elimination(data):
+    # one shared parent basis, two sibling extensions in opposite orders
+    prime = data.draw(st.sampled_from((None,) + PRIMES))
+    rows = data.draw(matrices(prime))
+    split = data.draw(st.integers(0, len(rows)))
+    ints = [integer_row(row, prime) for row in rows]
+    parent = extend_basis([], ints[:split], prime)
+    before = copy.deepcopy(parent)
+    oracle_parent = fraction_extend_basis([], rows[:split], prime)
+    for step in (1, -1):
+        basis = extend_basis(parent, ints[split:][::step], prime)
+        oracle = fraction_extend_basis(oracle_parent, rows[split:][::step], prime)
+        assert [col for col, _row in basis] == [col for col, _row in oracle]
+        for (col, row), (_col, unit) in zip(basis, oracle):
+            # the same line: the oracle's row is 1 at the pivot
+            assert row == [row[col] * x % prime if prime else row[col] * x for x in unit]
+            assert prime or gcd(*row) == 1
+        assert len(basis) == sympy_rank(rows[:split] + rows[split:][::step], prime)
+    assert parent == before
+
+
+def test_integer_row_clears_denominators():
+    assert integer_row([Fraction(1, 2), Fraction(-3, 4), 0]) == [2, -3, 0]
+    assert integer_row([6, -9, 12]) == [2, -3, 4]
+    assert integer_row(["1/3", Fraction(10**12 + 1, 10**12)]) == [10**12, 3 * (10**12 + 1)]
+    assert integer_row([0, 0]) == [0, 0]
+    assert integer_row([-3, 7, 12], 5) == [2, 2, 2]

@@ -519,6 +519,12 @@ class TestMixedVolumes:
         table = mixed_volumes([segment((1, 0)), segment((2, 0))])
         assert table.value((1, 1)) == 0
 
+    def test_float_type_vector_refused(self):
+        # int() would read (1.2, 1.3) as (1, 1) and return 1/2
+        table = mixed_volumes([segment((1, 0)), segment((0, 1))])
+        with pytest.raises(ValidationError, match="not an integer"):
+            table.value([1.2, 1.3])
+
     def test_diagonal_normalization(self):
         # V(K, ..., K; n) = Vol(K) for every n of weight d
         k = LatticePolytope(2, [(0, 0), (2, 0), (1, 2)])
@@ -606,6 +612,16 @@ class TestCriteria:
         ks = [segment((1, 0)), segment((3, 0))]
         assert not positivity_criterion(ks, (1, 1))
         assert not segments_criterion(ks, (1, 1))
+
+    @pytest.mark.parametrize("n", [[1.7, 0.9], [True, True]], ids=["float", "bool"])
+    def test_non_integer_type_vector_refused(self, n):
+        # int() would read [1.7, 0.9] as [1, 0] (False) and [True, True] as [1, 1] (True)
+        with pytest.raises(ValidationError, match="not an integer"):
+            positivity_criterion([segment((1, 0)), segment((0, 1))], n)
+
+    def test_float_ambient_dimension_refused(self):
+        with pytest.raises(ValidationError, match="not an integer"):
+            LatticePolytope(2.0, [(0, 0), (1, 0), (0, 1)])
 
     def test_wrong_weight_is_false(self):
         ks = [cube(2), cube(2)]

@@ -521,6 +521,11 @@ class TestLinearRank:
         with pytest.raises(ValidationError):
             SubspaceFamily(2, [[(1, 0, 0)]])
 
+    def test_float_ambient_dimension_refused(self):
+        # it was kept as 2.0 and printed as "ambient": 2.0
+        with pytest.raises(ValidationError, match="not an integer"):
+            SubspaceFamily(2.0, [[(1, 0)]])
+
 
 class TestUnion:
     def test_basic_union(self):

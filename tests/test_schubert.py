@@ -2,13 +2,16 @@
 
 The pipe-dream expansion in pipe_dreams.py is the independent oracle;
 the classical S_3 table and a handful of textbook values are frozen as
-additional anchors.
+additional anchors.  theta and its table are held to the p x p grid
+walk of theta_oracle.py.
 """
 
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multidegree.schubert as schubert_module
 from multidegree import (
@@ -28,6 +31,7 @@ from multidegree import (
     theta_rank_function,
 )
 from pipe_dreams import schubert_via_pipe_dreams
+from theta_oracle import theta_grid_walk
 
 FIGURE_DIAGRAM = rothe_diagram(Permutation((4, 2, 5, 3, 1)))
 
@@ -200,6 +204,34 @@ class TestTheta:
         assert theta(d, [1]) == 1
         assert theta(d, [2]) == 1  # star at (2,1)
         assert theta(d, [1, 2]) == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.sets(st.tuples(st.integers(1, p), st.integers(1, p))),
+            )
+        )
+    )
+    def test_table_matches_grid_walk(self, diagram):
+        # any cell set, Rothe or not
+        d = Diagram(*diagram)
+        values = theta_rank_function(d).values
+        for mask in range(1 << d.p):
+            rows = [r for r in range(1, d.p + 1) if mask >> (r - 1) & 1]
+            assert values[mask] == theta(d, rows) == theta_grid_walk(d, rows)
+
+    def test_rothe_tables_match_grid_walk(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            one_line = list(range(1, 9))
+            rng.shuffle(one_line)
+            d = rothe_diagram(Permutation(one_line))
+            values = theta_rank_function(d).values
+            for mask in range(1 << 8):
+                rows = [r for r in range(1, 9) if mask >> (r - 1) & 1]
+                assert values[mask] == theta_grid_walk(d, rows)
 
 
 class TestSupportPolytope:
