@@ -4,6 +4,8 @@ The CLI maps ValidationError to exit status 2 and the resource-limit
 errors to exit status 3; everything else is a genuine bug.
 """
 
+from operator import index
+
 # the most steps an exhaustive loop may take, and nodes a recursion may visit
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 DEFAULT_RECURSION_BUDGET = 200_000
@@ -19,3 +21,11 @@ class BudgetExceededError(RuntimeError):
 
 class UnsupportedSizeError(RuntimeError):
     """Input is valid but outside the supported size/dimension range."""
+
+
+def _integer(x: object) -> int:
+    """x as an int; a float, a bool or any other non-integer raises
+    ValidationError where int() would truncate it."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValidationError(f"entry {x!r} is not an integer")
+    return index(x)

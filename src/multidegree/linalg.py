@@ -16,14 +16,19 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
+from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError, _integer
 
 
 def integer_row(row: Sequence, prime: int | None = None) -> list[int]:
     """`row` as an integer vector on the same line: over Q, times the lcm
-    of its denominators and over their gcd; over F_prime, its residues."""
+    of its denominators and over their gcd; over F_prime, its residues.
+    Over F_prime an entry must be an integer or an integral Fraction (as
+    `SubspaceFamily` stores them); anything else raises ValidationError."""
     if prime is not None:
-        return [int(x) % prime for x in row]
+        return [
+            (x.numerator if type(x) is Fraction and x.denominator == 1 else _integer(x)) % prime
+            for x in row
+        ]
     entries = [Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in entries))
     vec = [x.numerator * (scale // x.denominator) for x in entries]

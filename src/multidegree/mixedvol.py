@@ -1,31 +1,43 @@
 """Lattice polytopes in dimension at most 3, exact volumes, Minkowski
-sums, and mixed volumes by polarization.
+sums, and mixed volumes read off one hull.
 
 All geometry is exact: coordinates are rationals, scaled to integers
 before hull computations.  One integer kernel gives d! times the volume
 of the hull of integer points: hi - lo, twice the shoelace area, or the
 sum of the face offsets of a triangulated 3D hull built incrementally
 (de Berg et al., *Computational Geometry*, chapter 11), each face with
-its plane.  The hull checks itself and raises AssertionError when a
+its plane.  The 3D hull inserts its points in a fixed shuffled order (a
+generator seeded with 0), and its seed tetrahedron is the first one that
+order offers.  The hull checks itself and raises AssertionError when a
 check fails, so a wrong volume is never returned silently: a closed
 oriented surface of Euler characteristic 2 (checked once per surface, on
 the half-edges and vertex use counts that the seed and each insertion
 change), every point beneath every face plane, positive volume.
 
-Mixed volumes come from the polarization formula (Schneider, *Convex
-Bodies*, section 5.1): each V(K; n) is a signed sum of volumes of
-Minkowski sums of the K_i with integer weights m <= n.  All vertices are
-scaled once, by the lcm L of their denominators, so V(K; n) is a signed
-integer sum of kernel values over d!^2 L^d.
+Mixed volumes are the coefficients of the volume polynomial (Schneider,
+*Convex Bodies*, section 5.1):
+
+    vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} (d!/n!) V(K; n) l^n.
+
+For l > 0 the sum has the same normal fan whatever l is, so its boundary
+has the same faces, and each vertex of a Minkowski sum is a sum of one
+vertex of each summand in exactly one way (Ziegler, *Lectures on
+Polytopes*, section 7.1).  One hull of K_1 + ... + K_p, with each of its
+vertices written as such a sum, is therefore the boundary of every
+l_1 K_1 + ... + l_p K_p, and the determinants of its cells expand
+multilinearly into the polynomial.  All vertices are scaled once, by the
+lcm L of their denominators, so V(K; n) is an integer coefficient over
+d!^2 L^d.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from operator import add, countOf, mul, sub
 from typing import Collection, Iterable, Sequence
 
@@ -64,10 +76,7 @@ class LatticePolytope:
             raise UnsupportedSizeError(
                 f"ambient dimension {d} exceeds the supported maximum {MAX_AMBIENT_DIM}"
             )
-        try:
-            pts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
-        except ValueError as exc:  # e.g. more digits than int() reads
-            raise ValidationError(f"vertex: {exc}") from exc
+        pts = sorted({tuple(map(_coordinate, v)) for v in vertices})
         if not pts:
             raise ValidationError("polytope needs at least one vertex")
         for pt in pts:
@@ -93,6 +102,18 @@ class LatticePolytope:
 
 
 # -- exact primitives --------------------------------------------------------
+
+
+def _coordinate(x: object) -> Fraction:
+    """x, an int, a Fraction or a rational string, as a Fraction; a float,
+    a bool or anything else raises ValidationError where Fraction() would
+    read a float's binary value."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValidationError(f"coordinate {x!r} is not an integer, a Fraction or a rational string")
+    try:
+        return Fraction(x)
+    except ValueError as exc:  # e.g. more digits than int() reads
+        raise ValidationError(f"vertex: {exc}") from exc
 
 
 def _scale_to_int(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
@@ -223,17 +244,21 @@ def _replace_faces(
         raise AssertionError("hull surface is not a topological sphere")
 
 
-def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
+def _hull_3d_incremental(points: Collection[IntPoint]) -> list[Face] | None:
     """Outward-oriented triangulated boundary of the hull, or None when
     the points lie in a plane.
 
     Each face carries its plane; as a . ((b - a) x (c - a)) = det(a, b, c),
-    the offsets sum to six times the volume.  The seed tetrahedron is the
-    first point a, the first point b != a, the first point c off the line
-    ab and the first point off the plane abc.  Each other point replaces
-    the faces it sees by the cone over their horizon.
+    the offsets sum to six times the volume, which must be positive.  The
+    points are sorted, then shuffled by a generator seeded with 0: in
+    lexicographic order nearly every point of a Minkowski sum was
+    inserted beyond a large visible cap.  The seed tetrahedron is the
+    first point a of that order, the first point b != a, the first point
+    c off the line ab and the first point off the plane abc.  Each other
+    point replaces the faces it sees by the cone over their horizon.
     """
     pts = sorted(set(points))
+    random.Random(0).shuffle(pts)
     try:
         a = pts[0]
         b = next(q for q in pts if q != a)
@@ -264,6 +289,8 @@ def _hull_3d_incremental(points: Sequence[IntPoint]) -> list[Face] | None:
     for _u, _v, _w, (nx, ny, nz), offset in faces:
         if any(nx * x + ny * y + nz * z > offset for x, y, z in pts):
             raise AssertionError("a point ended up beyond a hull face plane")
+    if sum(f[4] for f in faces) <= 0:
+        raise AssertionError("closed outward surface must enclose positive volume")
     return faces
 
 
@@ -291,12 +318,7 @@ def _scaled_volume(d: int, points: Collection[IntPoint]) -> int:
         edges = zip(ring, ring[1:] + ring[:1])
         return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in edges))
     faces = _hull_3d_incremental(points)
-    if faces is None:
-        return 0
-    six_vol = sum(f[4] for f in faces)
-    if six_vol <= 0:
-        raise AssertionError("closed outward surface must enclose positive volume")
-    return six_vol
+    return 0 if faces is None else sum(f[4] for f in faces)
 
 
 def volume(polytope: LatticePolytope) -> Fraction:
@@ -308,41 +330,43 @@ def volume(polytope: LatticePolytope) -> Fraction:
     return Fraction(_scaled_volume(d, ints), math.factorial(d) * scale**d)
 
 
-def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
-    """The extreme points among the given points, exactly."""
-    pts = sorted(set(vertices))
-    if len(pts) == 1:
-        return pts
-    ints, _scale = _scale_to_int(pts)
-    back = {ip: pt for ip, pt in zip(ints, pts)}
-    base = ints[0]
-    diffs = [_sub(q, base) for q in ints[1:]]
-    dim = rank_rational(diffs)
-    if dim == 1:  # on a line, the lexicographic order is the order along it
-        return [pts[0], pts[-1]]
-    if dim == 2:
-        if d == 2:
-            ring = _hull_2d(ints)
-            return sorted(back[q] for q in ring)
-        normal = next(
-            _cross3(u, v) for u, v in combinations(diffs, 2) if any(_cross3(u, v))
-        )
-        ring = _facet_ring(ints, normal)
-        return sorted(back[q] for q in ring)
-    # dim == 3: the triangles on one facet share a primitive outward plane;
-    # the strict ring of each facet drops points inside its edges.
-    faces = _hull_3d_incremental(ints)
-    if faces is None:
-        raise AssertionError("points of rank 3 have no seed tetrahedron")
+def _facet_rings(faces: Sequence[Face]) -> list[list[IntPoint]]:
+    """The strict counterclockwise ring of each facet of a triangulated
+    hull: the triangles on one facet share a primitive outward plane."""
     facets: dict[tuple[IntPoint, int], set[IntPoint]] = {}
     for a, b, c, normal, offset in faces:
         g = math.gcd(*normal)
         plane = (tuple(x // g for x in normal), offset // g)
         facets.setdefault(plane, set()).update((a, b, c))
-    hull_vertices: set[IntPoint] = set()
-    for (normal, _offset), on_plane in facets.items():
-        hull_vertices.update(_facet_ring(sorted(on_plane), normal))
-    return sorted(back[q] for q in hull_vertices)
+    return [_facet_ring(list(on_plane), normal) for (normal, _offset), on_plane in facets.items()]
+
+
+def _corners(d: int, points: Collection[IntPoint]) -> list[IntPoint]:
+    """The extreme points among the integer points, in no fixed order."""
+    if d == 1:
+        return sorted({min(points), max(points)})
+    if d == 2:
+        return _hull_2d(points)
+    faces = _hull_3d_incremental(points)
+    if faces is not None:
+        return list({q for ring in _facet_rings(faces) for q in ring})
+    # in a plane or on a line; the lexicographic extremes are corners
+    pts = sorted(points)
+    first, last = pts[0], pts[-1]
+    u = _sub(last, first)
+    normals = (n for q in pts if any(n := _cross3(u, _sub(q, first))))
+    normal = next(normals, None)
+    if normal is None:  # on a line
+        return sorted({first, last})
+    return _facet_ring(pts, normal)
+
+
+def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
+    """The extreme points among the given points, exactly."""
+    pts = sorted(set(vertices))
+    ints, _scale = _scale_to_int(pts)
+    back = dict(zip(ints, pts))
+    return sorted(back[q] for q in _corners(d, ints))
 
 
 # -- mixed volumes -----------------------------------------------------------
@@ -377,21 +401,31 @@ class MixedVolumeTable:
 
 
 def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
-    """Mixed volumes of the tuple, by polarization (Schneider, *Convex
-    Bodies*, section 5.1):
-
-        V(K; n) = (1/d!) sum_{0 != m <= n} (-1)^(d-|m|)
-                  prod_i binom(n_i, m_i) vol(sum_i m_i K_i).
+    """Mixed volumes of the tuple, the coefficients of its volume
+    polynomial (Schneider, *Convex Bodies*, section 5.1), read off the
+    boundary of the one Minkowski sum K_1 + ... + K_p.
 
     The vertices are scaled once by the lcm L of their denominators, and
-    D(m) = d! L^d vol(sum_i m_i K_i), an integer, is computed once per
-    weight vector m and shared by every entry that needs it; an entry is
-    its signed integer sum over d!^2 L^d.  A weight vector
-    with support S sums prod_{i in S} |V_i| vertices, and C(d, |S|) of
-    them have that support, so the sums hold
-    sum_k C(d, k) e_k(|V_1|, ..., |V_p|) points in all; more than
-    DEFAULT_ENUMERATION_BUDGET raises BudgetExceededError before any is
-    built.
+    each K_i is cut to its corners.  The sum is built one summand at a
+    time, each point with one vertex of each summand that it is the sum
+    of; the vertices of S + K_k are sums of vertices of S and of K_k, so
+    each partial sum but the last is cut to its corners too.  A vertex W = a_1 + ... + a_p of the whole sum
+    has exactly one such decomposition, and W(l) = l_1 a_1 + ... + l_p a_p
+    is the matching vertex of l_1 K_1 + ... + l_p K_p for every l > 0.
+    So the integer polynomial
+
+        D(l) = d! L^d vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} c_n l^n
+
+    is expanded by multilinearity from the lengths of the summands in 1D,
+    sum_k det(W_k(l), W_{k+1}(l)) over the counterclockwise hull ring in
+    2D, and sum det(A(l), B(l), C(l)) over a fan triangulation of each
+    facet ring of the hull in 3D; then V(K; n) = c_n n! / (d!^2 L^d).  A
+    sum of lower dimension has no cells and gives 0 everywhere.
+
+    A partial sum of more than DEFAULT_ENUMERATION_BUDGET points raises
+    BudgetExceededError before it is built, and so do more determinant
+    terms (cells times p^d, and p^d before any cell is known) before
+    they are summed.
     """
     if not polytopes:
         raise ValidationError("mixed volumes of zero polytopes")
@@ -399,34 +433,69 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     d = polytopes[0].d
     if any(k.d != d for k in polytopes):
         raise ValidationError("polytopes have mismatched ambient dimensions")
-    canon = [k.canonicalize() for k in polytopes]
-    # e[j] = e_j(|V_1|, ..., |V_p|), the elementary symmetric polynomials
-    e = [1] + [0] * d
-    for k in canon:
-        for j in range(d, 0, -1):
-            e[j] += e[j - 1] * len(k.vertices)
-    points = sum(math.comb(d, j) * e[j] for j in range(1, d + 1))
-    if points > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"Minkowski sums of {points} points exceed {DEFAULT_ENUMERATION_BUDGET}"
-        )
-    flat, scale = _scale_to_int([v for k in canon for v in k.vertices])
+
+    def check_terms(cells: int) -> None:
+        if cells * p**d > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"a volume polynomial of {cells * p**d} determinant terms"
+                f" exceeds {DEFAULT_ENUMERATION_BUDGET}"
+            )
+
+    check_terms(1)  # the p^d index tuples are folded even when the sum is flat
+    flat, scale = _scale_to_int([v for k in polytopes for v in k.vertices])
     rest = iter(flat)
-    lattice = [[next(rest) for _v in k.vertices] for k in canon]
-    scaled: dict[tuple[int, ...], int] = {}  # D(m), by weight vector m
+    lattice = [_corners(d, [next(rest) for _v in k.vertices]) for k in polytopes]
+    sums = {v: (v,) for v in lattice[0]}  # point -> one vertex per summand
+    for k in range(1, p):
+        size = len(sums) * len(lattice[k])
+        if size > DEFAULT_ENUMERATION_BUDGET:
+            raise BudgetExceededError(
+                f"a Minkowski sum of {size} points exceeds {DEFAULT_ENUMERATION_BUDGET}"
+            )
+        sums = {tuple(map(add, w, v)): parts + (v,) for w, parts in sums.items() for v in lattice[k]}
+        if k < p - 1:
+            sums = {w: sums[w] for w in _corners(d, sums)}
+    # terms[t]: the coefficient sum for the ordered index tuple t in [p]^d,
+    # the tuples in the order of product(range(p), repeat=d)
+    if d == 1:
+        lo, hi = sums[min(sums)], sums[max(sums)]
+        terms = [b[0] - a[0] for a, b in zip(lo, hi)]
+    elif d == 2:
+        ring = [sums[w] for w in _hull_2d(sums)]
+        edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) > 2 else []
+        check_terms(len(edges))
+        terms = [0] * p**2
+        for a, b in edges:
+            t = 0
+            for x1, y1 in a:
+                for x2, y2 in b:
+                    terms[t] += x1 * y2 - x2 * y1
+                    t += 1
+    else:
+        faces = _hull_3d_incremental(sums)
+        rings = [] if faces is None else [[sums[w] for w in ring] for ring in _facet_rings(faces)]
+        triangles = [(r[0], r[k], r[k + 1]) for r in rings for k in range(1, len(r) - 1)]
+        check_terms(len(triangles))
+        terms = [0] * p**3
+        for a, b, c in triangles:
+            crosses = [_cross3(v, w) for v in b for w in c]
+            t = 0
+            for x, y, z in a:
+                for u, v, w in crosses:
+                    terms[t] += x * u + y * v + z * w
+                    t += 1
+    coefficients = dict.fromkeys(compositions(d, p), 0)
+    for index_tuple, term in zip(product(range(p), repeat=d), terms):
+        if term:
+            n = [0] * p
+            for i in index_tuple:
+                n[i] += 1
+            coefficients[tuple(n)] += term
     denominator = math.factorial(d) ** 2 * scale**d
     entries: dict[tuple[int, ...], Fraction] = {}
-    for n in compositions(d, p):
-        total = 0
-        for m in product(*(range(x + 1) for x in n)):
-            if not any(m):
-                continue
-            if m not in scaled:
-                scaled[m] = _scaled_volume(d, _weighted_sum(lattice, m))
-            coefficient = math.prod(math.comb(x, y) for x, y in zip(n, m))
-            total += (-1) ** (d - sum(m)) * coefficient * scaled[m]
-        entries[n] = Fraction(total, denominator)
-        if total < 0:
+    for n, c in coefficients.items():
+        entries[n] = Fraction(c * math.prod(map(math.factorial, n)), denominator)
+        if c < 0:
             raise AssertionError(f"negative mixed volume at {n}: {entries[n]}")
     return MixedVolumeTable(p, d, entries)
 

@@ -34,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from operator import gt, index, lt, sub
+from operator import gt, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,6 +42,7 @@ from .errors import (
     BudgetExceededError,
     UnsupportedSizeError,
     ValidationError,
+    _integer,
 )
 from .linalg import extend_basis, integer_row, is_prime
 from .schemas import check
@@ -57,14 +58,6 @@ def check_ground_set(p: int) -> None:
         raise UnsupportedSizeError(
             f"ground set size {p} exceeds the supported maximum {MAX_GROUND_SET}"
         )
-
-
-def _integer(x: object) -> int:
-    """x as an int; a float, a bool or any other non-integer raises
-    ValidationError where int() would truncate it."""
-    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-        raise ValidationError(f"entry {x!r} is not an integer")
-    return index(x)
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:

@@ -122,6 +122,20 @@ def test_ragged_rows_raise():
         rank_mod_p([[1, 2], [3]], 5)
 
 
+@pytest.mark.parametrize(
+    "rows", [[[0.5]], [[1.9, 0]], [[Fraction(1, 2)]], [[True, 1]]], ids=["half", "float", "fraction", "bool"]
+)
+def test_non_integer_entries_mod_p_raise(rows):
+    # int() would read [[0.5]] as rank 0 and [[1.9, 0]] as rank 1
+    with pytest.raises(ValidationError, match="not an integer"):
+        rank_mod_p(rows, 3)
+
+
+def test_integral_fractions_mod_p():
+    assert rank_mod_p([[Fraction(3), Fraction(2)], [Fraction(-3, 1), 1]], 3) == 1
+    assert integer_row([Fraction(7), 5], 3) == [1, 2]
+
+
 @pytest.mark.parametrize("modulus", [0, 1, 4, 9, -3])
 def test_non_prime_modulus_raises(modulus):
     with pytest.raises(ValidationError, match="not prime"):

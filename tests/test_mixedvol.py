@@ -183,17 +183,35 @@ def mutate(rng, faces, mutation, vertices):
         faces[i] = _face(a, b, rng.choice(apexes))
 
 
+@st.composite
+def member(draw, d, most):
+    """The vertices of a point, a segment, a flat member (2 to `most`
+    points in an affine subspace of dimension d - 1) or 1 to `most` free
+    points in R^d, with a denominator of its own."""
+    den = draw(st.integers(1, 4))
+    coordinate = st.integers(-2, 2).map(lambda x: Fraction(x, den))
+    vertex = st.tuples(*[coordinate] * d)
+    kind = draw(st.sampled_from(["point", "segment", "flat", "free"]))
+    if kind == "point":
+        return [draw(vertex)]
+    if kind == "segment":
+        return [draw(vertex), draw(vertex)]
+    if kind == "free":
+        return draw(st.lists(vertex, min_size=1, max_size=most))
+    base = draw(vertex)
+    directions = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d - 1, max_size=d - 1))
+    steps = draw(st.lists(st.lists(coordinate, min_size=d - 1, max_size=d - 1), min_size=2, max_size=most))
+    return [
+        tuple(b + sum(t * u[k] for t, u in zip(ts, directions)) for k, b in enumerate(base))
+        for ts in steps
+    ]
+
+
 def vertex_lists(d, p):
-    """p polytopes in R^d of 1 to 4 vertices (3 in 3D when p >= 3, to
-    keep the brute-force oracle fast), each with its own denominator, so
-    flat members and mixed lattices are common."""
-    most = 3 if d == 3 and p >= 3 else 4
-
-    def polytope(den):
-        coordinate = st.integers(-2, 2).map(lambda x: Fraction(x, den))
-        return st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=most)
-
-    return st.lists(st.integers(1, 4).flatmap(polytope), min_size=p, max_size=p)
+    """p members in R^d of every kind, with at most 4 vertices each (3 in
+    3D when p >= 3, to keep the brute-force oracle fast), so points,
+    segments, flat members and mixed lattices are common."""
+    return st.lists(member(d, 3 if d == 3 and p >= 3 else 4), min_size=p, max_size=p)
 
 
 class TestDim:
@@ -459,7 +477,8 @@ class TestIncrementalSurfaceCheck:
 
 class TestMixedVolumeOracle:
     """The whole table against polarization in Fraction arithmetic over
-    brute-force volumes (tests/mixedvol_oracle.py)."""
+    brute-force volumes (tests/mixedvol_oracle.py), and the work the one
+    Minkowski sum takes."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -481,6 +500,18 @@ class TestMixedVolumeOracle:
         expected = mixed_volumes_oracle(3, vertex_lists)
         assert dict(table.entries) == expected
         assert expected[(1, 1, 1)] > 0 and expected[(0, 0, 3)] == 0
+
+    def test_hulls_per_triple(self, monkeypatch):
+        # p hulls cut the members to their corners and p - 1 hulls build
+        # the sum; polarization took 3 + 19 hulls, one per weight vector
+        calls = []
+        hull = mixedvol._hull_3d_incremental
+        monkeypatch.setattr(mixedvol, "_hull_3d_incremental", lambda pts: calls.append(pts) or hull(pts))
+        octahedron = LatticePolytope(3, [tuple(s * (j == k) for j in range(3)) for k in range(3) for s in (1, -1)])
+        simplex = LatticePolytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/4", "1/4", "1/4")])
+        table = mixed_volumes([cube(3), simplex, octahedron])
+        assert len(calls) <= 2 * 3 - 1
+        assert table.value((3, 0, 0)) == 1 and table.value((0, 3, 0)) == Fraction(1, 6)
 
 
 class TestCanonicalize:
@@ -618,6 +649,16 @@ class TestCriteria:
         # int() would read [1.7, 0.9] as [1, 0] (False) and [True, True] as [1, 1] (True)
         with pytest.raises(ValidationError, match="not an integer"):
             positivity_criterion([segment((1, 0)), segment((0, 1))], n)
+
+    @pytest.mark.parametrize("vertex", [[True, 0], [0.1, 1], [1, 1.0]], ids=["bool", "float", "integral-float"])
+    def test_non_rational_coordinate_refused(self, vertex):
+        # Fraction() would read True as 1 and 0.1 as 3602879701896397/36028797018963968
+        with pytest.raises(ValidationError, match="not an integer, a Fraction"):
+            LatticePolytope(2, [vertex, [0, 1]])
+
+    def test_exact_coordinates_accepted(self):
+        k = LatticePolytope(2, [[1, Fraction(1, 2)], ["2/3", "-1"]])
+        assert k.vertices == ((Fraction(2, 3), -1), (1, Fraction(1, 2)))
 
     def test_float_ambient_dimension_refused(self):
         with pytest.raises(ValidationError, match="not an integer"):
