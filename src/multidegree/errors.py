@@ -4,6 +4,7 @@ The CLI maps ValidationError to exit status 2 and the resource-limit
 errors to exit status 3; everything else is a genuine bug.
 """
 
+from fractions import Fraction
 from operator import index
 
 # the most steps an exhaustive loop may take, and nodes a recursion may visit
@@ -29,3 +30,18 @@ def _integer(x: object) -> int:
     if isinstance(x, bool) or not hasattr(type(x), "__index__"):
         raise ValidationError(f"entry {x!r} is not an integer")
     return index(x)
+
+
+def _rational(x: object, where: str) -> Fraction:
+    """x, an int, a Fraction or a rational string, as a Fraction; a float,
+    a bool, anything else or a zero denominator raises ValidationError,
+    naming `where`, where Fraction() would read a float's binary value or
+    raise ZeroDivisionError."""
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
+        raise ValidationError(f"{where}: {x!r} is not an integer, a Fraction or a rational string")
+    try:
+        return Fraction(x)
+    except ValueError as exc:  # e.g. more digits than int() reads
+        raise ValidationError(f"{where}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ValidationError(f"{where}: {x!r} has a zero denominator") from exc

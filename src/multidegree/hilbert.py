@@ -19,29 +19,41 @@ MultiProj(S/I) when the quotient has no irrelevant torsion; that
 hypothesis is asserted by the caller, not verified here.
 
 The K-polynomial of S/I is the numerator of the multigraded Hilbert
-series over the full Koszul denominator prod_vars (1 - t^deg(x)).  For
-a monomial ideal it satisfies the short-exact-sequence recursion
+series over the full Koszul denominator prod_vars (1 - t^deg(x)).
+`kpolynomial` takes one of two routes.  A squarefree ideal whose
+generators use n <= min(MAX_GROUND_SET, number of generators) variables
+is the Stanley-Reisner ideal of a complex Delta on those variables, and
+its K-polynomial is a sum over the faces (Miller-Sturmfels, ch. 1):
+
+    K(S/I_Delta; t) = sum_{F in Delta} t^deg(F) prod_{j not in F} (1 - t^deg(x_j)),
+
+read off one table of 2^n entries by a Moebius transform.  The bound by
+the number of generators keeps that table within the 2^(generators)
+terms of the Taylor resolution, so a single generator x_1...x_20 never
+builds 2^20 entries.  Every other ideal takes the short-exact-sequence
+recursion
 
     K(S/(J + (m))) = K(S/J) - t^deg(m) * K(S/(J : m)),
 
 with K(S/0) = 1 and a product base case for pairwise-coprime pure
-powers.  `kpolynomial` runs it on an explicit stack of (generators,
-sign, shift) work items, so its depth is not bounded by Python's
-recursion limit, and counts one node per item against its budget, as
-the recursive form counted one per call.  Every exponent it meets lies
-coordinatewise below b = deg(lcm of the generators), since each term is
-+-t^deg(lcm s) for a subset s of them (Taylor resolution); exponents are
-packed into one int with digit k in base b_k + 1, and a shift never
-carries.  The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the
-tests use that expansion as the oracle for the additivity route.
+powers, run on an explicit stack of (generators, sign, shift) work
+items, so its depth is not bounded by Python's recursion limit.  The
+`recursion_budget` of `kpolynomial` bounds the items of this route
+only, one node per item as the recursive form counted one per call.
+Every exponent it meets lies coordinatewise below b = deg(lcm of the
+generators), since each term is +-t^deg(lcm s) for a subset s of them
+(Taylor resolution); exponents are packed into one int with digit k in
+base b_k + 1, and a shift never carries.  The lowest-degree part of
+K(S/I; 1 - t) is C(S/I; t); the tests use that expansion as the oracle
+for the additivity route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb, prod
-from operator import le
+from operator import add, and_, le, lt, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -51,7 +63,7 @@ from .errors import (
     ValidationError,
 )
 from .poly import IntPolynomial
-from .polymatroid import Support, _integer
+from .polymatroid import MAX_GROUND_SET, Support, _integer
 from .schemas import check
 
 
@@ -172,6 +184,87 @@ def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET) -> IntPolynomial:
     """K-polynomial of S/I in the p grading variables.
+
+    Two routes give the same polynomial.  A squarefree ideal whose
+    generators use n <= min(MAX_GROUND_SET, number of generators)
+    variables takes the face table (`_face_table_kpolynomial`): 2^n
+    entries, never more than the 2^(number of generators) terms of the
+    ideal's Taylor resolution.  Every other ideal takes the recursion
+    (`_recursive_kpolynomial`).  `recursion_budget` bounds the nodes of
+    the recursion only; more raise BudgetExceededError.
+    """
+    gens = ideal.generators
+    used = 0
+    for g in gens:
+        used |= sum(1 << v for v, e in enumerate(g) if e)
+    variables = [v for v in range(ideal.grading.nvars) if used >> v & 1]
+    if len(variables) <= min(MAX_GROUND_SET, len(gens)) and max(map(max, gens), default=0) <= 1:
+        return _face_table_kpolynomial(ideal, variables)
+    return _recursive_kpolynomial(ideal, recursion_budget)
+
+
+def _face_table_kpolynomial(ideal: MonomialIdeal, variables: Sequence[int]) -> IntPolynomial:
+    """K(S/I) for a squarefree I whose generators use `variables`.
+
+    I is the Stanley-Reisner ideal of the complex Delta of subsets of
+    `variables` that contain no generator's support, and (Miller and
+    Sturmfels, *Combinatorial Commutative Algebra*, ch. 1)
+
+        K(S/I; t) = sum_{F in Delta} t^deg(F) prod_{j not in F} (1 - t^deg(x_j)),
+
+    with j over `variables` only: a variable outside them is free and
+    cancels against its own Koszul factor.  Expanded, the coefficient of
+    t^deg(W) is c_W = sum_{F subset W, F in Delta} (-1)^|W - F|, the
+    Moebius transform of the face indicator.  Both the face indicator
+    (a subset is a face when every subset one smaller is, and it is no
+    generator) and the transform are taken over a table indexed by
+    bitmasks of `variables`, one whole-list rotation per variable: the
+    rotation c = c[0::2] + c[1::2] brings each bit in turn to bit 0, and
+    after n rotations every index is back in place.  The exponent
+    deg(W) of a W with c_W != 0 is the sum of the degrees of its lower
+    and upper half, each looked up in a table of 2^(n/2) subset degrees.
+    """
+    grading = ideal.grading
+    # the first variable is the top bit: when deg x_v = e_v, as in a
+    # Stanley-Reisner grading, the terms then come out in the order that
+    # printing sorts them into
+    variables = variables[::-1]
+    bit = {v: 1 << k for k, v in enumerate(variables)}
+    table = [1] * (1 << len(variables))
+    for g in ideal.generators:
+        table[sum(bit[v] for v, e in enumerate(g) if e)] = 0
+    for _ in variables:  # W + v is a face only if W is
+        lo, hi = table[0::2], table[1::2]
+        table = lo + list(map(and_, hi, lo))
+    for _ in variables:
+        lo, hi = table[0::2], table[1::2]
+        table = lo + list(map(sub, hi, lo))
+    half = len(variables) // 2
+    low = _subset_degrees(grading, variables[:half])
+    high = _subset_degrees(grading, variables[half:])
+    low_bits = (1 << half) - 1
+    terms: dict[tuple[int, ...], int] = {}
+    for w in compress(range(len(table)), table):
+        e = tuple(map(add, low[w & low_bits], high[w >> half]))
+        terms[e] = terms.get(e, 0) + table[w]
+    return IntPolynomial._from_terms(grading.p, terms)
+
+
+def _subset_degrees(grading: Grading, variables: Sequence[int]) -> list[tuple[int, ...]]:
+    """deg(W) for every subset W of `variables`, indexed by bitmask, by
+    subset doubling: the subsets containing the next variable are those
+    already listed, shifted by its degree."""
+    degrees = [(0,) * grading.p]
+    for v in variables:
+        d = grading.degree_of[v]
+        degrees += [tuple(map(add, e, d)) for e in degrees]
+    return degrees
+
+
+def _recursive_kpolynomial(
+    ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET
+) -> IntPolynomial:
+    """K(S/I) by the short-exact-sequence recursion, for any monomial ideal.
 
     The recursion K(gens) = K(rest) - t^deg(m) K(gens' : m) runs on an
     explicit stack of work items (gens, sign, shift), each standing for
@@ -345,19 +438,25 @@ def _length_at(ideal: MonomialIdeal, cover: Sequence[int], budget: int) -> tuple
     k[x_P], so its standard monomials lie in the box below its pure
     powers.  A box of more than `budget` cells is refused.
     """
-    gens = [tuple(g[v] for v in cover) for g in ideal.generators]
-    box = []
-    for k in range(len(cover)):
-        powers = [g[k] for g in gens if sum(1 for x in g if x) == 1 and g[k]]
-        if not powers:
-            raise AssertionError("a minimum prime left a non-Artinian localization")
-        box.append(min(powers))
+    in_cover = [0] * ideal.grading.nvars
+    for v in cover:
+        in_cover[v] = 1
+    gens = [tuple(compress(g, in_cover)) for g in ideal.generators]
+    box = [0] * len(cover)  # 0 until a pure power of that variable is seen
+    for g in gens:
+        if len(g) - g.count(0) == 1:
+            e = max(g)
+            k = g.index(e)
+            if not box[k] or e < box[k]:
+                box[k] = e
+    if not all(box):
+        raise AssertionError("a minimum prime left a non-Artinian localization")
     cells = prod(box)
     if cells > budget:
         raise BudgetExceededError(
             f"standard-monomial count exceeded {DEFAULT_ENUMERATION_BUDGET} steps"
         )
-    inside = [g for g in gens if all(x < b for x, b in zip(g, box))]
+    inside = [g for g in gens if all(map(lt, g, box))]
     count = sum(
         1
         for m in product(*(range(b) for b in box))
@@ -431,10 +530,18 @@ class SimplicialComplex:
                 raise ValidationError(f"facets {a} and {b} are nested")
         object.__setattr__(self, "nverts", nverts)
         object.__setattr__(self, "facets", tuple(cleaned))
+        object.__setattr__(self, "_masks", tuple(masks))  # vertex v is bit v
 
     def is_face(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return any(s <= set(f) for f in self.facets)
+        mask = 0
+        for v in subset:
+            if not 1 <= v <= self.nverts:
+                return False
+            mask |= 1 << v
+        return self._is_face_mask(mask)
+
+    def _is_face_mask(self, mask: int) -> bool:
+        return any(mask & f == mask for f in self._masks)
 
     def max_facet_size(self) -> int:
         return max(len(f) for f in self.facets)
@@ -457,7 +564,9 @@ class SimplicialComplex:
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """Every vertex subset up to the largest facet size plus one is a
         candidate; more than DEFAULT_ENUMERATION_BUDGET of them raises
-        BudgetExceededError before any is tried."""
+        BudgetExceededError before any is tried.  A candidate and each of
+        its subsets one smaller are tested as bitmasks against the facet
+        masks."""
         sizes = range(1, self.max_facet_size() + 2)
         candidates = sum(comb(self.nverts, size) for size in sizes)
         if candidates > DEFAULT_ENUMERATION_BUDGET:
@@ -465,15 +574,14 @@ class SimplicialComplex:
                 f"minimal non-face search over {candidates} vertex subsets exceeds "
                 f"{DEFAULT_ENUMERATION_BUDGET}"
             )
+        vertices = range(1, self.nverts + 1)
+        bits = [1 << v for v in vertices]
+        is_face = self._is_face_mask
         out = []
         for size in sizes:
-            for candidate in combinations(range(1, self.nverts + 1), size):
-                if self.is_face(candidate):
-                    continue
-                if all(
-                    self.is_face(candidate[:k] + candidate[k + 1 :])
-                    for k in range(size)
-                ):
+            for candidate, members in zip(combinations(vertices, size), combinations(bits, size)):
+                mask = sum(members)
+                if not is_face(mask) and all(is_face(mask ^ b) for b in members):
                     out.append(candidate)
         return out
 
@@ -497,6 +605,7 @@ def stanley_reisner_ideal(
     a pair of variables of the same degree (one projective line per
     vertex) and the generators use the first variable of each pair.
     """
+    vars_per_vertex = _integer(vars_per_vertex)
     if vars_per_vertex < 1:
         raise ValidationError("vars_per_vertex must be at least 1")
     n = complex_.nverts

@@ -46,6 +46,7 @@ from .errors import (
     BudgetExceededError,
     UnsupportedSizeError,
     ValidationError,
+    _rational,
 )
 from .linalg import rank_rational
 from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
@@ -76,7 +77,7 @@ class LatticePolytope:
             raise UnsupportedSizeError(
                 f"ambient dimension {d} exceeds the supported maximum {MAX_AMBIENT_DIM}"
             )
-        pts = sorted({tuple(map(_coordinate, v)) for v in vertices})
+        pts = sorted({tuple(_rational(x, "vertex") for x in v) for v in vertices})
         if not pts:
             raise ValidationError("polytope needs at least one vertex")
         for pt in pts:
@@ -102,18 +103,6 @@ class LatticePolytope:
 
 
 # -- exact primitives --------------------------------------------------------
-
-
-def _coordinate(x: object) -> Fraction:
-    """x, an int, a Fraction or a rational string, as a Fraction; a float,
-    a bool or anything else raises ValidationError where Fraction() would
-    read a float's binary value."""
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction, str)):
-        raise ValidationError(f"coordinate {x!r} is not an integer, a Fraction or a rational string")
-    try:
-        return Fraction(x)
-    except ValueError as exc:  # e.g. more digits than int() reads
-        raise ValidationError(f"vertex: {exc}") from exc
 
 
 def _scale_to_int(points: Sequence[Point]) -> tuple[list[IntPoint], int]:

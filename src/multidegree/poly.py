@@ -249,14 +249,10 @@ class IntPolynomial:
         """Human-readable form like '2*t1^2*t2 - t3 + 1'."""
         if not self._terms:
             return "0"
+        names = [f"t{i}" for i in range(1, self.nvars + 1)]
         pieces: list[str] = []
         for exp, coef in sorted(self._terms.items()):
-            factors = [
-                f"t{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exp)
-                if e > 0
-            ]
-            mono = "*".join(factors)
+            mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e])
             mag = abs(coef)
             if not mono:
                 body = str(mag)

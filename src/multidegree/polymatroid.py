@@ -43,6 +43,7 @@ from .errors import (
     UnsupportedSizeError,
     ValidationError,
     _integer,
+    _rational,
 )
 from .linalg import extend_basis, integer_row, is_prime
 from .schemas import check
@@ -537,11 +538,9 @@ class SubspaceFamily:
         parsed = []
         for idx, gens in enumerate(generators):
             vecs = []
+            where = f"subspace {idx + 1}"
             for vec in gens:
-                try:
-                    entries = tuple(Fraction(x) for x in vec)
-                except ValueError as exc:  # e.g. more digits than int() reads
-                    raise ValidationError(f"subspace {idx + 1}: {exc}") from exc
+                entries = tuple(_rational(x, where) for x in vec)
                 if len(entries) != ambient_dim:
                     raise ValidationError(
                         f"subspace {idx + 1} has a vector of length "

@@ -7,7 +7,14 @@ minimalization with the library.  It uses the same pivot (the last
 generator of maximal total degree) and returns the number of nodes it
 visited with the polynomial, so a test can check the library's node
 budget against it.
+
+`face_sum_oracle` is the closed form for a squarefree ideal: a sum over
+the faces of its complex, enumerated one subset at a time and each
+multiplied out with `IntPolynomial` products, with no table and no
+transform.
 """
+
+from itertools import combinations
 
 from multidegree import IntPolynomial
 
@@ -64,3 +71,31 @@ def kpolynomial_oracle(ideal):
         return recurse(rest) - t_deg * recurse(colon)
 
     return recurse(ideal.generators), nodes
+
+
+def face_sum_oracle(ideal):
+    """K(S/I) for a squarefree I as the sum over the faces F of its
+    complex of t^deg(F) prod_{j not in F} (1 - t^deg(x_j)) (Miller and
+    Sturmfels, *Combinatorial Commutative Algebra*, ch. 1).
+
+    Every variable of the ring is a vertex, the free ones included: a
+    free variable j puts F and F + j in the complex together, and their
+    terms add up to that of F without the factor for j."""
+    grading = ideal.grading
+    p, nvars = grading.p, grading.nvars
+    if any(e > 1 for g in ideal.generators for e in g):
+        raise ValueError("the face sum needs a squarefree ideal")
+    nonfaces = [{v for v, e in enumerate(g) if e} for g in ideal.generators]
+    one = IntPolynomial.one(p)
+    total = IntPolynomial.zero(p)
+    for size in range(nvars + 1):
+        for face in combinations(range(nvars), size):
+            if any(s <= set(face) for s in nonfaces):
+                continue
+            indicator = [int(v in face) for v in range(nvars)]
+            term = IntPolynomial.monomial(p, grading.degree_of_monomial(indicator))
+            for j in range(nvars):
+                if j not in face:
+                    term = term * (one - IntPolynomial.monomial(p, grading.degree_of[j]))
+            total = total + term
+    return total

@@ -5,7 +5,8 @@ The brute-force monomial count is the oracle for the Hilbert series; a
 test-local recursion with randomized pivot choices is the oracle for
 pivot-independence of the K-polynomial, and the per-node IntPolynomial
 recursion of `kpoly_oracle` the oracle for its packed accumulator and
-node count; the lowest-degree part of
+node count; the face sum of `kpoly_oracle`, one subset at a time, the
+oracle for the face table of squarefree ideals; the lowest-degree part of
 K(S/I; 1 - t) is the oracle for the multidegree by additivity, and an
 exhaustive subset search the oracle for the minimum primes.
 """
@@ -40,9 +41,16 @@ from multidegree import (
     quotient_krull_dimension,
     stanley_reisner_ideal,
 )
-from multidegree.hilbert import _minimalize
+from multidegree import hilbert
+from multidegree.hilbert import (
+    MAX_GROUND_SET,
+    _face_table_kpolynomial,
+    _length_at,
+    _minimalize,
+    _recursive_kpolynomial,
+)
 
-from kpoly_oracle import kpolynomial_oracle, minimalize
+from kpoly_oracle import face_sum_oracle, kpolynomial_oracle, minimalize
 
 
 def ideal_2vars(*generators):
@@ -115,6 +123,27 @@ def monomial_ideals(draw):
         if not any(h != g and all(x <= y for x, y in zip(h, g)) for h in candidates)
     ]
     return MonomialIdeal(Grading(nvars, p, degrees), gens)
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """Squarefree ideals in a random positive grading, or in a pair
+    grading, where variables v and v + k have the same degree."""
+    p = draw(st.integers(1, 3))
+    nonzero = st.lists(st.integers(0, 2), min_size=p, max_size=p).filter(any)
+    if draw(st.booleans()):
+        degrees = draw(st.lists(nonzero, min_size=1, max_size=4)) * 2
+    else:
+        degrees = draw(st.lists(nonzero, min_size=1, max_size=7))
+    nvars = len(degrees)
+    drawn = draw(st.lists(st.frozensets(st.integers(0, nvars - 1), min_size=1), max_size=10))
+    minimal = {s for s in drawn if not any(t < s for t in drawn)}
+    gens = [tuple(int(v in s) for v in range(nvars)) for s in minimal]
+    return MonomialIdeal(Grading(nvars, p, degrees), gens)
+
+
+def used_variables(ideal):
+    return sorted({v for g in ideal.generators for v, e in enumerate(g) if e})
 
 
 def kpoly_random_pivots(ideal, rng):
@@ -210,16 +239,25 @@ class TestKPolynomial:
     def test_budget_guard(self):
         ico = stanley_reisner_ideal(icosahedron_boundary())
         with pytest.raises(BudgetExceededError):
-            kpolynomial(ico, recursion_budget=50)
+            _recursive_kpolynomial(ico, recursion_budget=50)
+
+    def test_budget_guard_of_the_public_function(self):
+        # not squarefree, so the public function takes the recursion
+        ideal = MonomialIdeal(Grading.standard(3), [(2, 1, 0), (0, 1, 1), (1, 0, 2)])
+        expected, nodes = kpolynomial_oracle(ideal)
+        assert kpolynomial(ideal, recursion_budget=nodes) == expected
+        with pytest.raises(BudgetExceededError, match="recursion exceeded"):
+            kpolynomial(ideal, recursion_budget=nodes - 1)
 
 
 def assert_matches_oracle(ideal):
-    """Equal polynomial, and a node budget that the oracle's node count
-    meets exactly."""
+    """Equal polynomial, and a node budget of the recursion that the
+    oracle's node count meets exactly."""
     expected, nodes = kpolynomial_oracle(ideal)
-    assert kpolynomial(ideal, recursion_budget=nodes) == expected
+    assert kpolynomial(ideal) == expected
+    assert _recursive_kpolynomial(ideal, recursion_budget=nodes) == expected
     with pytest.raises(BudgetExceededError):
-        kpolynomial(ideal, recursion_budget=nodes - 1)
+        _recursive_kpolynomial(ideal, recursion_budget=nodes - 1)
 
 
 class TestKPolynomialAgainstOracle:
@@ -300,6 +338,93 @@ class TestKPolynomialAgainstOracle:
                 assert _minimalize(quotients) == minimalize(quotients)
                 mixed = quotients + list(gens)
                 assert _minimalize(mixed) == minimalize(mixed)
+
+
+class TestFaceTable:
+    """The face table against the face sum and the recursion oracle, and
+    the rule that picks the route."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(squarefree_ideals())
+    def test_property(self, ideal):
+        expected = face_sum_oracle(ideal)
+        assert kpolynomial(ideal) == expected
+        assert kpolynomial_oracle(ideal)[0] == expected
+        # the table is right past the generator bound too
+        assert _face_table_kpolynomial(ideal, used_variables(ideal)) == expected
+
+    def test_fixtures(self):
+        for complex_ in (hollow_triangle(), octahedron_boundary(), icosahedron_boundary()):
+            ideal = stanley_reisner_ideal(complex_)
+            assert kpolynomial(ideal) == face_sum_oracle(ideal)
+            pairs = stanley_reisner_ideal(complex_, vars_per_vertex=2)
+            assert kpolynomial(pairs) == kpolynomial_oracle(pairs)[0]
+
+    def test_free_variables_do_not_change_k(self):
+        grading = Grading(5, 2, [(1, 0), (0, 1), (1, 1), (2, 0), (0, 3)])
+        ideal = MonomialIdeal(grading, [(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (1, 0, 1, 0, 0)])
+        assert used_variables(ideal) == [0, 1, 2]
+        assert kpolynomial(ideal) == face_sum_oracle(ideal)
+
+    @staticmethod
+    def route(monkeypatch, ideal):
+        taken = []
+        monkeypatch.setattr(
+            hilbert, "_face_table_kpolynomial", lambda ideal, variables: taken.append("table")
+        )
+        monkeypatch.setattr(
+            hilbert, "_recursive_kpolynomial", lambda ideal, budget: taken.append("recursion")
+        )
+        kpolynomial(ideal)
+        return taken
+
+    @staticmethod
+    def cycle(n):
+        """Squarefree ideal of the n edges of an n-cycle."""
+        edges = [tuple(int(v in (i, (i + 1) % n)) for v in range(n)) for i in range(n)]
+        return MonomialIdeal(Grading.standard(n), edges)
+
+    def test_route_of_pinned_ideals(self, monkeypatch):
+        product_20 = MonomialIdeal(Grading.standard(20), [(1,) * 20])
+        cases = [
+            (MonomialIdeal(Grading.standard(2), []), "table"),
+            (ideal_2vars((1, 0)), "table"),
+            (ideal_2vars((1, 1)), "recursion"),  # 2 variables, 1 generator
+            (ideal_2vars((2, 0)), "recursion"),  # not squarefree
+            (product_20, "recursion"),
+            (stanley_reisner_ideal(octahedron_boundary()), "recursion"),  # 6 variables, 3 generators
+            (stanley_reisner_ideal(icosahedron_boundary()), "table"),
+            (stanley_reisner_ideal(icosahedron_boundary(), vars_per_vertex=2), "table"),
+            (self.cycle(MAX_GROUND_SET), "table"),
+            (self.cycle(MAX_GROUND_SET + 1), "recursion"),
+        ]
+        for ideal, expected in cases:
+            assert self.route(monkeypatch, ideal) == [expected]
+
+    def test_route_follows_the_rule(self, monkeypatch):
+        rng = random.Random(29)
+        routes = set()
+        for _ in range(300):
+            ideal = random_ideal(rng, max_vars=8, entries=(0, 0, 1, 1, 2), max_gens=10)
+            gens = ideal.generators
+            squarefree = all(e <= 1 for g in gens for e in g)
+            small = len(used_variables(ideal)) <= min(MAX_GROUND_SET, len(gens))
+            expected = "table" if squarefree and small else "recursion"
+            assert self.route(monkeypatch, ideal) == [expected]
+            routes.add(expected)
+        assert routes == {"table", "recursion"}
+
+    def test_product_of_twenty_variables(self):
+        # three nodes of the recursion, where a table would have 2^20 entries
+        ideal = MonomialIdeal(Grading.standard(20), [(1,) * 20])
+        expected = IntPolynomial(20, {(0,) * 20: 1, (1,) * 20: -1})
+        assert kpolynomial(ideal, recursion_budget=3) == expected
+        with pytest.raises(BudgetExceededError):
+            kpolynomial(ideal, recursion_budget=2)
+
+    def test_recursion_budget_does_not_bound_the_table(self):
+        ico = stanley_reisner_ideal(icosahedron_boundary())
+        assert kpolynomial(ico, recursion_budget=1) == _recursive_kpolynomial(ico)
 
 
 class TestMinimalityCheck:
@@ -459,6 +584,22 @@ class TestMultidegreeByAdditivity:
                 ideal = stanley_reisner_ideal(complex_, vars_per_vertex=pairs)
                 assert minimum_primes(ideal) == expected
 
+    def test_pure_powers_only_after_restriction(self):
+        # x1^2 x3 and x2^3 x3 become pure powers at the cover (x1, x2),
+        # where the standard monomials are 1, x1, x2, x2^2; the box takes
+        # the least of the powers x1^3, x1^2 of x1, and at (x1, x3) the
+        # least of x1^3, x1
+        ideal = MonomialIdeal(Grading.standard(3), [(3, 0, 0), (2, 0, 1), (0, 3, 1), (1, 1, 0)])
+        assert minimum_primes(ideal) == [(0, 1), (0, 2)]
+        assert _length_at(ideal, (0, 1), 100) == (4, 6)
+        assert _length_at(ideal, (0, 2), 100) == (1, 1)
+        expected = IntPolynomial(3, {(1, 1, 0): 4, (1, 0, 1): 1})
+        assert multidegree_polynomial(ideal) == expected == multidegree_oracle(ideal)
+
+    def test_length_without_a_pure_power_is_a_bug(self):
+        with pytest.raises(AssertionError, match="non-Artinian"):
+            _length_at(ideal_2vars((1, 1)), (0, 1), 100)
+
     def test_cover_search_budget(self):
         # 17 disjoint edges have 2^17 minimum covers
         grading = Grading.standard(34)
@@ -529,6 +670,52 @@ class TestStanleyReisner:
         # the larger facet comes first in sorted order
         with pytest.raises(ValidationError, match=r"facets \(1, 2, 3\) and \(1, 3\) are nested"):
             SimplicialComplex(3, [(1, 3), (1, 2, 3)])
+
+
+class TestFaceQueries:
+    """`is_face` and `minimal_nonfaces` on facet bitmasks against set
+    containment."""
+
+    @staticmethod
+    def random_complex(rng):
+        nverts = rng.randint(1, 8)
+        drawn = {
+            frozenset(rng.sample(range(1, nverts + 1), rng.randint(1, nverts)))
+            for _ in range(rng.randint(1, 6))
+        }
+        facets = [f for f in drawn if not any(f < g for g in drawn)]
+        return SimplicialComplex(nverts, facets)
+
+    def test_against_sets(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            complex_ = self.random_complex(rng)
+            facets = [set(f) for f in complex_.facets]
+
+            def is_face(subset):
+                return any(set(subset) <= f for f in facets)
+
+            vertices = range(1, complex_.nverts + 1)
+            expected = [
+                c
+                for size in range(1, complex_.max_facet_size() + 2)
+                for c in combinations(vertices, size)
+                if not is_face(c) and all(is_face(c[:k] + c[k + 1 :]) for k in range(size))
+            ]
+            assert complex_.minimal_nonfaces() == expected
+            for size in range(complex_.nverts + 1):
+                for subset in combinations(vertices, size):
+                    assert complex_.is_face(subset) == is_face(subset)
+
+    def test_vertices_outside_are_no_face(self):
+        assert not hollow_triangle().is_face([0])
+        assert not hollow_triangle().is_face([1, 4])
+        assert hollow_triangle().is_face([])
+
+    @pytest.mark.parametrize("value", [1.5, True, "2"])
+    def test_vars_per_vertex_must_be_an_integer(self, value):
+        with pytest.raises(ValidationError, match="not an integer"):
+            stanley_reisner_ideal(hollow_triangle(), vars_per_vertex=value)
 
 
 class TestFacetSupport:

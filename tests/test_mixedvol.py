@@ -656,6 +656,11 @@ class TestCriteria:
         with pytest.raises(ValidationError, match="not an integer, a Fraction"):
             LatticePolytope(2, [vertex, [0, 1]])
 
+    def test_zero_denominator_refused(self):
+        # Fraction("1/0") raises ZeroDivisionError
+        with pytest.raises(ValidationError, match="zero denominator"):
+            LatticePolytope(2, [["1/0", 0]])
+
     def test_exact_coordinates_accepted(self):
         k = LatticePolytope(2, [[1, Fraction(1, 2)], ["2/3", "-1"]])
         assert k.vertices == ((Fraction(2, 3), -1), (1, Fraction(1, 2)))

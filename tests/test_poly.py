@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from multidegree import IntPolynomial, ValidationError
 
+from pretty_oracle import pretty_oracle
+
 
 def poly(nvars, *terms):
     return IntPolynomial(nvars, list(terms))
@@ -184,6 +186,13 @@ class TestSerialization:
         f = poly(2, ((2, 1), 2), ((0, 0), -1))
         assert f.pretty() == "-1 + 2*t1^2*t2"
         assert IntPolynomial.zero(2).pretty() == "0"
+
+    def test_pretty_matches_the_old_formatter(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            # up to 12 variables, so two-digit names occur
+            f = random_poly(rng, rng.randint(0, 12), max_terms=8, max_exp=12, max_coef=120)
+            assert f.pretty() == pretty_oracle(f)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):

@@ -9,6 +9,7 @@ and against the slice recursion without a memo.
 
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -525,6 +526,26 @@ class TestLinearRank:
         # it was kept as 2.0 and printed as "ambient": 2.0
         with pytest.raises(ValidationError, match="not an integer"):
             SubspaceFamily(2.0, [[(1, 0)]])
+
+    # Fraction() would read 0.1 at its binary value, True as 1, and raise
+    # ZeroDivisionError on "1/0"
+    @pytest.mark.parametrize(
+        "generators, match",
+        [
+            ([[[0.1]], [[True]]], "subspace 1: 0.1 is not an integer"),
+            ([[[1]], [[True]]], "subspace 2: True is not an integer"),
+            ([[["1/0"]]], "subspace 1: '1/0' has a zero denominator"),
+            ([[["x"]]], "subspace 1: Invalid literal"),
+        ],
+        ids=["float", "bool", "zero-denominator", "not-a-number"],
+    )
+    def test_non_rational_entries_refused(self, generators, match):
+        with pytest.raises(ValidationError, match=match):
+            SubspaceFamily(1, generators)
+
+    def test_exact_entries_accepted(self):
+        fam = SubspaceFamily(2, [[(1, Fraction(1, 2))], [("2/3", "-1")]])
+        assert fam.generators == (((1, Fraction(1, 2)),), ((Fraction(2, 3), -1),))
 
 
 class TestUnion:
