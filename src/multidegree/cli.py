@@ -6,15 +6,14 @@ to standard error.  Identical invocations produce identical bytes (all
 collections are emitted in canonical order).  Exit status: 0 success,
 2 validation error, 3 enumeration-budget or unsupported-size error.
 
-One table, `_COMMANDS`, lists the subcommands.  A call that names one
-builds only that subcommand's parser: argparse makes a help formatter
-for every argument it adds, and building all thirteen costs more than
-most jobs spend computing.
+One table, `_COMMANDS`, lists the subcommands.  The parser is built once
+per process, on first use, and every call parses with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -38,17 +37,18 @@ def _load_document(args: argparse.Namespace) -> dict:
         raise ValidationError("give either --input or --json, not both")
     if args.json is not None:
         text, origin = args.json, "--json"
-    elif args.input == "-":
-        text, origin = sys.stdin.read(), "stdin"
-    elif args.input is not None:
-        try:
-            with open(args.input, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {args.input}: {exc}") from exc
-        origin = args.input
-    else:
+    elif args.input is None:
         raise ValidationError("this subcommand needs --input or --json")
+    else:
+        origin = "stdin" if args.input == "-" else args.input
+        try:
+            if args.input == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {origin}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -307,8 +307,9 @@ _COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser, with every subcommand or with the one named `only`."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="multidegree",
         description="Exact multidegree supports from combinatorial data.",
@@ -320,17 +321,8 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         help="print the JSON schema for an input type and exit "
         f"(one of: {', '.join(sorted(SCHEMAS))})",
     )
-    if only is None:
-        # argparse names the subcommand argument by its metavar in the
-        # "invalid choice" error, so the full parser sets none
-        sub = parser.add_subparsers(dest="subcommand")
-    else:
-        # the usage line of an "unrecognized arguments" error lists every
-        # subcommand, not only the one registered here
-        sub = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(_COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="subcommand")
     for name, command in _COMMANDS.items():
-        if only not in (None, name):
-            continue
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--output", help="also write the JSON result to this path")
         p.add_argument("-v", "--verbose", action="count", default=0)
@@ -343,8 +335,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema is not None:
         sys.stdout.write(

@@ -2,17 +2,18 @@
 sums, and mixed volumes read off one hull.
 
 All geometry is exact: coordinates are rationals, scaled to integers
-before hull computations.  One integer kernel gives d! times the volume
-of the hull of integer points: hi - lo, twice the shoelace area, or the
-sum of the face offsets of a triangulated 3D hull built incrementally
-(de Berg et al., *Computational Geometry*, chapter 11), each face with
-its plane.  The 3D hull inserts its points in a fixed shuffled order (a
-generator seeded with 0), and its seed tetrahedron is the first one that
-order offers.  The hull checks itself and raises AssertionError when a
-check fails, so a wrong volume is never returned silently: a closed
-oriented surface of Euler characteristic 2 (checked once per surface, on
-the half-edges and vertex use counts that the seed and each insertion
-change), every point beneath every face plane, positive volume.
+before hull computations.  A volume is the one mixed volume of a
+one-polytope tuple, V(K; (d)) = vol K, so one route below computes
+both.  Hulls are a monotone chain in 2D and, in 3D, a triangulated hull
+built incrementally (de Berg et al., *Computational Geometry*, chapter
+11), each face with its plane.  The 3D hull inserts its points in a
+fixed shuffled order (a generator seeded with 0), and its seed
+tetrahedron is the first one that order offers.  The hull checks itself
+and raises AssertionError when a check fails, so a wrong volume is
+never returned silently: a closed oriented surface of Euler
+characteristic 2 (checked once per surface, on the half-edges and vertex
+use counts that the seed and each insertion change), every point
+beneath every face plane, positive volume.
 
 Mixed volumes are the coefficients of the volume polynomial (Schneider,
 *Convex Bodies*, section 5.1):
@@ -298,27 +299,6 @@ def _facet_ring(on_plane: Sequence[IntPoint], normal: IntPoint) -> list[IntPoint
     return ring
 
 
-def _scaled_volume(d: int, points: Collection[IntPoint]) -> int:
-    """d! times the volume of the hull of the integer points (0 if flat)."""
-    if d == 1:
-        return max(points)[0] - min(points)[0]
-    if d == 2:
-        ring = _hull_2d(points)
-        edges = zip(ring, ring[1:] + ring[:1])
-        return abs(sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in edges))
-    faces = _hull_3d_incremental(points)
-    return 0 if faces is None else sum(f[4] for f in faces)
-
-
-def volume(polytope: LatticePolytope) -> Fraction:
-    """Exact d-dimensional volume; 0 when the polytope is lower-dimensional."""
-    d = polytope.d
-    if d > MAX_AMBIENT_DIM:
-        raise UnsupportedSizeError(f"volume unsupported in dimension {d}")
-    ints, scale = _scale_to_int(polytope.vertices)
-    return Fraction(_scaled_volume(d, ints), math.factorial(d) * scale**d)
-
-
 def _facet_rings(faces: Sequence[Face]) -> list[list[IntPoint]]:
     """The strict counterclockwise ring of each facet of a triangulated
     hull: the triangles on one facet share a primitive outward plane."""
@@ -487,6 +467,12 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
         if c < 0:
             raise AssertionError(f"negative mixed volume at {n}: {entries[n]}")
     return MixedVolumeTable(p, d, entries)
+
+
+def volume(polytope: LatticePolytope) -> Fraction:
+    """Exact d-dimensional volume; 0 when the polytope is lower-dimensional.
+    It is the one mixed volume V(K; (d)) of the one-polytope tuple."""
+    return mixed_volumes([polytope]).entries[0][1]
 
 
 def positivity_criterion(

@@ -5,16 +5,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidegree import Support, cli, polymatroid
+from multidegree import Support, polymatroid
 from multidegree.cli import build_parser, main
 
 from mconvex_oracle import exchange_report
@@ -199,6 +201,29 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert out == ""
         assert "line 1" in err
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "support.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(["mconvex", "--input", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": f"cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        }
+
+    def test_non_utf8_strict_stdin_exit_2(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multidegree.cli", "mconvex", "--input", "-"],
+            input=b"\xff\xfe{}",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert json.loads(proc.stderr) == {
+            "error": "cannot read stdin: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte"
+        }
 
     def test_invalid_rank_table_exit_2(self, capsys):
         code, out, err = run_cli(
@@ -866,44 +891,46 @@ class TestHelpAndErrorBytes:
         )
 
 
-def parse_outcome(parser, argv):
-    """The Namespace, or argparse's exit code, with what it printed."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            result = parser.parse_args(argv)
-        except SystemExit as exc:
-            result = exc.code
-    return result, out.getvalue(), err.getvalue()
+def fresh_process(argv):
+    """Exit code, stdout and stderr of one `python -m multidegree.cli` run."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "multidegree.cli", *argv], capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
-def option_strings():
-    """Every option string of the parser: the top level's, the ones all
-    subcommands share, and each subcommand's own."""
-    common = ["-h", "--help", "--schema", "--output", "-v", "--verbose", "--input", "--json"]
-    return common + sorted({o for c in cli._COMMANDS.values() for o, _ in c.arguments})
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
 
-
-JUNK = ["", "x", "-", "--", "-1", "3", "1,2", "rank_function", "{}", "--bogus", "-x", "--p=2", "--ou"]
-# deferred, so that this module imports where the table is absent
-ARGUMENT = st.deferred(lambda: st.sampled_from(COMMANDS + option_strings() + JUNK) | st.text(max_size=3))
-
-
-class TestPartialParser:
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(st.sampled_from(COMMANDS), st.lists(ARGUMENT, max_size=6))
-    def test_same_parse_as_the_full_parser(self, command, rest):
-        argv = [command, *rest]
-        assert parse_outcome(build_parser(command), argv) == parse_outcome(build_parser(), argv)
-
-    def test_a_call_builds_only_its_own_subparser(self, capsys, monkeypatch):
+    def test_every_call_parses_with_the_one_parser(self, capsys, monkeypatch):
+        parser = build_parser()
         seen = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda only=None: seen.append(only) or build(only))
-        run_json(["m0n", "--p", "3"], capsys)
-        run_json(["--schema", "support"], capsys)
-        run_cli([], capsys)
-        assert seen == ["m0n", None, None]
+        parse = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or parse(argv))
+        calls = [["m0n", "--p", "3"], ["--schema", "support"], [], ["flag", "--p", "3"]]
+        for argv in calls:
+            run_cli(argv, capsys)
+        assert seen == calls
+
+    @pytest.mark.parametrize("good", [["flag", "--p", "3"], ["m0n", "--p", "5", "--count-only"]])
+    def test_a_rejected_call_leaves_no_trace(self, capsys, monkeypatch, good):
+        assert run_argparse(["flag", "--p", "x"], capsys, monkeypatch) == (
+            2,
+            "",
+            "usage: multidegree flag [-h] [--output OUTPUT] [-v] [--p P]\n"
+            "multidegree flag: error: argument --p: invalid int value: 'x'\n",
+        )
+        assert run_argparse(good, capsys, monkeypatch) == fresh_process(good)
+
+    def test_bare_call_and_schema_keep_their_bytes(self, capsys, monkeypatch):
+        run_json(["m0n", "--p", "3"], capsys)  # the parser exists already
+        assert run_argparse([], capsys, monkeypatch) == (2, "", USAGE)
+        code, out, err = run_argparse(["--schema", "support"], capsys, monkeypatch)
+        assert (code, err) == (0, "")
+        # the bytes printed when a named subcommand had a parser of its own
+        digest = "881f3a539866ac10129c4bc45c59ff9873dd6f48e51fe4951e1c6de4c0f816e4"
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestConsoleScript:
@@ -985,45 +1012,32 @@ class TestExitCodes:
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "pool"
 
 
-class TestBenchmarkPool:
-    """The benchmark's byte check on its `msupp-rank`, `msupp-linear`,
-    `schubert` and `theta` jobs and on every `polytopes` job, run as a
-    test: each job keeps its recorded exit code, stdout and stderr
-    report.  The pool files are only read."""
+def pool_jobs(workload):
+    """The recorded jobs of one benchmark pool file, which is only read."""
+    with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
+        return [job for c in json.load(handle)["classes"] for job in c["jobs"]]
 
-    @staticmethod
-    def replay(jobs, capsys):
-        assert jobs
+
+class TestBenchmarkPool:
+    """The benchmark's byte check, run as a test: every job of every pool
+    keeps its recorded exit code, stdout and stderr report, with all the
+    jobs of a pool run one after another in this process."""
+
+    @pytest.mark.parametrize(
+        "workload, commands",
+        [
+            ("enumerate", {"theta": 50, "schubert": 40, "msupp-linear": 35, "msupp-rank": 35, "m0n": 5, "flag": 3}),
+            ("certify", {"mconvex": 24, "msupp-rank": 24}),
+            ("sr-ideals", {"kpoly": 33, "multidegree": 33, "sr-ideal": 12, "facet-support": 12}),
+            ("polytopes", {"mixedvol": 70, "positivity": 50}),
+        ],
+    )
+    def test_jobs_keep_their_bytes(self, capsys, workload, commands):
+        jobs = pool_jobs(workload)
+        assert Counter(job["argv"][0] for job in jobs) == commands
         for job in jobs:
             code, out, err = run_cli(job["argv"], capsys)
             assert code == job["exit"], job["argv"]
             assert hashlib.sha256(out.encode("utf-8")).hexdigest() == job["stdout_sha256"], job["argv"]
             if job.get("stderr_json") is not None:
-                assert json.loads(err.splitlines()[-1]) == job["stderr_json"]
-
-    @staticmethod
-    def pool_jobs(workload):
-        with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
-            return [job for c in json.load(handle)["classes"] for job in c["jobs"]]
-
-    @pytest.mark.parametrize("workload", ["certify", "enumerate"])
-    def test_msupp_rank_jobs_keep_their_bytes(self, capsys, workload):
-        jobs = [job for job in self.pool_jobs(workload) if job["argv"][0] == "msupp-rank"]
-        self.replay(jobs, capsys)
-
-    def test_msupp_linear_jobs_keep_their_bytes(self, capsys):
-        # linear-Q, linear-Q10 and linear-Fp: p = 7 to 10, over Q and F_p
-        jobs = [job for job in self.pool_jobs("enumerate") if job["argv"][0] == "msupp-linear"]
-        assert len(jobs) == 35
-        self.replay(jobs, capsys)
-
-    def test_schubert_and_theta_jobs_keep_their_bytes(self, capsys):
-        # every permutation size of the pool, up to p = 9
-        jobs = [job for job in self.pool_jobs("enumerate") if job["argv"][0] in ("schubert", "theta")]
-        assert len(jobs) == 90
-        self.replay(jobs, capsys)
-
-    def test_polytopes_jobs_keep_their_bytes(self, capsys):
-        jobs = self.pool_jobs("polytopes")
-        assert len(jobs) == 120
-        self.replay(jobs, capsys)
+                assert json.loads(err.splitlines()[-1]) == job["stderr_json"], job["argv"]

@@ -42,7 +42,6 @@ from multidegree.mixedvol import (
     _hull_3d_incremental,
     _replace_faces,
     _scale_to_int,
-    _scaled_volume,
     _sub,
     extreme_points,
 )
@@ -406,9 +405,9 @@ class TestHullAgreement:
     def test_degenerate_rich_configurations(self):
         # grids and prisms: lots of collinear and coplanar points
         grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
-        assert _scaled_volume(3, grid) == 6 * 4
+        assert volume(LatticePolytope(3, grid)) == 4
         prism = [(x, y, z) for (x, y) in ((0, 0), (2, 0), (0, 2), (1, 1)) for z in (0, 3)]
-        assert _scaled_volume(3, prism) == 6 * 6
+        assert volume(LatticePolytope(3, prism)) == 6
 
 
 class TestIncrementalSurfaceCheck:
