@@ -1,7 +1,9 @@
 """Exception types and budgets shared across the library.
 
 The CLI maps ValidationError to exit status 2 and the resource-limit
-errors to exit status 3; everything else is a genuine bug.
+errors to exit status 3; everything else is a genuine bug.  Every
+exhaustive loop charges its work to `check_budget`, the one place that
+compares an amount with a budget and raises BudgetExceededError.
 """
 
 from fractions import Fraction
@@ -22,6 +24,16 @@ class BudgetExceededError(RuntimeError):
 
 class UnsupportedSizeError(RuntimeError):
     """Input is valid but outside the supported size/dimension range."""
+
+
+def check_budget(amount: int, what: str, budget: int | None = None) -> None:
+    """Raise BudgetExceededError, naming `what` and both numbers, when
+    `amount` exceeds `budget`.  The default budget is
+    DEFAULT_ENUMERATION_BUDGET as it reads at the time of the call."""
+    if budget is None:
+        budget = DEFAULT_ENUMERATION_BUDGET
+    if amount > budget:
+        raise BudgetExceededError(f"{what}: {amount} exceeds the budget of {budget}")
 
 
 def _integer(x: object) -> int:

@@ -14,8 +14,8 @@ Artinian ideal left when every variable outside P is set to 1.  Degree
 vectors are nonzero and nonnegative, so no terms cancel and the total
 degree of C is the codimension.  The cover search stops at
 DEFAULT_RECURSION_BUDGET nodes and the standard-monomial count at
-DEFAULT_ENUMERATION_BUDGET steps.  C is the multidegree polynomial of
-MultiProj(S/I) when the quotient has no irrelevant torsion; that
+DEFAULT_ENUMERATION_BUDGET cells in all.  C is the multidegree
+polynomial of MultiProj(S/I) when the quotient has no irrelevant torsion; that
 hypothesis is asserted by the caller, not verified here.
 
 The K-polynomial of S/I is the numerator of the multigraded Hilbert
@@ -54,13 +54,13 @@ from dataclasses import dataclass
 from itertools import combinations, compress, product
 from math import comb, prod
 from operator import add, and_, le, lt, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_BUDGET,
     DEFAULT_RECURSION_BUDGET,
-    BudgetExceededError,
     ValidationError,
+    check_budget,
 )
 from .poly import IntPolynomial
 from .polymatroid import MAX_GROUND_SET, Support, _integer
@@ -132,12 +132,7 @@ class MonomialIdeal:
                 raise ValidationError(f"negative exponent in generator {g}")
             if all(x == 0 for x in g):
                 raise ValidationError("the unit monomial cannot be a generator")
-        pairs = comb(len(gens), 2)
-        if pairs > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"minimality check over {pairs} generator pairs exceeds "
-                f"{DEFAULT_ENUMERATION_BUDGET}"
-            )
+        check_budget(comb(len(gens), 2), "minimality check over generator pairs")
         # a divisor's support lies inside the multiple's support
         supports = [sum(1 << v for v, e in enumerate(g) if e) for g in gens]
         for (a, sa), (b, sb) in combinations(zip(gens, supports), 2):
@@ -297,10 +292,7 @@ def _recursive_kpolynomial(
     while stack:
         gens, sign, shift = stack.pop()
         nodes += 1
-        if nodes > recursion_budget:
-            raise BudgetExceededError(
-                f"K-polynomial recursion exceeded {recursion_budget} nodes"
-            )
+        check_budget(nodes, "K-polynomial recursion nodes", recursion_budget)
         if all(len(g) - g.count(0) == 1 for g in gens):
             # pairwise-coprime pure powers form a regular sequence
             terms = {shift: sign}
@@ -358,8 +350,7 @@ def hilbert_function_oracle(
     def walk(v: int, remaining: tuple[int, ...]) -> None:
         nonlocal steps, count
         steps += 1
-        if steps > budget:
-            raise BudgetExceededError(f"enumeration exceeded {budget} steps")
+        check_budget(steps, "Hilbert-function enumeration steps", budget)
         if v == grading.nvars:
             if all(x == 0 for x in remaining) and not ideal.contains_monomial(exponent):
                 count += 1
@@ -407,10 +398,7 @@ def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     while stack:
         chosen, forbidden, size = stack.pop()
         nodes += 1
-        if nodes > DEFAULT_RECURSION_BUDGET:
-            raise BudgetExceededError(
-                f"minimum-prime search exceeded {DEFAULT_RECURSION_BUDGET} nodes"
-            )
+        check_budget(nodes, "minimum-prime search nodes", DEFAULT_RECURSION_BUDGET)
         uncovered = next((s for s in supports if not s & chosen), None)
         if uncovered is None:
             if size < best:
@@ -431,12 +419,13 @@ def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(tuple(v for v in range(ideal.grading.nvars) if c >> v & 1) for c in covers)
 
 
-def _length_at(ideal: MonomialIdeal, cover: Sequence[int], budget: int) -> tuple[int, int]:
+def _length_at(ideal: MonomialIdeal, cover: Sequence[int], spent: int) -> tuple[int, int]:
     """(mult_P(S/I), cells walked) for the minimum prime P on `cover`.
 
     With the variables outside P set to 1 the ideal is Artinian in
     k[x_P], so its standard monomials lie in the box below its pure
-    powers.  A box of more than `budget` cells is refused.
+    powers.  The box is refused when its cells and the `spent` cells of
+    earlier covers exceed DEFAULT_ENUMERATION_BUDGET.
     """
     in_cover = [0] * ideal.grading.nvars
     for v in cover:
@@ -452,10 +441,7 @@ def _length_at(ideal: MonomialIdeal, cover: Sequence[int], budget: int) -> tuple
     if not all(box):
         raise AssertionError("a minimum prime left a non-Artinian localization")
     cells = prod(box)
-    if cells > budget:
-        raise BudgetExceededError(
-            f"standard-monomial count exceeded {DEFAULT_ENUMERATION_BUDGET} steps"
-        )
+    check_budget(spent + cells, "standard-monomial count cells")
     inside = [g for g in gens if all(map(lt, g, box))]
     count = sum(
         1
@@ -481,24 +467,24 @@ def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
     of MultiProj(S/I) when the quotient has no irrelevant torsion, which
     the caller asserts.
     """
-    grading = ideal.grading
-    forms = [
-        IntPolynomial(
-            grading.p,
-            {tuple(int(j == k) for j in range(grading.p)): d for k, d in enumerate(deg) if d},
-        )
-        for deg in grading.degree_of
-    ]
-    budget = DEFAULT_ENUMERATION_BUDGET
-    result = IntPolynomial.zero(grading.p)
+    p = ideal.grading.p
+    forms = [[(k, d) for k, d in enumerate(deg) if d] for deg in ideal.grading.degree_of]
+    result: dict[tuple[int, ...], int] = {}
+    spent = 0
     for cover in minimum_primes(ideal):
-        length, cells = _length_at(ideal, cover, budget)
-        budget -= cells
-        term = IntPolynomial.constant(grading.p, length)
-        for v in cover:
-            term = term * forms[v]
-        result = result + term
-    return result
+        length, cells = _length_at(ideal, cover, spent)
+        spent += cells
+        term = {(0,) * p: 1}
+        for v in cover:  # times <deg x_v, t> = sum_k d_k t_k
+            nxt: dict[tuple[int, ...], int] = {}
+            for e, c in term.items():
+                for k, d in forms[v]:
+                    f = e[:k] + (e[k] + 1,) + e[k + 1 :]
+                    nxt[f] = nxt.get(f, 0) + c * d
+            term = nxt
+        for e, c in term.items():
+            result[e] = result.get(e, 0) + length * c
+    return IntPolynomial._from_terms(p, result)
 
 
 @dataclass(frozen=True)
@@ -518,12 +504,7 @@ class SimplicialComplex:
                 raise ValidationError("empty facet")
             if any(not 1 <= v <= nverts for v in f):
                 raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
-        pairs = comb(len(cleaned), 2)
-        if pairs > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"nested-facet check over {pairs} facet pairs exceeds "
-                f"{DEFAULT_ENUMERATION_BUDGET}"
-            )
+        check_budget(comb(len(cleaned), 2), "nested-facet check over facet pairs")
         masks = [sum(1 << v for v in f) for f in cleaned]
         for (a, ma), (b, mb) in combinations(zip(cleaned, masks), 2):
             if ma & mb in (ma, mb):
@@ -567,23 +548,29 @@ class SimplicialComplex:
         BudgetExceededError before any is tried.  A candidate and each of
         its subsets one smaller are tested as bitmasks against the facet
         masks."""
+        return list(self._minimal_nonfaces())
+
+    def _minimal_nonfaces(self) -> Iterator[tuple[int, ...]]:
+        """The minimal non-faces in the order `minimal_nonfaces` lists
+        them.  The candidates are charged to the budget at the call; each
+        non-face is searched for only when the iterator is read."""
         sizes = range(1, self.max_facet_size() + 2)
-        candidates = sum(comb(self.nverts, size) for size in sizes)
-        if candidates > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"minimal non-face search over {candidates} vertex subsets exceeds "
-                f"{DEFAULT_ENUMERATION_BUDGET}"
-            )
+        check_budget(
+            sum(comb(self.nverts, size) for size in sizes),
+            "minimal non-face search over vertex subsets",
+        )
         vertices = range(1, self.nverts + 1)
         bits = [1 << v for v in vertices]
         is_face = self._is_face_mask
-        out = []
-        for size in sizes:
-            for candidate, members in zip(combinations(vertices, size), combinations(bits, size)):
-                mask = sum(members)
-                if not is_face(mask) and all(is_face(mask ^ b) for b in members):
-                    out.append(candidate)
-        return out
+
+        def search() -> Iterator[tuple[int, ...]]:
+            for size in sizes:
+                for candidate, members in zip(combinations(vertices, size), combinations(bits, size)):
+                    mask = sum(members)
+                    if not is_face(mask) and all(is_face(mask ^ b) for b in members):
+                        yield candidate
+
+        return search()
 
     def to_json_dict(self) -> dict:
         return {"nverts": self.nverts, "facets": [list(f) for f in self.facets]}
@@ -609,20 +596,21 @@ def stanley_reisner_ideal(
     if vars_per_vertex < 1:
         raise ValidationError("vars_per_vertex must be at least 1")
     n = complex_.nverts
-    # the budgeted search first: the grading below alone has n^2 entries
-    nonfaces = complex_.minimal_nonfaces()
-    degrees = []
-    for _ in range(vars_per_vertex):
-        for i in range(n):
-            degrees.append([1 if j == i else 0 for j in range(n)])
-    grading = Grading(n * vars_per_vertex, n, degrees)
+    width = n * vars_per_vertex
+    nonfaces = complex_._minimal_nonfaces()
+    # `width` degrees of n entries and one exponent row of `width` entries
+    # per generator, each generator charged before the next is searched for
+    what = "Stanley-Reisner ideal entries"
+    check_budget(width * n, what)
     generators = []
     for nonface in nonfaces:
-        exp = [0] * (n * vars_per_vertex)
+        check_budget(width * (n + len(generators) + 1), what)
+        exp = [0] * width
         for v in nonface:
             exp[v - 1] = 1
         generators.append(tuple(exp))
-    return MonomialIdeal(grading, generators)
+    degrees = [[int(j == i) for j in range(n)] for _ in range(vars_per_vertex) for i in range(n)]
+    return MonomialIdeal(Grading(width, n, degrees), generators)
 
 
 def facet_support(complex_: SimplicialComplex) -> Support:

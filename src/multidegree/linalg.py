@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError, _integer
+from .errors import ValidationError, _integer, check_budget
 
 
 def integer_row(row: Sequence, prime: int | None = None) -> list[int]:
@@ -77,10 +77,7 @@ def is_prime(n: int) -> bool:
     candidate divisors raise BudgetExceededError before the first."""
     if n < 2:
         return False
-    if isqrt(n) > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"trial division of {n} exceeds {DEFAULT_ENUMERATION_BUDGET} divisors"
-        )
+    check_budget(isqrt(n), f"candidate divisors in the trial division of {n}")
     d = 2
     while d * d <= n:
         if n % d == 0:

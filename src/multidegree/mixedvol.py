@@ -42,13 +42,7 @@ from itertools import product
 from operator import add, countOf, mul, sub
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceededError,
-    UnsupportedSizeError,
-    ValidationError,
-    _rational,
-)
+from .errors import UnsupportedSizeError, ValidationError, _rational, check_budget
 from .linalg import rank_rational
 from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
 from .schemas import check
@@ -140,16 +134,23 @@ def polytope_dim(polytope: LatticePolytope) -> int:
     return rank_rational(rows) if rows else 0
 
 
+def _common_dim(polytopes: Sequence[LatticePolytope]) -> int:
+    """The ambient dimension d of a tuple of polytopes; an empty tuple or
+    one of mismatched dimensions raises ValidationError."""
+    if not polytopes:
+        raise ValidationError("empty polytope tuple")
+    d = polytopes[0].d
+    if any(k.d != d for k in polytopes):
+        raise ValidationError("polytopes have mismatched ambient dimensions")
+    return d
+
+
 def minkowski_sum(
     polytopes: Sequence[LatticePolytope], weights: Sequence[int] | None = None
 ) -> LatticePolytope:
     """Weighted Minkowski sum: hull of sums of scaled vertices, one per
     polytope with positive weight.  Default weights are all 1."""
-    if not polytopes:
-        raise ValidationError("Minkowski sum of zero polytopes")
-    d = polytopes[0].d
-    if any(k.d != d for k in polytopes):
-        raise ValidationError("polytopes have mismatched ambient dimensions")
+    d = _common_dim(polytopes)
     if weights is None:
         weights = [1] * len(polytopes)
     if len(weights) != len(polytopes):
@@ -375,11 +376,13 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     boundary of the one Minkowski sum K_1 + ... + K_p.
 
     The vertices are scaled once by the lcm L of their denominators, and
-    each K_i is cut to its corners.  The sum is built one summand at a
-    time, each point with one vertex of each summand that it is the sum
-    of; the vertices of S + K_k are sums of vertices of S and of K_k, so
-    each partial sum but the last is cut to its corners too.  A vertex W = a_1 + ... + a_p of the whole sum
-    has exactly one such decomposition, and W(l) = l_1 a_1 + ... + l_p a_p
+    each K_i of a tuple of two or more is cut to its corners (one K alone
+    is its own sum, whose hull is built once, below).  The sum is built
+    one summand at a time, each point with one vertex of each summand
+    that it is the sum of; the vertices of S + K_k are sums of vertices
+    of S and of K_k, so each partial sum but the last is cut to its
+    corners too.  A vertex W = a_1 + ... + a_p of the whole sum has
+    exactly one such decomposition, and W(l) = l_1 a_1 + ... + l_p a_p
     is the matching vertex of l_1 K_1 + ... + l_p K_p for every l > 0.
     So the integer polynomial
 
@@ -391,36 +394,24 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     facet ring of the hull in 3D; then V(K; n) = c_n n! / (d!^2 L^d).  A
     sum of lower dimension has no cells and gives 0 everywhere.
 
-    A partial sum of more than DEFAULT_ENUMERATION_BUDGET points raises
-    BudgetExceededError before it is built, and so do more determinant
-    terms (cells times p^d, and p^d before any cell is known) before
-    they are summed.
+    A partial sum of more than DEFAULT_ENUMERATION_BUDGET points is
+    refused by `check_budget` before it is built, and so are more
+    determinant terms (cells times p^d, and p^d before any cell is known)
+    before they are summed.
     """
-    if not polytopes:
-        raise ValidationError("mixed volumes of zero polytopes")
+    d = _common_dim(polytopes)
     p = len(polytopes)
-    d = polytopes[0].d
-    if any(k.d != d for k in polytopes):
-        raise ValidationError("polytopes have mismatched ambient dimensions")
-
-    def check_terms(cells: int) -> None:
-        if cells * p**d > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"a volume polynomial of {cells * p**d} determinant terms"
-                f" exceeds {DEFAULT_ENUMERATION_BUDGET}"
-            )
-
-    check_terms(1)  # the p^d index tuples are folded even when the sum is flat
+    terms_of = "determinant terms of the volume polynomial"
+    check_budget(p**d, terms_of)  # the p^d index tuples are folded even when the sum is flat
     flat, scale = _scale_to_int([v for k in polytopes for v in k.vertices])
-    rest = iter(flat)
-    lattice = [_corners(d, [next(rest) for _v in k.vertices]) for k in polytopes]
+    if p == 1:
+        lattice = [flat]
+    else:
+        rest = iter(flat)
+        lattice = [_corners(d, [next(rest) for _v in k.vertices]) for k in polytopes]
     sums = {v: (v,) for v in lattice[0]}  # point -> one vertex per summand
     for k in range(1, p):
-        size = len(sums) * len(lattice[k])
-        if size > DEFAULT_ENUMERATION_BUDGET:
-            raise BudgetExceededError(
-                f"a Minkowski sum of {size} points exceeds {DEFAULT_ENUMERATION_BUDGET}"
-            )
+        check_budget(len(sums) * len(lattice[k]), "points of a partial Minkowski sum")
         sums = {tuple(map(add, w, v)): parts + (v,) for w, parts in sums.items() for v in lattice[k]}
         if k < p - 1:
             sums = {w: sums[w] for w in _corners(d, sums)}
@@ -432,7 +423,7 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     elif d == 2:
         ring = [sums[w] for w in _hull_2d(sums)]
         edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) > 2 else []
-        check_terms(len(edges))
+        check_budget(len(edges) * p**2, terms_of)
         terms = [0] * p**2
         for a, b in edges:
             t = 0
@@ -444,7 +435,7 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
         faces = _hull_3d_incremental(sums)
         rings = [] if faces is None else [[sums[w] for w in ring] for ring in _facet_rings(faces)]
         triangles = [(r[0], r[k], r[k + 1]) for r in rings for k in range(1, len(r) - 1)]
-        check_terms(len(triangles))
+        check_budget(len(triangles) * p**3, terms_of)
         terms = [0] * p**3
         for a, b, c in triangles:
             crosses = [_cross3(v, w) for v in b for w in c]
@@ -481,12 +472,8 @@ def positivity_criterion(
     """V(K; n) > 0 iff |n| = d and n(J) <= r(J) for every subset J, where
     r(J) = dim(sum_{j in J} K_j) is the rank of the edge directions of
     the K_j with j in J."""
-    if not polytopes:
-        raise ValidationError("empty polytope tuple")
+    d = _common_dim(polytopes)
     p = len(polytopes)
-    d = polytopes[0].d
-    if any(k.d != d for k in polytopes):
-        raise ValidationError("polytopes have mismatched ambient dimensions")
     counts = list(map(_integer, n))
     if len(counts) != p or any(x < 0 for x in counts):
         raise ValidationError(f"type vector {counts} must be in N^{p}")

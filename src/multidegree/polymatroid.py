@@ -38,12 +38,11 @@ from operator import gt, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
-    DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceededError,
     UnsupportedSizeError,
     ValidationError,
     _integer,
     _rational,
+    check_budget,
 )
 from .linalg import extend_basis, integer_row, is_prime
 from .schemas import check
@@ -340,8 +339,6 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
     distinct first slices of 2^(p-1) entries).  A table that does not fit
     is worked out again each time it is reached, as without a memo.
     """
-    budget = DEFAULT_ENUMERATION_BUDGET
-    exceeded = f"support exceeds the enumeration budget of {budget} points"
     memo: dict[tuple[int, ...], tuple[int, list | tuple[int, int, int]]] = {}
     room = max(len(r.values), MEMO_FLOOR)
 
@@ -351,8 +348,7 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
         if found is not None:
             return found
         low, high = values[-1] - values[-2], values[1]
-        if high - low >= budget:
-            raise BudgetExceededError(exceeded)
+        check_budget(high - low + 1, "support points")
         if len(values) == 4:
             found = (high - low + 1, (low, high, values[3]))
         else:
@@ -362,8 +358,7 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
             for v in range(low, high + 1):
                 child = node(tuple([min(a, b - v) for a, b in zip(without, with_)]))
                 count += child[0]
-                if count > budget:
-                    raise BudgetExceededError(exceeded)
+                check_budget(count, "support points")
                 children.append((v, child))
             found = (count, children)
         if len(values) <= room:

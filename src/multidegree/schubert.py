@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DEFAULT_ENUMERATION_BUDGET, BudgetExceededError, ValidationError
+from .errors import ValidationError, check_budget
 from .poly import IntPolynomial
 from .polymatroid import RankFunction, Support, msupp_from_rank
 from .polymatroid import _integer, _set_to_mask, check_ground_set
@@ -85,10 +85,7 @@ def _grid(p: int) -> range:
     """1..p, the rows and the columns of the p x p grid; a grid of more
     than DEFAULT_ENUMERATION_BUDGET cells raises BudgetExceededError, so
     every walk over one is refused before it starts."""
-    if p * p > DEFAULT_ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"the {p}x{p} grid exceeds {DEFAULT_ENUMERATION_BUDGET} cells"
-        )
+    check_budget(p * p, f"cells of the {p}x{p} grid")
     return range(1, p + 1)
 
 

@@ -290,6 +290,32 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "minimal non-face search" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv, amount",
+        [
+            # 44,850 non-faces of 300 entries each, on top of 300 degrees of 300
+            (["--json", json.dumps({"nverts": 300, "facets": [[v] for v in range(1, 301)]})], 2000100),
+            # a grading of 6 * 60000 degrees of 6 entries each
+            (["--input", str(FIXTURES / "octahedron.json"), "--vars-per-vertex", "60000"], 2160000),
+        ],
+        ids=["isolated-vertices", "octahedron-wide"],
+    )
+    def test_sr_ideal_entries_budget_exit_3(self, capsys, argv, amount):
+        start = time.perf_counter()
+        code, out, err = run_cli(["sr-ideal", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert f"Stanley-Reisner ideal entries: {amount} exceeds" in json.loads(err)["error"]
+
+    def test_sr_ideal_pairs_keep_the_icosahedron_multidegree(self, capsys):
+        path = str(FIXTURES / "icosahedron.json")
+        single, pairs = (run_json(["sr-ideal", "--input", path, "--vars-per-vertex", v], capsys) for v in "12")
+        assert pairs["nvars"] == 2 * single["nvars"] == 24
+        assert run_json(["multidegree", "--json", json.dumps(pairs)], capsys) == run_json(
+            ["multidegree", "--json", json.dumps(single)], capsys
+        )
+
     def test_nested_facet_budget_exit_3(self, capsys):
         # 4,498,500 facet pairs; refused before any is compared
         complex_ = {"nverts": 3000, "facets": [[v] for v in range(1, 3001)]}
@@ -298,7 +324,7 @@ class TestDeterminismAndErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert "nested-facet check over 4498500 facet pairs" in json.loads(err)["error"]
+        assert "nested-facet check over facet pairs: 4498500 exceeds" in json.loads(err)["error"]
 
     def test_invalid_rank_table_validated_once(self, capsys, monkeypatch):
         # the exit-2 report is the one msupp_from_rank computed, byte for byte
@@ -472,7 +498,7 @@ class TestDeterminismAndErrors:
         assert time.perf_counter() - start < 2.0
         assert code == 3
         assert out == ""
-        assert "20736000 determinant terms" in json.loads(err)["error"]
+        assert "determinant terms of the volume polynomial: 20736000 exceeds" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -482,7 +508,7 @@ class TestDeterminismAndErrors:
             # trial division up to isqrt(2^61 - 1), about 1.5 * 10^9
             (
                 ["msupp-linear", "--json", '{"ambient":1,"field":"Fp:2305843009213693951","subspaces":[[["1"]]]}'],
-                "trial division",
+                "trial division of 2305843009213693951: 1518500249 exceeds",
             ),
         ],
         ids=["theta-grid", "prime-field"],
@@ -553,7 +579,7 @@ class TestKPoly:
         code, out, err = run_cli(["kpoly", "--json", json.dumps(ideal)], capsys)
         assert code == 3
         assert out == ""
-        assert "minimality check over 2001000 generator pairs" in json.loads(err)["error"]
+        assert "minimality check over generator pairs: 2001000 exceeds" in json.loads(err)["error"]
 
     def test_not_minimal_stderr_pinned(self, capsys):
         ideal = {

@@ -41,7 +41,7 @@ from multidegree import (
     quotient_krull_dimension,
     stanley_reisner_ideal,
 )
-from multidegree import hilbert
+from multidegree import errors, hilbert
 from multidegree.hilbert import (
     MAX_GROUND_SET,
     _face_table_kpolynomial,
@@ -246,7 +246,8 @@ class TestKPolynomial:
         ideal = MonomialIdeal(Grading.standard(3), [(2, 1, 0), (0, 1, 1), (1, 0, 2)])
         expected, nodes = kpolynomial_oracle(ideal)
         assert kpolynomial(ideal, recursion_budget=nodes) == expected
-        with pytest.raises(BudgetExceededError, match="recursion exceeded"):
+        message = f"K-polynomial recursion nodes: {nodes} exceeds the budget of {nodes - 1}"
+        with pytest.raises(BudgetExceededError, match=message):
             kpolynomial(ideal, recursion_budget=nodes - 1)
 
 
@@ -610,6 +611,16 @@ class TestMultidegreeByAdditivity:
     def test_standard_monomial_budget(self):
         ideal = MonomialIdeal(Grading.standard(1), [(10**7,)])
         with pytest.raises(BudgetExceededError, match="standard-monomial count"):
+            multidegree_polynomial(ideal)
+
+    def test_standard_monomial_budget_is_shared_by_the_covers(self, monkeypatch):
+        # x1^3 x2^3 x3^3 x4^3 has four minimum covers of a 3-cell box each
+        ideal = MonomialIdeal(Grading.standard(4), [(3, 3, 3, 3)])
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 12)
+        expected = {tuple(int(j == k) for j in range(4)): 3 for k in range(4)}
+        assert multidegree_polynomial(ideal) == IntPolynomial(4, expected)
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 11)
+        with pytest.raises(BudgetExceededError, match="standard-monomial count cells: 12 exceeds the budget of 11"):
             multidegree_polynomial(ideal)
 
 

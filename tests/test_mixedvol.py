@@ -289,6 +289,15 @@ class TestVolume:
         with pytest.raises(UnsupportedSizeError):
             LatticePolytope(4, [(0, 0, 0, 0)])
 
+    def test_one_hull_per_3d_volume(self, monkeypatch):
+        calls = []
+        hull = mixedvol._hull_3d_incremental
+        monkeypatch.setattr(mixedvol, "_hull_3d_incremental", lambda pts: calls.append(len(pts)) or hull(pts))
+        # 18 grid points, 8 of them corners
+        grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(2)]
+        assert volume(LatticePolytope(3, grid)) == 4
+        assert calls == [18]
+
 
 class TestFlatInput:
     NAMED = {

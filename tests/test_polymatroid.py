@@ -31,7 +31,7 @@ from multidegree import (
     rank_from_support,
     validate_rank_function,
 )
-from multidegree import polymatroid
+from multidegree import errors, polymatroid
 
 from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_oracle
 from msupp_oracle import slice_points
@@ -226,15 +226,15 @@ class TestMsuppFromRank:
         assert str(caught.value) == "invalid rank function: submodularity at ((1,), (2,))"
 
     def test_budget_counts_points_before_listing_them(self, monkeypatch):
-        monkeypatch.setattr(polymatroid, "DEFAULT_ENUMERATION_BUDGET", 10)
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 10)
         assert len(msupp_from_rank(RankFunction(2, [0, 9, 9, 9]))) == 10
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="support points: 11 exceeds the budget of 10"):
             msupp_from_rank(RankFunction(2, [0, 10, 10, 10]))
         # every nonempty set of rank 3: C(5, 2) = 10 points, over four ranges
         uniform = RankFunction(3, [0] + [3] * 7)
         assert len(msupp_from_rank(uniform)) == 10
-        monkeypatch.setattr(polymatroid, "DEFAULT_ENUMERATION_BUDGET", 9)
-        with pytest.raises(BudgetExceededError):
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 9)
+        with pytest.raises(BudgetExceededError, match="support points: 10 exceeds the budget of 9"):
             msupp_from_rank(uniform)
 
     def test_matches_brute_force_randomized(self):
