@@ -49,7 +49,6 @@ from .polymatroid import (
     is_mconvex,
     linear_rank,
     msupp_from_rank,
-    msupp_union,
     rank_from_support,
     validate_rank_function,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "minkowski_sum",
     "mixed_volumes",
     "msupp_from_rank",
-    "msupp_union",
     "multidegree_polynomial",
     "octahedron_boundary",
     "polytope_dim",

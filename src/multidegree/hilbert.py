@@ -51,10 +51,11 @@ for the additivity route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, prod
-from operator import add, and_, le, lt, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, and_, le, lt, or_, sub
+from typing import Iterable, Sequence
 
 from .errors import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -143,6 +144,7 @@ class MonomialIdeal:
                 )
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_supports", tuple(supports))  # variable v is bit v
 
     def contains_monomial(self, exponent: Sequence[int]) -> bool:
         return any(_divides(g, exponent) for g in self.generators)
@@ -189,9 +191,7 @@ def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_
     the recursion only; more raise BudgetExceededError.
     """
     gens = ideal.generators
-    used = 0
-    for g in gens:
-        used |= sum(1 << v for v, e in enumerate(g) if e)
+    used = reduce(or_, ideal._supports, 0)
     variables = [v for v in range(ideal.grading.nvars) if used >> v & 1]
     if len(variables) <= min(MAX_GROUND_SET, len(gens)) and max(map(max, gens), default=0) <= 1:
         return _face_table_kpolynomial(ideal, variables)
@@ -390,7 +390,6 @@ def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     would outgrow the smallest cover found so far is cut.  Covers are
     tuples of 0-indexed variable positions, in increasing order.
     """
-    supports = [sum(1 << v for v, e in enumerate(g) if e) for g in ideal.generators]
     best = ideal.grading.nvars  # all variables always form a cover
     covers: list[int] = []
     nodes = 0
@@ -399,7 +398,7 @@ def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
         chosen, forbidden, size = stack.pop()
         nodes += 1
         check_budget(nodes, "minimum-prime search nodes", DEFAULT_RECURSION_BUDGET)
-        uncovered = next((s for s in supports if not s & chosen), None)
+        uncovered = next((s for s in ideal._supports if not s & chosen), None)
         if uncovered is None:
             if size < best:
                 best, covers = size, []
@@ -513,64 +512,37 @@ class SimplicialComplex:
         object.__setattr__(self, "facets", tuple(cleaned))
         object.__setattr__(self, "_masks", tuple(masks))  # vertex v is bit v
 
-    def is_face(self, subset: Iterable[int]) -> bool:
-        mask = 0
-        for v in subset:
-            if not 1 <= v <= self.nverts:
-                return False
-            mask |= 1 << v
-        return self._is_face_mask(mask)
-
-    def _is_face_mask(self, mask: int) -> bool:
-        return any(mask & f == mask for f in self._masks)
-
-    def max_facet_size(self) -> int:
-        return max(len(f) for f in self.facets)
-
-    def edges(self) -> list[tuple[int, int]]:
-        found = set()
-        for f in self.facets:
-            found.update(combinations(f, 2))
-        return sorted(found)
-
-    def f_vector(self) -> tuple[int, ...]:
-        """(f_0, f_1, ...): number of faces of each positive dimension."""
-        counts: dict[int, set[tuple[int, ...]]] = {}
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                for face in combinations(f, size):
-                    counts.setdefault(size, set()).add(face)
-        return tuple(len(counts[s]) for s in sorted(counts))
-
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
-        """Every vertex subset up to the largest facet size plus one is a
-        candidate; more than DEFAULT_ENUMERATION_BUDGET of them raises
-        BudgetExceededError before any is tried.  A candidate and each of
-        its subsets one smaller are tested as bitmasks against the facet
-        masks."""
-        return list(self._minimal_nonfaces())
+        """The minimal non-faces, by size and then lexicographically.
 
-    def _minimal_nonfaces(self) -> Iterator[tuple[int, ...]]:
-        """The minimal non-faces in the order `minimal_nonfaces` lists
-        them.  The candidates are charged to the budget at the call; each
-        non-face is searched for only when the iterator is read."""
-        sizes = range(1, self.max_facet_size() + 2)
-        check_budget(
-            sum(comb(self.nverts, size) for size in sizes),
-            "minimal non-face search over vertex subsets",
-        )
-        vertices = range(1, self.nverts + 1)
-        bits = [1 << v for v in vertices]
-        is_face = self._is_face_mask
-
-        def search() -> Iterator[tuple[int, ...]]:
-            for size in sizes:
-                for candidate, members in zip(combinations(vertices, size), combinations(bits, size)):
-                    mask = sum(members)
-                    if not is_face(mask) and all(is_face(mask ^ b) for b in members):
-                        yield candidate
-
-        return search()
+        Each is a face tau plus one vertex v above max(tau) such that
+        tau + v is no face and tau + v - u is one for every u in tau.  The
+        facets are closed downward into one set of face masks (vertex v is
+        bit v) after their sum_F 2^|F| subsets are charged to the budget,
+        and the sum_tau (nverts - max tau) extensions are charged before
+        any is tried; a charge past the budget raises BudgetExceededError.
+        """
+        check_budget(sum(1 << len(f) for f in self.facets), "face closure over facet subsets")
+        faces = {0}
+        for facet in self._masks:
+            sub = facet
+            while sub:  # every nonempty submask of the facet
+                faces.add(sub)
+                sub = (sub - 1) & facet
+        starts = {tau: (tau | 1).bit_length() for tau in faces}  # max(tau) + 1; 1 for the empty face
+        what = "minimal non-face search over face extensions"
+        check_budget(sum(self.nverts + 1 - start for start in starts.values()), what)
+        found = []
+        for tau, start in starts.items():
+            vertices, rest = [], tau
+            while rest:
+                vertices.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            for v in range(start, self.nverts + 1):
+                sigma = tau | 1 << v
+                if sigma not in faces and all(sigma ^ 1 << u in faces for u in vertices):
+                    found.append((*vertices, v))
+        return sorted(found, key=lambda sigma: (len(sigma), sigma))
 
     def to_json_dict(self) -> dict:
         return {"nverts": self.nverts, "facets": [list(f) for f in self.facets]}
@@ -591,31 +563,29 @@ def stanley_reisner_ideal(
     e_i in N^nverts.  With vars_per_vertex = 2 every vertex contributes
     a pair of variables of the same degree (one projective line per
     vertex) and the generators use the first variable of each pair.
+    The budget is charged for the degree rows, then by `minimal_nonfaces`,
+    then for all generator rows at once, each before what it counts.
     """
     vars_per_vertex = _integer(vars_per_vertex)
     if vars_per_vertex < 1:
         raise ValidationError("vars_per_vertex must be at least 1")
     n = complex_.nverts
     width = n * vars_per_vertex
-    nonfaces = complex_._minimal_nonfaces()
-    # `width` degrees of n entries and one exponent row of `width` entries
-    # per generator, each generator charged before the next is searched for
     what = "Stanley-Reisner ideal entries"
     check_budget(width * n, what)
-    generators = []
-    for nonface in nonfaces:
-        check_budget(width * (n + len(generators) + 1), what)
-        exp = [0] * width
+    nonfaces = complex_.minimal_nonfaces()
+    check_budget(width * (n + len(nonfaces)), what)
+    generators = [[0] * width for _ in nonfaces]
+    for exp, nonface in zip(generators, nonfaces):
         for v in nonface:
             exp[v - 1] = 1
-        generators.append(tuple(exp))
     degrees = [[int(j == i) for j in range(n)] for _ in range(vars_per_vertex) for i in range(n)]
     return MonomialIdeal(Grading(width, n, degrees), generators)
 
 
 def facet_support(complex_: SimplicialComplex) -> Support:
     """{0,1} incidence vectors of the facets of maximal size."""
-    top = complex_.max_facet_size()
+    top = max(map(len, complex_.facets))
     points = []
     for f in complex_.facets:
         if len(f) == top:

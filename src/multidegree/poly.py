@@ -110,9 +110,6 @@ class IntPolynomial:
     def coefficient(self, exp: Iterable[int]) -> int:
         return self._terms.get(tuple(exp), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -167,18 +164,6 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     # -- variable actions --------------------------------------------------
-
-    def swap_variables(self, i: int, j: int) -> "IntPolynomial":
-        """Exchange the variables t_i and t_j (1-indexed)."""
-        if not (1 <= i <= self.nvars and 1 <= j <= self.nvars):
-            raise ValidationError(f"variable index out of range 1..{self.nvars}")
-        a, b = i - 1, j - 1
-        acc: dict[ExponentVector, int] = {}
-        for exp, coef in self._terms.items():
-            e = list(exp)
-            e[a], e[b] = e[b], e[a]
-            acc[tuple(e)] = coef
-        return IntPolynomial._from_terms(self.nvars, acc)
 
     def divided_difference(self, i: int) -> "IntPolynomial":
         """Apply the i-th divided difference (f - s_i f) / (t_i - t_{i+1}).

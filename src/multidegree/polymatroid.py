@@ -492,22 +492,6 @@ def rank_from_support(s: Support) -> RankFunction:
     return RankFunction(s.p, values)
 
 
-def msupp_union(supports: Sequence[Support]) -> Support:
-    """Set union of supports sharing p and weight (reducible-scheme case)."""
-    if not supports:
-        raise ValidationError("union of zero supports")
-    p = supports[0].p
-    weights = {s.weight for s in supports if s.weight is not None}
-    if any(s.p != p for s in supports):
-        raise ValidationError("supports have mismatched ground sets")
-    if len(weights) > 1:
-        raise ValidationError(f"supports have mismatched weights {sorted(weights)}")
-    points: set[tuple[int, ...]] = set()
-    for s in supports:
-        points.update(s.points)
-    return Support(p, points)
-
-
 @dataclass(frozen=True)
 class SubspaceFamily:
     """Spanning sets for subspaces V_1, ..., V_p of k^ambient_dim.

@@ -6,10 +6,13 @@ import hashlib
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
@@ -281,20 +284,32 @@ class TestDeterminismAndErrors:
         assert message in json.loads(err.splitlines()[-1])["error"]
 
     def test_minimal_nonface_budget_exit_3(self, capsys):
-        # 4,501,500 candidate subsets; refused before any is tried
+        # 3,000 degree rows of 3,000 entries; refused before any face is listed
         complex_ = {"nverts": 3000, "facets": [[1]]}
         start = time.perf_counter()
         code, out, err = run_cli(["sr-ideal", "--json", json.dumps(complex_)], capsys)
         assert time.perf_counter() - start < 3.0
         assert code == 3
         assert out == ""
-        assert "minimal non-face search" in json.loads(err)["error"]
+        assert "Stanley-Reisner ideal entries: 9000000 exceeds" in json.loads(err)["error"]
+
+    def test_many_facets_nonface_work_is_bounded(self, capsys):
+        # 1,999 edges on 100 vertices: the face set holds 2,100 faces, and
+        # the 23,653 minimal non-faces are refused as generator rows
+        edges = islice(combinations(range(1, 101), 2), 1999)
+        complex_ = {"nverts": 100, "facets": [list(e) for e in edges]}
+        start = time.perf_counter()
+        code, out, err = run_cli(["sr-ideal", "--json", json.dumps(complex_)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert out == ""
+        assert "Stanley-Reisner ideal entries: 2375300 exceeds" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "argv, amount",
         [
             # 44,850 non-faces of 300 entries each, on top of 300 degrees of 300
-            (["--json", json.dumps({"nverts": 300, "facets": [[v] for v in range(1, 301)]})], 2000100),
+            (["--json", json.dumps({"nverts": 300, "facets": [[v] for v in range(1, 301)]})], 13545000),
             # a grading of 6 * 60000 degrees of 6 entries each
             (["--input", str(FIXTURES / "octahedron.json"), "--vars-per-vertex", "60000"], 2160000),
         ],
@@ -1000,10 +1015,8 @@ def json_paths(document, prefix=()):
             yield from json_paths(value, prefix + (i,))
 
 
-@st.composite
-def mutated_calls(draw):
-    """argv of a call on a valid document with one fault put in."""
-    document, calls = draw(st.sampled_from(MUTATION_BASES))
+def mutated_text(draw, document):
+    """The JSON text of `document` with one fault put in."""
     document = json.loads(json.dumps(document))
     path = draw(st.sampled_from([p for p in json_paths(document) if p]))
     parent = document
@@ -1018,8 +1031,14 @@ def mutated_calls(draw):
         parent[path[-1]] = draw(st.sampled_from([-1, -7, BIG, "-" + BIG]))
     else:
         parent[path[-1]] = draw(st.sampled_from(["1/0", "2/00", "1/", "/2", "a", "1.5", "1e5", " 1", "+1", "1/-2", "-" + BIG]))
-    text = json.dumps(document).replace(f'"{BIG}"', "9" * 5000).replace(f'"-{BIG}"', "-" + "9" * 5000)
-    return [*draw(st.sampled_from(calls)), "--json", text]
+    return json.dumps(document).replace(f'"{BIG}"', "9" * 5000).replace(f'"-{BIG}"', "-" + "9" * 5000)
+
+
+@st.composite
+def mutated_calls(draw):
+    """argv of a call on a valid document with one fault put in."""
+    document, calls = draw(st.sampled_from(MUTATION_BASES))
+    return [*draw(st.sampled_from(calls)), "--json", mutated_text(draw, document)]
 
 
 class TestExitCodes:
@@ -1042,6 +1061,82 @@ def pool_jobs(workload):
     """The recorded jobs of one benchmark pool file, which is only read."""
     with open(POOL / f"{workload}.json", encoding="utf-8") as handle:
         return [job for c in json.load(handle)["classes"] for job in c["jobs"]]
+
+
+POOL_CALLS = [
+    job["argv"] for workload in ("enumerate", "certify", "sr-ideals", "polytopes") for job in pool_jobs(workload)
+]
+INT_OPTIONS = {"--p", "--vars-per-vertex"}
+
+
+@st.composite
+def mutated_pool_calls(draw):
+    """argv of a benchmark pool job, or of a complex on up to 300
+    vertices, as it is or with its document or one option value changed."""
+    if draw(st.booleans()):
+        argv = list(draw(st.sampled_from(POOL_CALLS)))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        nverts = rng.randint(1, 300)
+        drawn = {
+            frozenset(rng.sample(range(1, nverts + 1), min(nverts, rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 300))
+        }
+        facets = [sorted(f) for f in drawn if not any(f < g for g in drawn)]
+        document = json.dumps({"nverts": nverts, "facets": facets})
+        argv = [draw(st.sampled_from(["sr-ideal", "facet-support"])), "--json", document]
+        if argv[0] == "sr-ideal" and draw(st.booleans()):
+            argv += ["--vars-per-vertex", "2"]
+    # every call has an option with a value: --json, --p or --perm
+    options = [i for i, a in enumerate(argv[:-1]) if a.startswith("--") and not argv[i + 1].startswith("--")]
+    i = draw(st.sampled_from(options))
+    kind = draw(st.sampled_from(["none", "value", "delete"]))
+    if kind == "delete":
+        del argv[i : i + 2]
+    elif kind == "value" and argv[i] == "--json":
+        argv[i + 1] = mutated_text(draw, json.loads(argv[i + 1]))
+    elif kind == "value" and argv[i] in INT_OPTIONS:
+        argv[i + 1] = str(draw(st.sampled_from([-1, 0, 1, 2, 3, 12, 25, 10**6])))
+    elif kind == "value":
+        junk = ["", "x", "0", "-3", "1,1", "2,1", "1,,2", "1,2,3,4,5,6,7,8,9,10", "9" * 40]
+        argv[i + 1] = draw(st.sampled_from(junk))
+    return argv
+
+
+class CallOverran(BaseException):
+    """Raised by the alarm of one fuzzed call; no handler in the library
+    can catch it."""
+
+
+class TestContractFuzzer:
+    """Benchmark pool jobs, read from perfbench/pool and never written,
+    with a document or an option mutated: every call exits 0, 2 or 3
+    without a traceback, a refusal prints its JSON error as the last
+    stderr line and nothing on stdout, and no call outlives its alarm."""
+
+    SECONDS = 10
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(mutated_pool_calls())
+    def test_every_call_keeps_the_contract(self, argv):
+        def overran(signum, frame):
+            raise CallOverran(f"{argv[0]} ran past {self.SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, overran)
+        out, err = io.StringIO(), io.StringIO()
+        signal.alarm(self.SECONDS)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert isinstance(json.loads(lines[-1]), dict)
+            assert all(line.startswith("warning: ") for line in lines[:-1])
 
 
 class TestBenchmarkPool:

@@ -7,8 +7,10 @@ pivot-independence of the K-polynomial, and the per-node IntPolynomial
 recursion of `kpoly_oracle` the oracle for its packed accumulator and
 node count; the face sum of `kpoly_oracle`, one subset at a time, the
 oracle for the face table of squarefree ideals; the lowest-degree part of
-K(S/I; 1 - t) is the oracle for the multidegree by additivity, and an
-exhaustive subset search the oracle for the minimum primes.
+K(S/I; 1 - t) is the oracle for the multidegree by additivity, an
+exhaustive subset search the oracle for the minimum primes, and the
+vertex-subset search of `nonface_oracle` the oracle for the minimal
+non-faces.
 """
 
 import random
@@ -26,6 +28,7 @@ from multidegree import (
     MonomialIdeal,
     RankFunction,
     SimplicialComplex,
+    Support,
     ValidationError,
     facet_support,
     hilbert_function_oracle,
@@ -35,7 +38,6 @@ from multidegree import (
     kpolynomial,
     minimum_primes,
     msupp_from_rank,
-    msupp_union,
     multidegree_polynomial,
     octahedron_boundary,
     quotient_krull_dimension,
@@ -51,6 +53,7 @@ from multidegree.hilbert import (
 )
 
 from kpoly_oracle import face_sum_oracle, kpolynomial_oracle, minimalize
+from nonface_oracle import minimal_nonfaces_oracle
 
 
 def ideal_2vars(*generators):
@@ -503,7 +506,7 @@ class TestMultidegree:
         ]
         for complex_ in fixtures:
             ideal = stanley_reisner_ideal(complex_)
-            top = complex_.max_facet_size()
+            top = max(map(len, complex_.facets))
             expected_terms = {}
             for facet in complex_.facets:
                 if len(facet) != top:
@@ -575,7 +578,7 @@ class TestMultidegreeByAdditivity:
 
     def test_minimum_primes_of_fixtures(self):
         for complex_ in (hollow_triangle(), octahedron_boundary(), icosahedron_boundary()):
-            top = complex_.max_facet_size()
+            top = max(map(len, complex_.facets))
             expected = sorted(
                 tuple(v - 1 for v in range(1, complex_.nverts + 1) if v not in facet)
                 for facet in complex_.facets
@@ -631,9 +634,8 @@ class TestSupportAsUnionOfPolymatroids:
 
     @staticmethod
     def union_of_components(ideal):
-        return msupp_union(
-            [msupp_from_rank(transversal_rank(ideal.grading, P)) for P in minimum_primes(ideal)]
-        )
+        components = [msupp_from_rank(transversal_rank(ideal.grading, P)) for P in minimum_primes(ideal)]
+        return Support(ideal.grading.p, [pt for s in components for pt in s.points])
 
     def test_randomized(self):
         rng = random.Random(29)
@@ -683,45 +685,60 @@ class TestStanleyReisner:
             SimplicialComplex(3, [(1, 3), (1, 2, 3)])
 
 
+@st.composite
+def small_complexes(draw):
+    """A complex on at most 9 vertices: the maximal sets among a few
+    drawn vertex sets."""
+    nverts = draw(st.integers(1, 9))
+    drawn = draw(
+        st.lists(st.frozensets(st.integers(1, nverts), min_size=1), min_size=1, max_size=8)
+    )
+    return SimplicialComplex(nverts, [f for f in drawn if not any(f < g for g in drawn)])
+
+
 class TestFaceQueries:
-    """`is_face` and `minimal_nonfaces` on facet bitmasks against set
-    containment."""
+    """`minimal_nonfaces` from the downward-closed face set against the
+    exhaustive search over vertex subsets of `nonface_oracle`."""
 
-    @staticmethod
-    def random_complex(rng):
-        nverts = rng.randint(1, 8)
-        drawn = {
-            frozenset(rng.sample(range(1, nverts + 1), rng.randint(1, nverts)))
-            for _ in range(rng.randint(1, 6))
-        }
-        facets = [f for f in drawn if not any(f < g for g in drawn)]
-        return SimplicialComplex(nverts, facets)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(small_complexes())
+    def test_against_sets(self, complex_):
+        assert complex_.minimal_nonfaces() == minimal_nonfaces_oracle(complex_)
 
-    def test_against_sets(self):
-        rng = random.Random(71)
-        for _ in range(200):
-            complex_ = self.random_complex(rng)
-            facets = [set(f) for f in complex_.facets]
+    def test_fixtures(self):
+        for complex_ in (hollow_triangle(), octahedron_boundary(), icosahedron_boundary()):
+            assert complex_.minimal_nonfaces() == minimal_nonfaces_oracle(complex_)
 
-            def is_face(subset):
-                return any(set(subset) <= f for f in facets)
+    def test_isolated_and_missing_vertices(self):
+        # vertex 3 lies in no facet; vertices 1 and 2 span no edge
+        complex_ = SimplicialComplex(4, [(1,), (2, 4)])
+        assert complex_.minimal_nonfaces() == [(3,), (1, 2), (1, 4)]
 
-            vertices = range(1, complex_.nverts + 1)
-            expected = [
-                c
-                for size in range(1, complex_.max_facet_size() + 2)
-                for c in combinations(vertices, size)
-                if not is_face(c) and all(is_face(c[:k] + c[k + 1 :]) for k in range(size))
-            ]
-            assert complex_.minimal_nonfaces() == expected
-            for size in range(complex_.nverts + 1):
-                for subset in combinations(vertices, size):
-                    assert complex_.is_face(subset) == is_face(subset)
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            # the facets (1, 2, 3) and (3, 4) have 8 + 4 subsets
+            (11, "face closure over facet subsets: 12 exceeds the budget of 11"),
+            # the 10 faces tau extend by 5 - max(tau) vertices each: 5 (the
+            # empty face), 4 + 3 + 2 + 1, 3 + 2 + 2 + 1 and 2, 25 in all
+            (24, "minimal non-face search over face extensions: 25 exceeds the budget of 24"),
+        ],
+    )
+    def test_each_charge_comes_before_its_work(self, monkeypatch, budget, message):
+        complex_ = SimplicialComplex(5, [(1, 2, 3), (3, 4)])
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 25)
+        assert complex_.minimal_nonfaces() == [(5,), (1, 4), (2, 4)]
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", budget)
+        with pytest.raises(BudgetExceededError, match=message):
+            complex_.minimal_nonfaces()
 
-    def test_vertices_outside_are_no_face(self):
-        assert not hollow_triangle().is_face([0])
-        assert not hollow_triangle().is_face([1, 4])
-        assert hollow_triangle().is_face([])
+    def test_generator_rows_are_charged_together(self, monkeypatch):
+        # 3 degree rows of 3 entries, then 3 rows for the 3 non-faces
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 18)
+        assert len(stanley_reisner_ideal(SimplicialComplex(3, [(1,), (2,), (3,)])).generators) == 3
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 14)
+        with pytest.raises(BudgetExceededError, match="Stanley-Reisner ideal entries: 18 exceeds"):
+            stanley_reisner_ideal(SimplicialComplex(3, [(1,), (2,), (3,)]))
 
     @pytest.mark.parametrize("value", [1.5, True, "2"])
     def test_vars_per_vertex_must_be_an_integer(self, value):
@@ -744,10 +761,12 @@ class TestFacetSupport:
 
     def test_icosahedron_sanity_and_support(self):
         ico = icosahedron_boundary()
-        assert ico.f_vector() == (12, 30, 20)
+        vertices = {v for f in ico.facets for v in f}
+        edges = {e for f in ico.facets for e in combinations(f, 2)}
+        assert (len(vertices), len(edges), len(ico.facets)) == (12, 30, 20)
         # 5-regularity
         degree = {v: 0 for v in range(1, 13)}
-        for a, b in ico.edges():
+        for a, b in edges:
             degree[a] += 1
             degree[b] += 1
         assert set(degree.values()) == {5}

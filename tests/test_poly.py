@@ -24,10 +24,17 @@ def random_poly(rng, nvars, max_terms=5, max_exp=3, max_coef=6):
     return IntPolynomial(nvars, terms)
 
 
+def swap_adjacent(f, i):
+    """f with the variables t_i and t_{i+1} exchanged (1-indexed)."""
+    return IntPolynomial(
+        f.nvars, [(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :], c) for e, c in f.terms.items()]
+    )
+
+
 class TestAddMul:
     def test_additive_inverse(self):
         t1 = IntPolynomial.variable(1, 1)
-        assert (t1 + (-t1)).is_zero()
+        assert t1 + (-t1) == IntPolynomial.zero(1)
 
     def test_doubling(self):
         m = IntPolynomial.monomial(2, (1, 1))
@@ -82,7 +89,7 @@ class TestDividedDifference:
     def test_symmetric_input_is_killed(self):
         t1 = IntPolynomial.variable(2, 1)
         t2 = IntPolynomial.variable(2, 2)
-        assert (t1 + t2).divided_difference(1).is_zero()
+        assert (t1 + t2).divided_difference(1) == IntPolynomial.zero(2)
 
     def test_hand_example_second_index(self):
         # (t1^2 t2 - t1^2 t3) / (t2 - t3) = t1^2
@@ -101,7 +108,7 @@ class TestDividedDifference:
         for _ in range(40):
             f = random_poly(rng, 3)
             for i in (1, 2):
-                assert f.divided_difference(i).divided_difference(i).is_zero()
+                assert f.divided_difference(i).divided_difference(i) == IntPolynomial.zero(3)
 
     def test_result_is_symmetric_randomized(self):
         rng = random.Random(29)
@@ -109,7 +116,7 @@ class TestDividedDifference:
             f = random_poly(rng, 4)
             for i in (1, 2, 3):
                 g = f.divided_difference(i)
-                assert g == g.swap_variables(i, i + 1)
+                assert g == swap_adjacent(g, i)
 
     def test_exactness_against_multiplication(self):
         # f = (t_i - t_{i+1}) * g has divided difference g + s_i(g) ... not in
@@ -118,7 +125,7 @@ class TestDividedDifference:
         for _ in range(40):
             f = random_poly(rng, 3)
             i = rng.choice((1, 2))
-            numerator = f - f.swap_variables(i, i + 1)
+            numerator = f - swap_adjacent(f, i)
             divisor = IntPolynomial.variable(3, i) - IntPolynomial.variable(3, i + 1)
             assert f.divided_difference(i) * divisor == numerator
 
@@ -154,7 +161,7 @@ class TestTruncateAndSupport:
         assert f.truncate_total_degree(6) == IntPolynomial.monomial(2, (3, 3))
 
     def test_truncate_zero(self):
-        assert IntPolynomial.zero(2).truncate_total_degree(4).is_zero()
+        assert IntPolynomial.zero(2).truncate_total_degree(4) == IntPolynomial.zero(2)
 
     def test_support_positive_part_only(self):
         f = poly(2, ((2, 0), 1), ((0, 2), -1))
@@ -275,9 +282,9 @@ class TestTrustedResults:
     @given(polynomial_pairs())
     def test_every_result_is_well_formed(self, case):
         f, g, i = case
-        swapped = f.swap_variables(i, i + 1)
+        swapped = swap_adjacent(f, i)
         quotient = f.divided_difference(i)
-        for h in (f + g, f - g, -f, f * g, f * 3, f * 0, swapped, quotient):
+        for h in (f + g, f - g, -f, f * g, f * 3, f * 0, quotient):
             assert_well_formed(h)
         divisor = IntPolynomial.variable(f.nvars, i) - IntPolynomial.variable(f.nvars, i + 1)
         assert quotient * divisor == f - swapped
