@@ -6,6 +6,12 @@ to standard error.  Identical invocations produce identical bytes (all
 collections are emitted in canonical order).  Exit status: 0 success,
 2 validation error, 3 enumeration-budget or unsupported-size error.
 
+A handler passes a `Support` itself in its result document.  `_emit`
+writes it as {"p":...,"points":...} with the text of
+`Support.points_json`, which a support from `msupp_from_rank` renders
+from its slice DAG without building point tuples; every other value goes
+through json.dumps with sorted keys and no spaces.
+
 One table, `_COMMANDS`, lists the subcommands.  The parser is built once
 per process, on first use, and every call parses with it.
 """
@@ -25,6 +31,9 @@ from .schemas import SCHEMAS, check
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
+
+# json.dumps(..., sort_keys=True, separators=(",", ":")) without a new encoder per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _fail(message: str, code: int) -> int:
@@ -66,8 +75,25 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValidationError(f"malformed {what} {text!r}: expected comma-separated integers") from exc
 
 
+def _encode(value: object) -> str:
+    """`value` as compact JSON with sorted keys: the bytes of
+    json.dumps(value, sort_keys=True, separators=(",", ":")) with every
+    Support read as its `to_json_dict`.  A Support stands in a document
+    itself or as a value of its top-level dict, whose keys are str."""
+    if isinstance(value, polymatroid.Support):
+        return f'{{"p":{value.p},"points":{value.points_json()}}}'
+    supports = isinstance(value, dict) and any(
+        isinstance(item, polymatroid.Support) for item in value.values()
+    )
+    if supports:
+        return "{" + ",".join(
+            f"{_dumps(key)}:{_encode(item)}" for key, item in sorted(value.items())
+        ) + "}"
+    return _dumps(value)
+
+
 def _emit(document: object, args: argparse.Namespace) -> int:
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    payload = _encode(document) + "\n"
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -76,13 +102,6 @@ def _emit(document: object, args: argparse.Namespace) -> int:
             raise ValidationError(f"cannot write {args.output}: {exc}") from exc
     sys.stdout.write(payload)
     return EXIT_OK
-
-
-def _support_view(support: polymatroid.Support, args: argparse.Namespace, bound: int) -> dict:
-    """Support JSON in the requested coordinate convention."""
-    if args.exponent_coordinates:
-        return support.complement(bound).to_json_dict()
-    return support.to_json_dict()
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -94,10 +113,13 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
     else:
         pi = schubert.Permutation.from_json_dict(_load_document(args))
     poly = schubert.schubert_polynomial(pi)
-    support = poly.support()
-    polytope = schubert.schubert_support_polytope(pi)
+    support = poly.support()  # exponent coordinates m
+    polytope = schubert.schubert_support_polytope(pi)  # multidegree types n = (p-1)*1 - m
     bound = pi.p - 1
-    convention = "exponent" if args.exponent_coordinates else "msupp"
+    if args.exponent_coordinates:
+        convention, polytope = "exponent", polytope.complement(bound)
+    else:
+        convention, support = "msupp", support.complement(bound)
     result = {
         "permutation": pi.to_json_dict(),
         "length": schubert.length(pi),
@@ -105,10 +127,10 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
         "pretty": poly.pretty(),
         "has_negative_coefficients": bool(poly.negative_exponents()),
         "support_convention": convention,
-        "support": _support_view(support.complement(bound), args, bound),
-        "theta_polytope_support": _support_view(polytope, args, bound),
+        "support": support,
+        "theta_polytope_support": polytope,
+        "agrees": support == polytope,
     }
-    result["agrees"] = result["support"] == result["theta_polytope_support"]
     return _emit(result, args)
 
 
@@ -140,7 +162,7 @@ def _cmd_msupp_rank(args: argparse.Namespace) -> int:
         print(json.dumps(exc.report.to_json_dict(), sort_keys=True), file=sys.stderr)
         return EXIT_VALIDATION
     return _emit(
-        {"support": support.to_json_dict(), "count": len(support), "weight": support.weight},
+        {"support": support, "count": len(support), "weight": support.weight},
         args,
     )
 
@@ -152,7 +174,7 @@ def _cmd_msupp_linear(args: argparse.Namespace) -> int:
     return _emit(
         {
             "rank_function": rank.to_json_dict(),
-            "support": support.to_json_dict(),
+            "support": support,
             "count": len(support),
         },
         args,
@@ -199,7 +221,7 @@ def _cmd_sr_ideal(args: argparse.Namespace) -> int:
 def _cmd_facet_support(args: argparse.Namespace) -> int:
     complex_ = hilbert.SimplicialComplex.from_json_dict(_load_document(args))
     support = hilbert.facet_support(complex_)
-    return _emit({"support": support.to_json_dict(), "count": len(support)}, args)
+    return _emit({"support": support, "count": len(support)}, args)
 
 
 def _parse_polytopes(document: dict) -> list[mixedvol.LatticePolytope]:
@@ -238,7 +260,7 @@ def _cmd_flag(args: argparse.Namespace) -> int:
     report = flagmoduli.flag_comparator_report(support)
     return _emit(
         {
-            "support": support.to_json_dict(),
+            "support": support,
             "count": len(support),
             "comparator": report,
         },
@@ -252,7 +274,7 @@ def _cmd_m0n(args: argparse.Namespace) -> int:
     support = flagmoduli.m0n_msupp(args.p)
     if args.count_only:
         return _emit(len(support), args)
-    return _emit({"support": support.to_json_dict(), "count": len(support)}, args)
+    return _emit({"support": support, "count": len(support)}, args)
 
 
 class _Command:
@@ -338,9 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema is not None:
-        sys.stdout.write(
-            json.dumps(SCHEMAS[args.schema], sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        sys.stdout.write(_dumps(SCHEMAS[args.schema]) + "\n")
         return EXIT_OK
     if args.subcommand is None:
         parser.print_usage(sys.stderr)

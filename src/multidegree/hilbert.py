@@ -134,17 +134,29 @@ class MonomialIdeal:
             if all(x == 0 for x in g):
                 raise ValidationError("the unit monomial cannot be a generator")
         check_budget(comb(len(gens), 2), "minimality check over generator pairs")
+        self._fill(grading, gens)
         # a divisor's support lies inside the multiple's support
-        supports = [sum(1 << v for v, e in enumerate(g) if e) for g in gens]
-        for (a, sa), (b, sb) in combinations(zip(gens, supports), 2):
+        for (a, sa), (b, sb) in combinations(zip(gens, self._supports), 2):
             common = sa & sb
             if (common == sa and _divides(a, b)) or (common == sb and _divides(b, a)):
                 raise ValidationError(
                     f"generator list is not minimal: {a} and {b} are comparable"
                 )
+
+    def _fill(self, grading: Grading, gens: list[tuple[int, ...]]) -> None:
         object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "generators", tuple(gens))
-        object.__setattr__(self, "_supports", tuple(supports))  # variable v is bit v
+        supports = tuple(sum(1 << v for v, e in enumerate(g) if e) for g in gens)
+        object.__setattr__(self, "_supports", supports)  # variable v is bit v
+
+    @classmethod
+    def _from_antichain(cls, grading: Grading, gens: list[tuple[int, ...]]) -> "MonomialIdeal":
+        """An ideal from generators that are already sorted, distinct,
+        nonzero, of length nvars and pairwise incomparable under
+        divisibility; nothing is checked."""
+        ideal = object.__new__(cls)
+        ideal._fill(grading, gens)
+        return ideal
 
     def contains_monomial(self, exponent: Sequence[int]) -> bool:
         return any(_divides(g, exponent) for g in self.generators)
@@ -564,7 +576,10 @@ def stanley_reisner_ideal(
     a pair of variables of the same degree (one projective line per
     vertex) and the generators use the first variable of each pair.
     The budget is charged for the degree rows, then by `minimal_nonfaces`,
-    then for all generator rows at once, each before what it counts.
+    then for all generator rows at once, each before what it counts.  A
+    minimal non-face holds no other non-face, so the generators are
+    pairwise incomparable and `MonomialIdeal`'s check over generator
+    pairs is skipped.
     """
     vars_per_vertex = _integer(vars_per_vertex)
     if vars_per_vertex < 1:
@@ -580,7 +595,9 @@ def stanley_reisner_ideal(
         for v in nonface:
             exp[v - 1] = 1
     degrees = [[int(j == i) for j in range(n)] for _ in range(vars_per_vertex) for i in range(n)]
-    return MonomialIdeal(Grading(width, n, degrees), generators)
+    return MonomialIdeal._from_antichain(
+        Grading(width, n, degrees), sorted(map(tuple, generators))
+    )
 
 
 def facet_support(complex_: SimplicialComplex) -> Support:

@@ -30,12 +30,13 @@ characterization.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import gt, lt, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     UnsupportedSizeError,
@@ -84,12 +85,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
 class Support:
-    """Finite set of natural-number vectors of constant coordinate sum."""
+    """Finite set of natural-number vectors of constant coordinate sum,
+    held in lexicographic order.
 
-    p: int
-    points: tuple[tuple[int, ...], ...]
+    A support from `msupp_from_rank` keeps the slice DAG of its base
+    polytope in place of its points: its length and weight come from the
+    DAG, `points_json` writes its JSON from the DAG, and the point tuples
+    are built on the first read of `points` and then kept.  Equality,
+    hashing, membership and `repr` go by the points, so such a support
+    equals a plain one with the same points.  `weight` is the common
+    coordinate sum, or None for the empty support.
+    """
+
+    __slots__ = ("p", "weight", "_count", "_points", "_root")
 
     def __init__(self, p: int, points: Iterable[Iterable[int]]):
         pts = sorted({tuple(x if type(x) is int else _integer(x) for x in pt) for pt in points})
@@ -101,30 +110,71 @@ class Support:
         weights = {sum(pt) for pt in pts}
         if len(weights) > 1:
             raise ValidationError(f"points have mixed coordinate sums {sorted(weights)}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "points", tuple(pts))
+        self._fill(p, tuple(pts), None, weights.pop() if weights else None)
+
+    def _fill(self, p: int, points: tuple | None, root: tuple | None, weight: int | None) -> None:
+        """Set the fields, once: the points, or else the root (count,
+        children) of a slice DAG; weight is None for the empty support."""
+        count = len(points) if root is None else root[0]
+        for name, value in zip(self.__slots__, (p, weight, count, points, root)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def _from_sorted(cls, p: int, points: list[tuple[int, ...]]) -> "Support":
         """A support from points that are already sorted, distinct,
         nonnegative, of length p and of one weight; nothing is checked."""
         support = object.__new__(cls)
-        object.__setattr__(support, "p", p)
-        object.__setattr__(support, "points", tuple(points))
+        support._fill(p, tuple(points), None, sum(points[0]) if points else None)
         return support
 
+    @classmethod
+    def _from_dag(cls, p: int, weight: int, root: tuple) -> "Support":
+        """A support from the root of a `_slice_dag` on p >= 2 elements,
+        whose points have this weight; nothing is checked."""
+        support = object.__new__(cls)
+        support._fill(p, None, root, weight)
+        return support
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
     @property
-    def weight(self) -> int | None:
-        """Common coordinate sum, or None for the empty support."""
-        return sum(self.points[0]) if self.points else None
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """The points in lexicographic order."""
+        if self._points is None:
+            rows = _dag_rows(self._root[1], lambda a, b: (a, b), lambda v: (v,))
+            object.__setattr__(self, "_points", tuple(rows))
+        return self._points
+
+    def points_json(self) -> str:
+        """The points as compact JSON text, the bytes that
+        json.dumps(list of points, separators=(",", ":")) writes."""
+        if self._root is None:
+            return json.dumps(self._points, separators=(",", ":"))
+        return "[[" + "],[".join(_dag_rows(self._root[1], "{},{}".format, "{},".format)) + "]]"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self._count == other._count and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.points))
+
+    def __repr__(self) -> str:
+        return f"Support(p={self.p!r}, points={self.points!r})"
+
+    def __reduce__(self) -> tuple:
+        return (Support, (self.p, self.points))
 
     def __contains__(self, point: Iterable[int]) -> bool:
         key = tuple(point)
-        i = bisect_left(self.points, key)
-        return i < len(self.points) and self.points[i] == key
+        points = self.points
+        i = bisect_left(points, key)
+        return i < len(points) and points[i] == key
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._count
 
     def complement(self, bound: int) -> "Support":
         """Map every point n to bound*(1,...,1) - n.
@@ -338,6 +388,10 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
     tables repeat (r(A) = k when A meets {1, 2} and 0 otherwise has k + 1
     distinct first slices of 2^(p-1) entries).  A table that does not fit
     is worked out again each time it is reached, as without a memo.
+
+    The support of `msupp_from_rank` keeps the DAG, and no point tuple
+    exists until `Support.points` is first read; `Support.points_json`
+    writes the JSON text from the DAG without building one.
     """
     memo: dict[tuple[int, ...], tuple[int, list | tuple[int, int, int]]] = {}
     room = max(len(r.values), MEMO_FLOOR)
@@ -369,6 +423,51 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
     return node(r.values)
 
 
+def _dag_rows(root: list | tuple[int, int, int], pair: Callable, head: Callable) -> list:
+    """One row per point below the `_slice_dag` node whose children are
+    `root`, in lexicographic order: a node with two elements left gives
+    pair(v, weight - v) for low <= v <= high, and any other node gives
+    head(v) + row for each child (v, node) and each row of that node.
+
+    Each distinct node's rows are built once.  They wait in a memo, local
+    to the call, only while a parent that has not yet read them remains,
+    so rows of nodes that are reached once die as soon as they are read.
+    """
+    uses: dict[int, int] = {id(root): 1}  # parents yet to read each node's rows
+
+    def count(children) -> None:
+        for _, (_, grandchildren) in children:
+            key = id(grandchildren)
+            if key in uses:
+                uses[key] += 1
+            else:
+                uses[key] = 1
+                if type(grandchildren) is list:
+                    count(grandchildren)
+
+    if type(root) is list:
+        count(root)
+    memo: dict[int, list] = {}
+
+    def rows(children) -> list:
+        key = id(children)
+        found = memo.pop(key, None)
+        if found is None:
+            if type(children) is tuple:
+                low, high, weight = children
+                found = [pair(v, weight - v) for v in range(low, high + 1)]
+            else:
+                found = []
+                for v, (_, grandchildren) in children:
+                    found += map(head(v).__add__, rows(grandchildren))
+        uses[key] -= 1
+        if uses[key]:
+            memo[key] = found
+        return found
+
+    return rows(root)
+
+
 def msupp_from_rank(r: RankFunction) -> Support:
     """All n in N^p with n(J) <= r(J) for proper subsets J and |n| = r([p]).
 
@@ -380,30 +479,20 @@ def msupp_from_rank(r: RankFunction) -> Support:
     tables), so `_slice_dag` computes each distinct table's children and
     point count once, in a memo no larger than the input table (or
     MEMO_FLOOR entries), and refuses a support past
-    DEFAULT_ENUMERATION_BUDGET points by its count.  Then the DAG is
-    walked top down and the points come out in lexicographic order.  An
+    DEFAULT_ENUMERATION_BUDGET points by its count.  The support keeps
+    that DAG: its length is the root's count, and its points, in
+    lexicographic order, are built from the DAG only when they are first
+    read (`Support.points`) or written (`Support.points_json`).  An
     invalid table raises InvalidRankError, which carries the full
     validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:
         raise InvalidRankError(report)
-    p = r.p
-    if p == 1:
+    if r.p == 1:
         return Support._from_sorted(1, [(r.values[1],)])
-    points: list[tuple[int, ...]] = []
-
-    def emit(prefix: tuple[int, ...], children) -> None:
-        if len(prefix) == p - 2:
-            low, high, weight = children
-            points.extend([prefix + (v, weight - v) for v in range(low, high + 1)])
-            return
-        for v, (_, grandchildren) in children:
-            emit(prefix + (v,), grandchildren)
-
-    emit((), _slice_dag(r)[1])
     # lexicographic, distinct, nonnegative (r is monotone) and of weight r([p])
-    return Support._from_sorted(p, points)
+    return Support._from_dag(r.p, r.values[-1], _slice_dag(r))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,10 @@ from hypothesis import strategies as st
 from multidegree import Support, polymatroid
 from multidegree.cli import build_parser, main
 
+from json_oracle import oracle_bytes
 from mconvex_oracle import exchange_report
+from msupp_oracle import slice_points
+from test_polymatroid import rank_tables  # valid rank tables on at most 8 elements
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -168,6 +172,17 @@ class TestSubcommands:
         assert code == 0
         assert out == "14\n"
 
+    def test_m0n_count_only_builds_no_point(self, capsys):
+        # 208,012 points of 12 coordinates; listing them peaked near 30 MB
+        tracemalloc.start()
+        try:
+            code, out, _err = run_cli(["m0n", "--p", "12", "--count-only"], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, "208012\n")
+        assert peak < 2 * 2**20
+
     def test_schema(self, capsys):
         doc = run_json(["--schema", "rank_function"], capsys)
         assert doc["title"] == "rank_function"
@@ -191,6 +206,74 @@ class TestRoundTrips:
         )
         doc2 = run_json(["mconvex", "--json", json.dumps(doc["support"])], capsys)
         assert doc2["mconvex"] is True
+
+
+def run_quietly(argv):
+    """`main(argv)` with stdout captured, for tests that capsys cannot serve."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+class TestSupportBytes:
+    """Supports are written from their slice DAG; the bytes must be those
+    of the writer that dumped every support's `to_json_dict`."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rank_tables())
+    def test_msupp_rank_matches_the_oracle(self, r):
+        code, out = run_quietly(["msupp-rank", "--json", json.dumps(r.to_json_dict())])
+        plain = Support(r.p, slice_points(r))
+        document = {"support": plain, "count": len(plain), "weight": plain.weight}
+        assert (code, out) == (0, oracle_bytes(document))
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            # p = 1: a plain support, no DAG
+            ([0, 4], '{"count":1,"support":{"p":1,"points":[[4]]},"weight":4}\n'),
+            # p = 2: the DAG's root is the triple (low, high, weight) itself
+            ([0, 1, 2, 2], '{"count":2,"support":{"p":2,"points":[[0,2],[1,1]]},"weight":2}\n'),
+        ],
+    )
+    def test_smallest_ground_sets(self, capsys, values, expected):
+        table = {"p": len(values).bit_length() - 1, "values": values}
+        code, out, _err = run_cli(["msupp-rank", "--json", json.dumps(table)], capsys)
+        assert (code, out) == (0, expected)
+        plain = Support(table["p"], json.loads(out)["support"]["points"])
+        assert out == oracle_bytes({"support": plain, "count": len(plain), "weight": plain.weight})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["m0n", "--p", "6"],
+            ["flag", "--p", "4"],
+            ["msupp-rank", "--json", '{"p":3,"values":[0,1,2,2,3,3,3,3]}'],
+            ["msupp-linear", "--json", json.dumps(INTRO_SUBSPACES)],
+            ["schubert", "--perm", "4,2,5,3,1"],
+            ["schubert", "--perm", "4,2,5,3,1", "--exponent-coordinates"],
+            ["facet-support", "--json", json.dumps(OCTAHEDRON)],
+        ],
+        ids=lambda argv: " ".join(argv[:2]) + (" exp" if "--exponent-coordinates" in argv else ""),
+    )
+    def test_every_support_command_and_its_output_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.json"
+        code, out, _err = run_cli([*argv, "--output", str(path)], capsys)
+        assert code == 0
+        # the old writer gives these bytes for the values printed
+        assert out == oracle_bytes(json.loads(out))
+        assert path.read_bytes() == out.encode("utf-8")
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_schubert_agrees_as_the_printed_dicts_did(self, p):
+        for one_line in permutations(range(1, p + 1)):
+            perm = ",".join(map(str, one_line))
+            for extra in ([], ["--exponent-coordinates"]):
+                code, out = run_quietly(["schubert", "--perm", perm, *extra])
+                doc = json.loads(out)
+                assert code == 0
+                assert doc["agrees"] is (doc["support"] == doc["theta_polytope_support"]) is True
 
 
 class TestDeterminismAndErrors:
@@ -322,6 +405,14 @@ class TestDeterminismAndErrors:
         assert code == 3
         assert out == ""
         assert f"Stanley-Reisner ideal entries: {amount} exceeds" in json.loads(err)["error"]
+
+    def test_sr_ideal_past_the_generator_pair_budget(self, capsys):
+        # 2,415 minimal non-faces: C(2415, 2) = 2,914,905 pairs, which the
+        # public MonomialIdeal constructor refuses to check
+        isolated = {"nverts": 70, "facets": [[v] for v in range(1, 71)]}
+        doc = run_json(["sr-ideal", "--json", json.dumps(isolated)], capsys)
+        assert len(doc["generators"]) == 2415
+        assert all(sum(g) == 2 for g in doc["generators"])
 
     def test_sr_ideal_pairs_keep_the_icosahedron_multidegree(self, capsys):
         path = str(FIXTURES / "icosahedron.json")

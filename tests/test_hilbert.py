@@ -709,6 +709,19 @@ class TestFaceQueries:
         for complex_ in (hollow_triangle(), octahedron_boundary(), icosahedron_boundary()):
             assert complex_.minimal_nonfaces() == minimal_nonfaces_oracle(complex_)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_complexes(), st.sampled_from([1, 2]))
+    def test_trusted_ideal_equals_the_checked_one(self, complex_, vars_per_vertex):
+        # the ideal skips the pairwise minimality check of the public constructor
+        ideal = stanley_reisner_ideal(complex_, vars_per_vertex)
+        checked = MonomialIdeal(ideal.grading, ideal.generators)
+        assert ideal == checked and ideal._supports == checked._supports
+        width = complex_.nverts * vars_per_vertex
+        assert ideal.generators == tuple(sorted(
+            tuple(int(v + 1 in sigma) for v in range(width))
+            for sigma in minimal_nonfaces_oracle(complex_)
+        ))
+
     def test_isolated_and_missing_vertices(self):
         # vertex 3 lies in no facet; vertices 1 and 2 span no edge
         complex_ = SimplicialComplex(4, [(1,), (2, 4)])

@@ -7,6 +7,8 @@ msupp_from_rank against a pruning-free enumeration of all compositions
 and against the slice recursion without a memo.
 """
 
+import json
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -284,6 +286,30 @@ class TestMsuppAgainstSliceRecursion:
         if r.p > 1:
             assert polymatroid._slice_dag(r)[0] == len(support)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rank_tables())
+    def test_dag_support_behaves_as_a_plain_one(self, r):
+        points = slice_points(r)
+        plain = Support(r.p, points)
+        support = msupp_from_rank(r)
+        # length, weight and JSON come from the DAG, before any point is built
+        assert len(support) == len(plain) and support.weight == plain.weight
+        assert support.points_json() == json.dumps(points, separators=(",", ":"))
+        assert support._points is None or r.p == 1
+        assert support == plain and plain == support and hash(support) == hash(plain)
+        assert repr(support) == repr(plain)
+        assert all(x in support for x in points)
+        outside = (points[0][0] + 1,) + points[0][1:]
+        assert outside not in support and outside not in plain
+        bound = max(map(max, points))
+        assert support.complement(bound) == plain.complement(bound)
+        assert support != Support(r.p, points[1:])
+        # the first composition of the weight outside the support, in place of a point
+        other = next((x for x in polymatroid.compositions(plain.weight, r.p) if x not in plain), None)
+        if other is not None:
+            assert support != Support(r.p, points[1:] + [other])
+        assert pickle.loads(pickle.dumps(support)) == plain
+
     def test_memo_stays_near_the_recursion_in_memory(self):
         # r(A) = 300 when A meets {1, 2}: 301 points, but 301 distinct first
         # slices of 2^11 entries (about 22 MB if all kept) and no repeats
@@ -302,6 +328,47 @@ class TestMsuppAgainstSliceRecursion:
         memo_peak, support = peak(msupp_from_rank)
         assert list(support.points) == points
         assert memo_peak < max(validate_peak, recursion_peak) + 2**20
+
+    def test_points_and_json_stay_near_the_recursion_in_memory(self):
+        # the table above, read out as tuples and as JSON text from the DAG
+        r = RankFunction(12, [300 if mask & 3 else 0 for mask in range(1 << 12)])
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                result = run(r)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        validate_peak, _ = peak(validate_rank_function)
+        recursion_peak, points = peak(slice_points)
+        tuples_peak, tuples = peak(lambda r: msupp_from_rank(r).points)
+        text_peak, text = peak(lambda r: msupp_from_rank(r).points_json())
+        assert list(tuples) == points
+        assert text == json.dumps(points, separators=(",", ":"))
+        bound = max(validate_peak, recursion_peak) + 2**20
+        assert tuples_peak < bound and text_peak < bound
+
+    def test_json_needs_less_memory_than_the_old_writer(self):
+        # m0n at p = 11: 58,786 points, whose slices repeat; the rows of a
+        # node reached once die when read (about 7.5 MB against 13 MB, and
+        # 18 MB if every node's rows stay until the end)
+        r = RankFunction(11, [mask.bit_length() for mask in range(1 << 11)])
+        plain = Support(11, msupp_from_rank(r).points)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the old writer listed the points it held and dumped the lists
+        old_peak = peak(lambda: json.dumps(plain.to_json_dict(), separators=(",", ":")))
+        text_peak = peak(lambda: msupp_from_rank(r).points_json())
+        assert text_peak < old_peak
 
 
 class TestMConvex:
