@@ -26,7 +26,7 @@ def flag_rank_function(p: int) -> RankFunction:
     dimension of the complete flag variety less that of its fibres.
     below[mask] sums C(d, 2) over the gaps below max(J): those of the
     mask without max(J), and one more."""
-    check_ground_set(p)
+    p = check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
     below = [0] * (1 << p)
@@ -78,7 +78,7 @@ def flag_comparator_report(support: Support) -> dict:
 def m0n_rank_function(p: int) -> RankFunction:
     """r(J) = max(J), the projection dimensions of the iterated
     Keel-Tevelev embedding of the (p+3)-pointed rational curves."""
-    check_ground_set(p)
+    p = check_ground_set(p)
     if p < 1:
         raise ValidationError("p must be at least 1")
     return RankFunction(p, [mask.bit_length() for mask in range(1 << p)])

@@ -20,15 +20,21 @@ Mixed volumes are the coefficients of the volume polynomial (Schneider,
 
     vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} (d!/n!) V(K; n) l^n.
 
-For l > 0 the sum has the same normal fan whatever l is, so its boundary
-has the same faces, and each vertex of a Minkowski sum is a sum of one
-vertex of each summand in exactly one way (Ziegler, *Lectures on
-Polytopes*, section 7.1).  One hull of K_1 + ... + K_p, with each of its
-vertices written as such a sum, is therefore the boundary of every
-l_1 K_1 + ... + l_p K_p, and the determinants of its cells expand
-multilinearly into the polynomial.  All vertices are scaled once, by the
-lcm L of their denominators, so V(K; n) is an integer coefficient over
-d!^2 L^d.
+The face of a Minkowski sum with outer normal u is the sum of the
+u-faces of its summands (Ziegler, *Lectures on Polytopes*, section
+7.1).  So a boundary point W = a_1 + ... + a_p of K_1 + ... + K_p on
+that face, written in any way as a sum of points a_i of K_i, has every
+a_i on the u-face of K_i, and W(l) = l_1 a_1 + ... + l_p a_p lies on
+the u-face of l_1 K_1 + ... + l_p K_p.  For l > 0 that sum has the same
+normal fan whatever l is, and a vertex is such a sum in exactly one
+way, so it goes to the matching vertex.  The triangles of one hull of
+K_1 + ... + K_p, their corners moved to W(l), therefore lie in the
+facet planes of the scaled sum, and each facet's triangles have the
+facet's boundary, up to points moved along its edges: the surface
+still encloses signed volume vol(l_1 K_1 + ... + l_p K_p), and the
+determinants of its cells expand multilinearly into the polynomial.
+All vertices are scaled once, by the lcm L of their denominators, so
+V(K; n) is an integer coefficient over d!^2 L^d.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from operator import add, countOf, mul, sub
 from typing import Collection, Iterable, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError, _rational, check_budget
-from .linalg import rank_rational
+from .linalg import extend_basis, rank_rational
 from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
 from .schemas import check
 
@@ -151,8 +157,7 @@ def minkowski_sum(
     """Weighted Minkowski sum: hull of sums of scaled vertices, one per
     polytope with positive weight.  Default weights are all 1."""
     d = _common_dim(polytopes)
-    if weights is None:
-        weights = [1] * len(polytopes)
+    weights = [1] * len(polytopes) if weights is None else list(map(_integer, weights))
     if len(weights) != len(polytopes):
         raise ValidationError("one weight per polytope required")
     if any(w < 0 for w in weights):
@@ -285,50 +290,31 @@ def _hull_3d_incremental(points: Collection[IntPoint]) -> list[Face] | None:
     return faces
 
 
-def _facet_ring(on_plane: Sequence[IntPoint], normal: IntPoint) -> list[IntPoint]:
-    """Order the vertices of a planar facet counterclockwise around its
-    outward normal, dropping non-extreme points."""
-    axis = max(range(3), key=lambda k: abs(normal[k]))
-    keep = [k for k in range(3) if k != axis]
-    flat = {(pt[keep[0]], pt[keep[1]]): pt for pt in on_plane}
-    ring2d = _hull_2d(list(flat))
-    ring = [flat[xy] for xy in ring2d]
-    if len(ring) >= 3:
-        turn = _dot(_cross3(_sub(ring[1], ring[0]), _sub(ring[2], ring[0])), normal)
-        if turn < 0:
-            ring.reverse()
-    return ring
-
-
-def _facet_rings(faces: Sequence[Face]) -> list[list[IntPoint]]:
-    """The strict counterclockwise ring of each facet of a triangulated
-    hull: the triangles on one facet share a primitive outward plane."""
-    facets: dict[tuple[IntPoint, int], set[IntPoint]] = {}
-    for a, b, c, normal, offset in faces:
-        g = math.gcd(*normal)
-        plane = (tuple(x // g for x in normal), offset // g)
-        facets.setdefault(plane, set()).update((a, b, c))
-    return [_facet_ring(list(on_plane), normal) for (normal, _offset), on_plane in facets.items()]
-
-
 def _corners(d: int, points: Collection[IntPoint]) -> list[IntPoint]:
-    """The extreme points among the integer points, in no fixed order."""
+    """The extreme points among the integer points, in no fixed order.
+
+    In 3D a hull point is a corner exactly when the normals of its faces
+    have rank 3: a point inside an edge or a facet lies on at most two
+    facet planes.  A flat set is projected onto the pivot coordinates of
+    its affine span, which is one-to-one on the span, and its corners
+    are taken there; a single point is its own corner."""
     if d == 1:
         return sorted({min(points), max(points)})
     if d == 2:
         return _hull_2d(points)
     faces = _hull_3d_incremental(points)
     if faces is not None:
-        return list({q for ring in _facet_rings(faces) for q in ring})
-    # in a plane or on a line; the lexicographic extremes are corners
-    pts = sorted(points)
-    first, last = pts[0], pts[-1]
-    u = _sub(last, first)
-    normals = (n for q in pts if any(n := _cross3(u, _sub(q, first))))
-    normal = next(normals, None)
-    if normal is None:  # on a line
-        return sorted({first, last})
-    return _facet_ring(pts, normal)
+        normals: dict[IntPoint, list[IntPoint]] = {}
+        for a, b, c, normal, _offset in faces:
+            for q in (a, b, c):
+                normals.setdefault(q, []).append(normal)
+        return [q for q, rows in normals.items() if len(extend_basis([], rows)) == 3]
+    pts = list(points)
+    pivots = [col for col, _row in extend_basis([], [_sub(q, pts[0]) for q in pts])]
+    if not pivots:
+        return pts[:1]
+    flat = {tuple(q[k] for k in pivots): q for q in pts}
+    return [flat[x] for x in _corners(len(pivots), flat)]
 
 
 def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
@@ -381,18 +367,21 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     one summand at a time, each point with one vertex of each summand
     that it is the sum of; the vertices of S + K_k are sums of vertices
     of S and of K_k, so each partial sum but the last is cut to its
-    corners too.  A vertex W = a_1 + ... + a_p of the whole sum has
-    exactly one such decomposition, and W(l) = l_1 a_1 + ... + l_p a_p
-    is the matching vertex of l_1 K_1 + ... + l_p K_p for every l > 0.
-    So the integer polynomial
+    corners too.  A point W = a_1 + ... + a_p of the whole sum on its
+    face with outer normal u has every a_i on the u-face of K_i, whatever
+    decomposition was kept, so W(l) = l_1 a_1 + ... + l_p a_p lies on the
+    u-face of l_1 K_1 + ... + l_p K_p for every l > 0, and a vertex goes
+    to the matching vertex.  So the integer polynomial
 
         D(l) = d! L^d vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} c_n l^n
 
     is expanded by multilinearity from the lengths of the summands in 1D,
     sum_k det(W_k(l), W_{k+1}(l)) over the counterclockwise hull ring in
-    2D, and sum det(A(l), B(l), C(l)) over a fan triangulation of each
-    facet ring of the hull in 3D; then V(K; n) = c_n n! / (d!^2 L^d).  A
-    sum of lower dimension has no cells and gives 0 everywhere.
+    2D, and sum det(A(l), B(l), C(l)) over the triangles of the hull in
+    3D, whose corners may lie inside edges and facets: their images stay
+    on the matching faces, so the surface still encloses the volume.
+    Then V(K; n) = c_n n! / (d!^2 L^d).  A sum of lower dimension has no
+    cells and gives 0 everywhere.
 
     A partial sum of more than DEFAULT_ENUMERATION_BUDGET points is
     refused by `check_budget` before it is built, and so are more
@@ -432,15 +421,13 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
                     terms[t] += x1 * y2 - x2 * y1
                     t += 1
     else:
-        faces = _hull_3d_incremental(sums)
-        rings = [] if faces is None else [[sums[w] for w in ring] for ring in _facet_rings(faces)]
-        triangles = [(r[0], r[k], r[k + 1]) for r in rings for k in range(1, len(r) - 1)]
-        check_budget(len(triangles) * p**3, terms_of)
+        faces = _hull_3d_incremental(sums) or []
+        check_budget(len(faces) * p**3, terms_of)
         terms = [0] * p**3
-        for a, b, c in triangles:
-            crosses = [_cross3(v, w) for v in b for w in c]
+        for a, b, c, *_plane in faces:
+            crosses = [_cross3(v, w) for v in sums[b] for w in sums[c]]
             t = 0
-            for x, y, z in a:
+            for x, y, z in sums[a]:
                 for u, v, w in crosses:
                     terms[t] += x * u + y * v + z * w
                     t += 1

@@ -53,12 +53,15 @@ MAX_GROUND_SET = 20
 MEMO_FLOOR = 1 << 14
 
 
-def check_ground_set(p: int) -> None:
-    """Refuse a ground set too large for a dense 2^p table, before one is built."""
+def check_ground_set(p: int) -> int:
+    """p as an int; refuse a non-integer, and a ground set too large for a
+    dense 2^p table, before one is built."""
+    p = _integer(p)
     if p > MAX_GROUND_SET:
         raise UnsupportedSizeError(
             f"ground set size {p} exceeds the supported maximum {MAX_GROUND_SET}"
         )
+    return p
 
 
 def _mask_to_set(mask: int) -> tuple[int, ...]:
@@ -68,7 +71,7 @@ def _mask_to_set(mask: int) -> tuple[int, ...]:
 
 def _set_to_mask(subset: Iterable[int], p: int) -> int:
     mask = 0
-    for j in subset:
+    for j in map(_integer, subset):
         if not 1 <= j <= p:
             raise ValidationError(f"element {j} outside ground set 1..{p}")
         mask |= 1 << (j - 1)
@@ -101,6 +104,9 @@ class Support:
     __slots__ = ("p", "weight", "_count", "_points", "_root")
 
     def __init__(self, p: int, points: Iterable[Iterable[int]]):
+        p = _integer(p)
+        if p < 0:
+            raise ValidationError(f"ground set size {p} is negative")
         pts = sorted({tuple(x if type(x) is int else _integer(x) for x in pt) for pt in points})
         for pt in pts:
             if len(pt) != p:
@@ -213,7 +219,7 @@ class RankFunction:
     values: tuple[int, ...]
 
     def __init__(self, p: int, values: Sequence[int]):
-        check_ground_set(p)
+        p = check_ground_set(p)
         if p < 1:
             raise ValidationError("ground set must have at least one element")
         if len(values) != 1 << p:

@@ -187,11 +187,7 @@ def theta(d: Diagram, subset: Iterable[int]) -> int:
     is outside, and a star if the cell is present and r is inside.
     """
     _grid(d.p)
-    mask = 0
-    for r in subset:
-        if not 1 <= r <= d.p:
-            raise ValidationError(f"row {r} outside 1..{d.p}")
-        mask |= 1 << (r - 1)
+    mask = _set_to_mask(subset, d.p)
     return sum(_column_theta(word, mask) for word in _column_words(d))
 
 

@@ -3,11 +3,13 @@ full surface check.
 
 Every triple of points spans a candidate plane; a plane supports the
 hull when no point lies strictly on both sides of it.  The facets are
-the distinct supporting planes, each with the points lying on it.  The
-search is cubic in the number of points, several times slower than the
-library's hull, and shares nothing with the incremental construction in
-`multidegree.mixedvol` apart from the exact integer primitives and the
-planar ring `_facet_ring`.  Its triangulation must pass
+the distinct supporting planes, each with the points lying on it, and
+each facet's strict ring is chained from its directed boundary edges,
+found by brute force as `mixedvol_oracle._shoelace_twice_area` finds
+them.  The search is cubic in the number of points, several times
+slower than the library's hull, and shares nothing with
+`multidegree.mixedvol` apart from the exact integer primitives `_cross3`,
+`_dot` and `_sub`.  Its triangulation must pass
 `_surface_checks`, which reads a whole face list at once; the library
 checks each surface by the half-edges that change (`_replace_faces`),
 and `_surface_checks` is the oracle for that update.
@@ -17,9 +19,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
-from multidegree.mixedvol import _cross3, _dot, _facet_ring, _sub
+from multidegree.mixedvol import _cross3, _dot, _sub
 
 
 def _surface_checks(faces):
@@ -61,19 +63,41 @@ def supporting_planes(points):
     return planes
 
 
+def _ring(on_plane, normal):
+    """The strict ring of coplanar points, counterclockwise seen from the
+    side `normal` points to.  A directed edge (a, b) is on the boundary
+    when no point lies to its right and the points on its line lie
+    between a and b; each boundary edge leads to the next."""
+    following = {}
+    for a, b in permutations(on_plane, 2):
+        turns = [_dot(normal, _cross3(_sub(b, a), _sub(q, a))) for q in on_plane]
+        on_line = [q for q, t in zip(on_plane, turns) if t == 0]
+        if min(turns) >= 0 and {min(on_line), max(on_line)} == {a, b}:
+            following[a] = b
+    ring = [min(following)]
+    while len(ring) < len(following):
+        ring.append(following[ring[-1]])
+    return ring
+
+
 def hull_vertices(points):
-    """The extreme points: the union of the strict facet rings."""
-    found = set()
-    for (normal, _offset), on_plane in supporting_planes(points).items():
-        found.update(_facet_ring(on_plane, normal))
-    return sorted(found)
+    """The extreme points of integer points in R^d, d <= 3, padded with
+    zero coordinates to R^3: the union of the strict facet rings, or the
+    lexicographic extremes when no plane passes through three points."""
+    d = len(next(iter(points)))
+    pts = sorted({tuple(q) + (0,) * (3 - d) for q in points})
+    planes = supporting_planes(pts)
+    found = {pts[0], pts[-1]} if not planes else set()
+    for (normal, _offset), on_plane in planes.items():
+        found.update(_ring(on_plane, normal))
+    return sorted(q[:d] for q in found)
 
 
 def hull_3d_bruteforce(points):
     """Outward-oriented triangulated boundary: a fan over every facet ring."""
     faces = []
     for (normal, _offset), on_plane in supporting_planes(points).items():
-        ring = _facet_ring(on_plane, normal)
+        ring = _ring(on_plane, normal)
         for k in range(1, len(ring) - 1):
             faces.append((ring[0], ring[k], ring[k + 1]))
     _surface_checks(faces)

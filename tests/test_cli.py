@@ -596,15 +596,17 @@ class TestDeterminismAndErrors:
         assert "budget" in json.loads(err)["error"]
 
     def test_mixed_volume_budget_exit_3(self, capsys):
-        # 120 unit segments in R^3: the sum is a cube, whose 12 fan
-        # triangles expand into 12 * 120^3 determinant terms
+        # 120 unit segments in R^3: the sum is a box, built from its last
+        # 16 points; its hull keeps the 8 of them inside vertical edges as
+        # corners, and its 26 triangles expand into 26 * 120^3
+        # determinant terms
         segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(120)]
         start = time.perf_counter()
         code, out, err = run_cli(["mixedvol", "--json", json.dumps({"polytopes": segments})], capsys)
         assert time.perf_counter() - start < 2.0
         assert code == 3
         assert out == ""
-        assert "determinant terms of the volume polynomial: 20736000 exceeds" in json.loads(err)["error"]
+        assert "determinant terms of the volume polynomial: 44928000 exceeds" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -2,16 +2,22 @@
 volumes, and the positivity criterion.
 
 The library has one 3D hull, the incremental construction.  The
-exhaustive supporting-plane search in hull_oracle.py is its reference:
-volumes, extreme points and the planes stored on the faces are compared
-on degeneracy-rich random configurations of 4 to 40 points (clouds on a
-small grid, Minkowski sums of two random 3-polytopes, sheared grids and
-prisms, with many collinear and coplanar points).  The hull's seed
-search is the only dimension test `volume` makes; the rank computation
-`polytope_dim` is its oracle on flat and full-dimensional input.  Whole
-mixed-volume tables are compared with mixedvol_oracle.py, and the hull's
-surface update, on the seed and on each insertion, with the full surface
-check of hull_oracle.py.
+exhaustive supporting-plane search in hull_oracle.py is its reference;
+it chains each facet's ring from brute-force boundary edges and shares
+only the integer primitives `_cross3`, `_dot` and `_sub` with the
+library.  Volumes, extreme points and the planes stored on the faces
+are compared on degeneracy-rich random configurations of 4 to 40 points
+(clouds on a small grid, Minkowski sums of two random 3-polytopes,
+sheared grids and prisms, with many collinear and coplanar points).
+The hull's triangles may keep points inside edges and facets as
+corners; mixed volumes are read off them anyway, and the corner test
+drops them.  Flat sets get their corners in their affine span, checked
+against the same oracle.  The hull's seed search is the only dimension
+test `volume` makes; the rank computation `polytope_dim` is its oracle
+on flat and full-dimensional input.  Whole mixed-volume tables are
+compared with mixedvol_oracle.py, and the hull's surface update, on the
+seed and on each insertion, with the full surface check of
+hull_oracle.py.
 """
 
 import math
@@ -19,6 +25,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +329,14 @@ class TestFlatInput:
             False,
         ),
         "fractional-segment-2d": (2, [("1/3", "2/3"), ("2/3", "1/3")], True),
+        "point-2d": (2, [("1/2", 3)], True),
+        "segment-along-z-3d": (3, [(1, 1, 0), (1, 1, 3), (1, 1, 1), (1, 1, "1/2")], True),
+        "grid-3x3-in-plane-x-3d": (3, [(1, y, z) for y in range(3) for z in range(3)], True),
+        "triangle-with-inner-points-3d": (
+            3,
+            [(0, 0, 0), (2, 2, 1), (4, 0, 2), (2, 1, 1), (3, 1, "3/2"), (1, 1, "1/2")],
+            True,
+        ),
     }
 
     @staticmethod
@@ -338,6 +353,9 @@ class TestFlatInput:
         k = LatticePolytope(d, verts)
         assert (polytope_dim(k) < d) == flat
         self.assert_flat_iff_zero(k)
+        ints, _scale = _scale_to_int(k.vertices)
+        back = dict(zip(ints, k.vertices))
+        assert k.canonicalize().vertices == tuple(back[q] for q in hull_vertices(ints))
 
     def test_fractional_simplex_volume(self):
         d, verts, _flat = self.NAMED["fractional-simplex-3d"]
@@ -410,6 +428,24 @@ class TestHullAgreement:
             back = dict(zip(ints, sorted(set(pts))))
             expected = sorted(back[q] for q in hull_vertices(ints))
             assert extreme_points(3, pts) == expected
+
+    def test_hull_corners_inside_edges_and_facets(self):
+        # The 3 x 3 x 2 grid is the sum of a unit square and the unit
+        # cube.  In the hull's seeded order some edge midpoints and facet
+        # centres go in before the corners around them and stay corners of
+        # its triangles, among them (1, 1, 1), the centre of the top facet
+        # and a sum in four ways.  Mixed volumes are read off these
+        # triangles with any decomposition, and the corner test must drop
+        # such points.
+        square = [(x, y, 0) for x in (0, 1) for y in (0, 1)]
+        unit_cube = list(product((0, 1), repeat=3))
+        grid = sorted({tuple(map(add, a, b)) for a in square for b in unit_cube})
+        assert grid == list(product(range(3), range(3), range(2)))
+        corners = {v for f in _hull_3d_incremental(grid) for v in f[:3]}
+        assert (1, 1, 1) in corners - set(hull_vertices(grid))
+        table = mixed_volumes([LatticePolytope(3, square), LatticePolytope(3, unit_cube)])
+        assert dict(table.entries) == mixed_volumes_oracle(3, [square, unit_cube])
+        assert extreme_points(3, grid) == hull_vertices(grid)
 
     def test_degenerate_rich_configurations(self):
         # grids and prisms: lots of collinear and coplanar points
