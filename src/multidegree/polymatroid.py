@@ -34,8 +34,8 @@ import json
 from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from operator import gt, lt, sub
+from itertools import chain, repeat
+from operator import mul, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -78,6 +78,23 @@ def _set_to_mask(subset: Iterable[int], p: int) -> int:
     return mask
 
 
+def _read_points(p: int, rows: list[tuple]) -> tuple[list[tuple[int, ...]], set[int]]:
+    """The distinct points in order, their entries made ints, and the set
+    of their weights; or ValidationError naming the first fault, a
+    non-integer in the order given, then a wrong length or a negative
+    coordinate in sorted order, then mixed weights."""
+    points = sorted({tuple(x if type(x) is int else _integer(x) for x in row) for row in rows})
+    for point in points:
+        if len(point) != p:
+            raise ValidationError(f"point {point} has length {len(point)}, expected {p}")
+        if any(x < 0 for x in point):
+            raise ValidationError(f"negative coordinate in point {point}")
+    weights = set(map(sum, points))
+    if len(weights) > 1:
+        raise ValidationError(f"points have mixed coordinate sums {sorted(weights)}")
+    return points, weights
+
+
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All n in N^parts with |n| = total, in lexicographic order."""
     if parts == 1:
@@ -107,16 +124,19 @@ class Support:
         p = _integer(p)
         if p < 0:
             raise ValidationError(f"ground set size {p} is negative")
-        pts = sorted({tuple(x if type(x) is int else _integer(x) for x in pt) for pt in points})
-        for pt in pts:
-            if len(pt) != p:
-                raise ValidationError(f"point {pt} has length {len(pt)}, expected {p}")
-            if any(x < 0 for x in pt):
-                raise ValidationError(f"negative coordinate in point {pt}")
-        weights = {sum(pt) for pt in pts}
-        if len(weights) > 1:
-            raise ValidationError(f"points have mixed coordinate sums {sorted(weights)}")
-        self._fill(p, tuple(pts), None, weights.pop() if weights else None)
+        rows = list(map(tuple, points))
+        # plain ints, rows of length p, nonnegative, of one weight: decided in a
+        # few passes over all coordinates; the per-entry loop only names a fault
+        if (
+            set(map(type, chain.from_iterable(rows))) <= {int}
+            and set(map(len, rows)) <= {p}
+            and min(chain.from_iterable(rows), default=0) >= 0
+            and len(weights := set(map(sum, rows))) <= 1
+        ):
+            rows = sorted(set(rows))
+        else:
+            rows, weights = _read_points(p, rows)
+        self._fill(p, tuple(rows), None, weights.pop() if weights else None)
 
     def _fill(self, p: int, points: tuple | None, root: tuple | None, weight: int | None) -> None:
         """Set the fields, once: the points, or else the root (count,
@@ -227,7 +247,9 @@ class RankFunction:
                 f"rank table has {len(values)} entries, expected {1 << p}"
             )
         object.__setattr__(self, "p", p)
-        values = tuple(v if type(v) is int else _integer(v) for v in values)
+        values = tuple(values)
+        if not set(map(type, values)) <= {int}:  # convert or name the first non-int
+            values = tuple(v if type(v) is int else _integer(v) for v in values)
         object.__setattr__(self, "values", values)
 
     def of_mask(self, mask: int) -> int:
@@ -287,12 +309,30 @@ class InvalidRankError(ValidationError):
         self.report = report
 
 
-def _rotated(values: list, times: int) -> list:
-    """`values` with its index bits rotated right `times` times: one
-    rotation moves the entries at odd indices behind those at even ones."""
-    for _ in range(times):
-        values = values[0::2] + values[1::2]
-    return values
+def _packed(values: Sequence[int], low: int, k: int) -> int:
+    """The entries minus `low`, all below 2^(8k), as one int of k-byte
+    little-endian fields, entry T in field T."""
+    if k == 1:
+        data = bytes(map(sub, values, repeat(low)) if low else values)
+    elif k <= 8:  # entries below 2^64: byte d of every field in one pass
+        data = bytearray(k * len(values))
+        for d in range(k):
+            digits = map(rshift, map(sub, values, repeat(low)), repeat(8 * d))
+            data[d::k] = bytes(map((255).__and__, digits))
+    else:  # one bytes object per entry, linear in the bytes for any width
+        entries = map(sub, values, repeat(low))
+        data = b"".join(map(int.to_bytes, entries, repeat(k), repeat("little")))
+    return int.from_bytes(data, "little")
+
+
+def _tiled(block: int, width: int, size: int) -> int:
+    """`block`, `width` bits wide, repeated to fill `size` bits; size is
+    width times a power of two.  The doublings cost about two passes
+    over the result, less than int.from_bytes of a repeated pattern."""
+    while width < size:
+        block |= block << width
+        width <<= 1
+    return block
 
 
 def validate_rank_function(r: RankFunction) -> RankReport:
@@ -303,46 +343,74 @@ def validate_rank_function(r: RankFunction) -> RankReport:
     subset-pair form; a reported witness pair (T+i, T+j) genuinely
     violates the pair inequality.
 
-    The table is checked by whole-list operations, with no Python loop
-    over subsets.  The rotation w = w[0::2] + w[1::2] moves bit 0 of
-    every index to the top, so after i rotations element i sits at bit
-    0, and the marginals m_i(T) = r(T+i) - r(T) are the differences of
-    the odd and even entries.  Monotonicity at i is min(m_i) >= 0.  By
-    the local characterization above, submodularity at (i, j), j > i,
-    is m_i(T) >= m_i(T+j) for every T; m_i, rotated in the same way,
-    puts j at bit 0 and compares its even half against its odd half.
-    Only a failing element or pair is mapped back to subsets, by a list
-    of masks rotated alongside.  The checks visit elements first, but
-    the report lists every violation mask-major, as an ordered walk of
-    the subsets would: monotonicity by (T, j), then submodularity by
-    (T, i, j).  These keys are distinct, so sorting them gives that
-    order exactly.
+    The whole table is compared at once, packed into one integer (the
+    guard-bit compare of Lamport, CACM 18(8), 1975).  Field T of W holds
+    u(T) = r(T) - min r in k bytes, little-endian, where k is the least
+    width with 2 * span < g = 2^(8k-1), span = max r - min r; so every
+    field has its top bit g (the guard bit) and the bit g/2 below it
+    clear.  W >> 8k * 2^i moves field T + i to place T.  Adding a
+    constant c to every field is one addition of c * (1 + 2^8k + ...).
+    - M_i = W + (g/2 - 1) - (W >> 8k * 2^i) holds g/2 - 1 + m(T) in
+      field T, where m(T) = u(T) - u(T + i) lies in [-span, span]:
+      every field stays in [0, g), so no borrow crosses a field.
+      Monotonicity fails at T exactly when m(T) >= 1, that is when bit
+      g/2 of field T is set.
+    - Submodularity at (i, j) fails at T exactly when m(T) - m(T + j)
+      >= 1.  D = (M_i + (g - 1)) - (M_i >> 8k * 2^j) holds g - 1 +
+      m(T) - m(T + j) in field T, in [g - 1 - 2 span, g - 1 + 2 span],
+      inside [0, 2g): again no carry or borrow crosses a field, and the
+      failures are exactly the guard bits set in D.
+    Fields whose index T holds i (or j) compare entries of unrelated
+    subsets; a mask of the places T without i (and j) drops them.  So
+    each pair costs a shift, a subtraction and a mask of about 2^p * k
+    bytes, and a constant number of such integers is alive at a time.
+    A field wider than 8 bytes takes a span of 2^62 or more, which no
+    rank-table builder produces; its packed bytes are charged to
+    `check_budget` before the table is packed.
+
+    Only a failing element or pair is mapped back to subsets: its set
+    bits, moved to the guard bit, are found as the top bytes 0x80 of the
+    masked integer's bytes, and their places are the T that fail.  The
+    checks visit elements first, but the report lists every violation
+    mask-major, as an ordered walk of the subsets would: monotonicity by
+    (T, j), then submodularity by (T, i, j).  These keys are distinct,
+    so sorting them gives that order exactly.
     """
     p, values = r.p, r.values
+    n, low = 1 << p, min(values)
+    k = (2 * (max(values) - low)).bit_length() // 8 + 1  # 2 * span < 2^(8k - 1)
+    if k > 8:
+        check_budget(k * n, "bytes of the packed rank table")
+    bits, guard, size = 8 * k, 1 << 8 * k - 1, 8 * k * n
+
+    def failing(x: int) -> Iterator[int]:
+        """The places T whose guard bit is set in x, which holds guard bits
+        only: the top bytes of their fields are 0x80, all others 0."""
+        tops = x.to_bytes(k * n, "little")[k - 1 :: k]
+        t = tops.find(0x80)
+        while t >= 0:
+            yield t
+            t = tops.find(0x80, t + 1)
+
+    w = _packed(values, low, k)
+    wq = w + _tiled(guard // 2 - 1, bits, size)  # W + (g/2 - 1) in every field
+    wqh = wq + _tiled(guard - 1, bits, size)  # and g - 1 more
     monotone: list[tuple[int, int]] = []  # (T, j): r(T) > r(T + j)
     submodular: list[tuple[int, int, int]] = []  # (T, i, j) failing at T
-    w, masks = list(values), None  # masks: the subset at each place of w, once needed
     for i in range(p):
-        m = list(map(sub, w[1::2], w[0::2]))
-        if min(m) < 0:
-            if masks is None:
-                masks = _rotated(list(range(1 << p)), i)
-            monotone += [(t, i) for t in compress(masks[0::2], map(gt, w[0::2], w[1::2]))]
-        at = None  # the subset T at each place of m, once needed
+        w_i = w >> (bits << i)
+        m = wq - w_i
+        # the guard bits of the places T without i (and below, without j)
+        without_i = _tiled(_tiled(guard, bits, bits << i), bits << i + 1, size)
+        fails = m & (without_i >> 1)  # bit g/2 of the places without i
+        if fails:
+            monotone += [(t, i) for t in failing(fails << 1)]
+        m_high = wqh - w_i  # m + (g - 1) in every field, with no carry across
         for j in range(i + 1, p):
-            low, high = m[0::2], m[1::2]
-            if any(map(lt, low, high)):
-                if at is None:
-                    if masks is None:
-                        masks = _rotated(list(range(1 << p)), i)
-                    at = _rotated(masks[0::2], j - i - 1)
-                submodular += [(t, i, j) for t in compress(at[0::2], map(lt, low, high))]
-            m = low + high
-            if at is not None:
-                at = at[0::2] + at[1::2]
-        w = w[0::2] + w[1::2]
-        if masks is not None:
-            masks = masks[0::2] + masks[1::2]
+            without_ij = _tiled(without_i & ((1 << (bits << j)) - 1), bits << j + 1, size)
+            fails = (m_high - (m >> (bits << j))) & without_ij
+            if fails:
+                submodular += [(t, i, j) for t in failing(fails)]
     violations: list[RankViolation] = []
     try:
         if values[0] != 0:
@@ -534,7 +602,7 @@ def is_mconvex(s: Support) -> MConvexReport:
     points, p = s.points, s.p
     # x -> its digits in base weight + 1, so a move -e_i + e_j is one addition
     powers = [(s.weight + 1) ** j for j in range(p)]
-    keys = {sum(v * q for v, q in zip(x, powers)) for x in points}
+    keys = {sum(map(mul, x, powers)) for x in points}
     # below[j][v] / upto[j][v]: the points y with y_j < v / y_j <= v, bit k for
     # points[k], for the values v that occur in coordinate j
     below: list[dict[int, int]] = []
@@ -551,7 +619,7 @@ def is_mconvex(s: Support) -> MConvexReport:
         below.append(lower)
         upto.append(upper)
     for x in points:
-        key = sum(v * q for v, q in zip(x, powers))
+        key = sum(map(mul, x, powers))
         first = None  # (index of y, i) of the earliest failure at this x
         for i in range(p):
             failing = below[i][x[i]]

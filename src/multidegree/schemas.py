@@ -21,6 +21,7 @@ than `check` does:
 from __future__ import annotations
 
 import re
+from itertools import chain
 
 from .errors import ValidationError
 
@@ -148,12 +149,28 @@ def _error(schema: dict, value: object, definitions: dict | None) -> tuple[str, 
         if not low <= len(value) <= high:
             return "", f"has {len(value)} entries, not {low}" + (f" to {high}" if high > low else "")
         option = schema["items"]
-        # plain integers are checked in one pass, not one call per entry
-        if option.get("type") == "integer" and set(map(type, value)) <= {int}:
-            if "minimum" not in option or not value or min(value) >= option["minimum"]:
-                return None
+        if _meet_at_once(option, value):
+            return None
         for i, entry in enumerate(value):
             error = _error(option, entry, definitions)
             if error is not None:
                 return f"[{i}]{error[0]}", error[1]
     return None
+
+
+def _meet_at_once(option: dict, entries: list) -> bool:
+    """True when every entry meets `option`, an integer schema or an array
+    of integers, as decided in a few passes over all the entries at
+    once; False when they must be checked one by one, to name a fault.
+    Any other schema costs two dict lookups."""
+    if option.get("type") == "array" and option["items"].get("type") == "integer":
+        if not set(map(type, entries)) <= {list}:
+            return False
+        lengths = set(map(len, entries))
+        short, long = min(lengths, default=0), max(lengths, default=0)
+        if short < option.get("minItems", 0) or long > option.get("maxItems", long):
+            return False
+        option, entries = option["items"], list(chain.from_iterable(entries))
+    if option.get("type") != "integer" or not set(map(type, entries)) <= {int}:
+        return False
+    return "minimum" not in option or not entries or min(entries) >= option["minimum"]

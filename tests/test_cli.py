@@ -588,6 +588,21 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "budget" in json.loads(err)["error"]
 
+    def test_wide_packed_rank_table_budget_exit_3(self, capsys):
+        # one 4,000-digit entry in the m0n table at p = 16 needs 1,662-byte
+        # fields, 2^16 of them: refused by their bytes before any is packed
+        values = [mask.bit_length() for mask in range(1 << 16)]
+        values[5] = int("9" * 4000)
+        document = json.dumps({"p": 16, "values": values})
+        start = time.perf_counter()
+        code, out, err = run_cli(["msupp-rank", "--json", document], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert json.loads(err.splitlines()[-1]) == {
+            "error": "bytes of the packed rank table: 108920832 exceeds the budget of 2000000"
+        }
+
     def test_flag_p8_budget_exit_3(self, capsys):
         # 3,104,160 points, refused by their count before one is listed
         code, out, err = run_cli(["flag", "--p", "8"], capsys)
@@ -1196,6 +1211,30 @@ def mutated_pool_calls(draw):
     return argv
 
 
+RANK_POOL_CALLS = [argv for argv in POOL_CALLS if argv[0] == "msupp-rank"]
+
+
+@st.composite
+def huge_rank_calls(draw):
+    """argv of an msupp-rank pool job whose values are replaced by huge or
+    negative integers: all negated, all scaled by 10^e, or one set to an
+    integer of 4,000 digits of either sign."""
+    argv = list(draw(st.sampled_from(RANK_POOL_CALLS)))
+    i = argv.index("--json") + 1
+    document = json.loads(argv[i])
+    values = document["values"]
+    kind = draw(st.sampled_from(["negate", "scale", "one"]))
+    if kind == "negate":
+        document["values"] = [-v for v in values]
+    elif kind == "scale":
+        e = draw(st.sampled_from([19, 40, 300, 1200]))
+        document["values"] = [v * 10**e for v in values]
+    else:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from([1, -1])) * int("9" * 4000)
+    argv[i] = json.dumps(document)
+    return argv
+
+
 class CallOverran(BaseException):
     """Raised by the alarm of one fuzzed call; no handler in the library
     can catch it."""
@@ -1212,6 +1251,14 @@ class TestContractFuzzer:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(mutated_pool_calls())
     def test_every_call_keeps_the_contract(self, argv):
+        self.keeps_the_contract(argv)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(huge_rank_calls())
+    def test_huge_and_negative_rank_values_keep_the_contract(self, argv):
+        self.keeps_the_contract(argv)
+
+    def keeps_the_contract(self, argv):
         def overran(signum, frame):
             raise CallOverran(f"{argv[0]} ran past {self.SECONDS} s")
 

@@ -28,6 +28,7 @@ from multidegree import (
     ValidationError,
     is_mconvex,
     linear_rank,
+    m0n_rank_function,
     msupp_from_rank,
     rank_from_support,
     validate_rank_function,
@@ -38,6 +39,7 @@ from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_or
 from msupp_oracle import slice_points
 from rank_oracle import sympy_rank
 from rank_report_oracle import validate_rank_oracle
+from reader_oracle import rank_function_oracle, support_oracle
 
 INTRO_RANK = RankFunction(3, [0, 1, 2, 2, 3, 3, 3, 3])
 INTRO_POINTS = ((0, 0, 3), (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 1, 1))
@@ -184,6 +186,35 @@ def rank_tables(draw):
     return RankFunction(p, values)
 
 
+# spans where the packed field width k changes: 2 * span < 2^(8k - 1)
+# holds up to 2^(8k - 2) - 1, for 1 to 9 bytes, and around 2^15 - 1
+FIELD_EDGES = [1 << 8 * k - 2 for k in range(1, 10)] + [1 << 15]
+SPANS = sorted({0, 1} | {edge + d for edge in FIELD_EDGES for d in (-2, -1, 0, 1)})
+
+
+@st.composite
+def boundary_tables(draw):
+    """Tables on p <= 5 elements whose span max r - min r sits at a field
+    width boundary, shifted by a negative, zero or positive least entry
+    (so r(empty) may be nonzero): a valid table r(T) = min(span, c|T|),
+    perhaps with one entry changed, or entries at and between the ends."""
+    p = draw(st.integers(1, 5))
+    n, span = 1 << p, draw(st.sampled_from(SPANS))
+    low = draw(st.sampled_from([0, -1, -span, 7, -(1 << 70)]))
+    entry = st.integers(0, span) | st.sampled_from([x for x in (0, 1, span - 1, span) if 0 <= x <= span])
+    if draw(st.booleans()):
+        c = draw(st.sampled_from([1, span // 2 + 1, span]))
+        u = [min(span, c * bin(mask).count("1")) for mask in range(n)]
+        if draw(st.booleans()):
+            u[draw(st.integers(0, n - 1))] = draw(entry)
+    else:
+        u = draw(st.lists(entry, min_size=n, max_size=n))
+    # the span is met exactly: one entry at each end, perhaps changing two more
+    first = draw(st.integers(0, n - 1))
+    u[first], u[(first + draw(st.integers(1, n - 1))) % n] = 0, span
+    return RankFunction(p, [low + x for x in u])
+
+
 class TestValidateAgainstOracle:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rank_tables())
@@ -205,6 +236,42 @@ class TestValidateAgainstOracle:
                 assert report == validate_rank_oracle(r)
                 invalid += not report.valid
         assert invalid >= 10
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(boundary_tables())
+    def test_report_equals_the_oracle_at_field_boundaries(self, r):
+        assert validate_rank_function(r) == validate_rank_oracle(r)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0] + [10**40] * 7,
+            [0, 10**40, -(10**40), 10**40, 10**40, -(10**40), 10**40, -(10**40)],
+            [-(10**40), 10**40, 10**40, 10**40, 10**40, 10**40, 10**40, -(10**40)],
+        ],
+    )
+    def test_forty_digit_entries(self, values):
+        # 17-byte fields: wider than 8 bytes, and 136 bytes in all
+        r = RankFunction(3, values)
+        assert validate_rank_function(r) == validate_rank_oracle(r)
+
+    def test_wide_fields_are_charged_before_packing(self, monkeypatch):
+        # 2 * 10^40 needs 17-byte fields: 17 * 2^3 = 136 bytes
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 135)
+        with pytest.raises(BudgetExceededError, match="bytes of the packed rank table: 136 exceeds"):
+            validate_rank_function(RankFunction(3, [0] + [10**40] * 7))
+        # a span below 2^62 packs in at most 8-byte fields, uncharged
+        validate_rank_function(RankFunction(3, [0] + [(1 << 62) - 1] * 7))
+
+    def test_peak_memory_is_the_pointer_array_plus_a_mebibyte(self):
+        r = m0n_rank_function(16)
+        tracemalloc.start()
+        try:
+            assert validate_rank_function(r).valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**16 + 2**20
 
 
 class TestMsuppFromRank:
@@ -697,6 +764,101 @@ class TestCorruptionRejection:
         else:
             a, b = masks
             assert r.values[a] + r.values[b] < r.values[a | b] + r.values[a & b]
+
+
+class Index:
+    """An integer by `__index__` alone, which the readers convert."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def plant(draw, rows, at, fault):
+    """Put one fault into rows[at[0]][at[1]] (or into row at[0])."""
+    row, col = at
+    x = rows[row][col]
+    if fault == "bool":
+        rows[row][col] = draw(st.booleans())
+    elif fault == "float":
+        rows[row][col] = float(x) + draw(st.sampled_from([0, 0.5]))
+    elif fault == "str":
+        rows[row][col] = str(x)
+    elif fault == "index":
+        rows[row][col] = Index(x)
+    elif fault == "negative":
+        rows[row][col] = -1 - x
+    elif fault == "weight":
+        rows[row][col] = x + 1
+    elif fault == "length":
+        rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + [0]
+
+
+@st.composite
+def planted_supports(draw):
+    """(p, points) of a support on p <= 4 elements, as lists, with one
+    bool, float, string, index-only, negative, wrong-length or
+    mixed-weight entry at a drawn place, or none."""
+    p, weight = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    cuts = st.lists(st.integers(0, weight), min_size=p - 1, max_size=p - 1).map(sorted)
+    rows = [[b - a for a, b in zip([0] + c, c + [weight])] for c in draw(st.lists(cuts, min_size=1, max_size=8))]
+    fault = draw(st.sampled_from(["none", "bool", "float", "str", "index", "negative", "weight", "length"]))
+    plant(draw, rows, (draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, p - 1))), fault)
+    return p, rows
+
+
+@st.composite
+def planted_tables(draw):
+    """(p, values) of a table on p <= 4 elements with one bool, float,
+    string, index-only or negative entry at a drawn place, one entry too
+    many or too few, or none."""
+    p = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-3, 5), min_size=1 << p, max_size=1 << p))]
+    fault = draw(st.sampled_from(["none", "bool", "float", "str", "index", "negative", "length"]))
+    plant(draw, rows, (0, draw(st.integers(0, (1 << p) - 1))), fault)
+    return p, rows[0]
+
+
+def outcome(read, p, entries):
+    """What a reader makes of the input: the object with its weight, or
+    the type and message of the exception it raises."""
+    try:
+        built = read(p, entries)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return built, getattr(built, "weight", None)
+
+
+class TestReadersAgainstOracle:
+    """The one-pass readers against the per-entry constructors: the same
+    object, or the same first fault with the same message."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(planted_supports())
+    def test_support(self, case):
+        assert outcome(Support, *case) == outcome(support_oracle, *case)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(planted_tables())
+    def test_rank_function(self, case):
+        assert outcome(RankFunction, *case) == outcome(rank_function_oracle, *case)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(1, 1), (2, 0.5)],
+            [(0, 2), (1, 1, 0), (3, -1)],
+            [(3, -1), (1, 1, 0)],
+            [(1, 1), (0, 3)],
+            [(Index(1), 1), (True, 1)],
+            [(Index(1), 1), (2, Index(0))],
+            [],
+        ],
+    )
+    def test_support_cases(self, points):
+        assert outcome(Support, 2, points) == outcome(support_oracle, 2, points)
 
 
 class TestSupportType:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
@@ -116,6 +116,16 @@ def test_polytope_schema_is_the_tuple_definition():
         ("polytope_tuple", {"polytopes": [{"d": 1, "vertices": [[0.5]]}]}, "polytopes[0].vertices[0][0] must be an integer or a string, not float"),
         ("diagram", {"p": 2, "cells": [[1, 1, 1]]}, "cells[0] has 3 entries, not 2"),
         ("polynomial", {"nvars": 1, "terms": [{"exp": [1]}]}, "terms[0] needs 'coef'"),
+        # arrays of integer arrays, read in one pass until a fault is named
+        ("support", {"p": 2, "points": [[0, 2], [1, True]]}, "points[1][1] must be an integer, not bool"),
+        ("support", {"p": 2, "points": [[0, 2], [1, 1], 7]}, "points[2] must be an array, not int"),
+        ("monomial_ideal", {"nvars": 2, "p": 1, "degrees": [[1], [1]], "generators": [[1, 0], [0, -1]]},
+         "generators[1][1] must be at least 0"),
+        ("monomial_ideal", {"nvars": 2, "p": 1, "degrees": [[1], [1]], "generators": [[1, 0], [0, 1.0]]},
+         "generators[1][1] must be an integer, not float"),
+        ("simplicial_complex", {"nverts": 3, "facets": [[1, 2], [2, 0]]}, "facets[1][1] must be at least 1"),
+        ("simplicial_complex", {"nverts": 3, "facets": [[1, 2], (2, 3)]}, "facets[1] must be an array, not tuple"),
+        ("diagram", {"p": 2, "cells": [[1, 1], [2]]}, "cells[1] has 1 entries, not 2"),
     ],
 )
 def test_error_names_the_path(name, document, where):
@@ -244,6 +254,19 @@ def documents(draw):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(documents())
+# arrays of integer arrays: clean, empty, and with one fault at the end
+@example(("support", {"p": 2, "points": [[0, 2], [1, 1], [2, 0]]}))
+@example(("support", {"p": 2, "points": []}))
+@example(("support", {"p": 2, "points": [[0, 2], []]}))
+@example(("support", {"p": 2, "points": [[0, 2], [2, False]]}))
+@example(("support", {"p": 2, "points": [[0, 2], [2, -1]]}))
+@example(("support", {"p": 2, "points": [[0, 2], "02"]}))
+@example(("monomial_ideal", {"nvars": 2, "p": 1, "degrees": [[1], [1]], "generators": [[1, 1], [0, 2.5]]}))
+@example(("monomial_ideal", {"nvars": 2, "p": 1, "degrees": [[1], [1]], "generators": [[1, 1], [0, None]]}))
+@example(("simplicial_complex", {"nverts": 3, "facets": [[1, 2], [2, 3], [3, 1]]}))
+@example(("simplicial_complex", {"nverts": 3, "facets": [[1, 2], [0]]}))
+@example(("simplicial_complex", {"nverts": 3, "facets": [[1, 2], [[3]]]}))
+@example(("diagram", {"p": 2, "cells": [[1, 1], [1, 2, 3]]}))
 def test_check_agrees_with_jsonschema(case):
     name, document = case
     assert accepts(name, document) == Draft7Validator(SCHEMAS[name]).is_valid(document)
