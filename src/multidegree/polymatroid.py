@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import mul, rshift, sub
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -314,11 +314,6 @@ def _packed(values: Sequence[int], low: int, k: int) -> int:
     little-endian fields, entry T in field T."""
     if k == 1:
         data = bytes(map(sub, values, repeat(low)) if low else values)
-    elif k <= 8:  # entries below 2^64: byte d of every field in one pass
-        data = bytearray(k * len(values))
-        for d in range(k):
-            digits = map(rshift, map(sub, values, repeat(low)), repeat(8 * d))
-            data[d::k] = bytes(map((255).__and__, digits))
     else:  # one bytes object per entry, linear in the bytes for any width
         entries = map(sub, values, repeat(low))
         data = b"".join(map(int.to_bytes, entries, repeat(k), repeat("little")))
@@ -366,7 +361,8 @@ def validate_rank_function(r: RankFunction) -> RankReport:
     bytes, and a constant number of such integers is alive at a time.
     A field wider than 8 bytes takes a span of 2^62 or more, which no
     rank-table builder produces; its packed bytes are charged to
-    `check_budget` before the table is packed.
+    `check_budget` before the table is packed.  This bounds the memory,
+    not the time: each of the p(p+1)/2 passes is k * 2^p bytes long.
 
     Only a failing element or pair is mapped back to subsets: its set
     bits, moved to the guard bit, are found as the top bytes 0x80 of the

@@ -603,6 +603,26 @@ class TestDeterminismAndErrors:
             "error": "bytes of the packed rank table: 108920832 exceeds the budget of 2000000"
         }
 
+    @pytest.mark.parametrize("span", [(1 << 62) - 1, 1 << 62])
+    def test_rank_table_at_p18_refused_from_a_span_of_2_62(self, span, capsys):
+        # r(T) = span on every nonempty T but the full set, whose rank is 0:
+        # 18 monotonicity drops.  A span below 2^62 packs into 8-byte fields
+        # and is reported; 2^62 needs 9-byte fields, 9 * 2^18 bytes in all
+        values = [0] + [span] * ((1 << 18) - 2) + [0]
+        code, out, err = run_cli(["msupp-rank", "--json", json.dumps({"p": 18, "values": values})], capsys)
+        assert out == ""
+        if span < 1 << 62:
+            assert code == 2
+            report = json.loads(err)
+            assert not report["valid"]
+            assert len(report["violations"]) == 18
+            assert {v["axiom"] for v in report["violations"]} == {"monotonicity"}
+        else:
+            assert code == 3
+            assert json.loads(err.splitlines()[-1]) == {
+                "error": "bytes of the packed rank table: 2359296 exceeds the budget of 2000000"
+            }
+
     def test_flag_p8_budget_exit_3(self, capsys):
         # 3,104,160 points, refused by their count before one is listed
         code, out, err = run_cli(["flag", "--p", "8"], capsys)
