@@ -25,7 +25,9 @@ r_S(J) = max_{x in S} x(J).  Every x in S satisfies x(J) <= r_S(J) and
 is submodular and B(r_S) has no lattice point outside S (Murota, as
 above).  `is_mconvex` decides the exchange axiom directly, because it
 must name the first failing triple; the tests hold its verdict to this
-characterization.
+characterization.  Whether some y fails the exchange of x at i depends
+only on the down point x - e_i, so each down point is decided once
+however many points of S lie above it.
 """
 
 from __future__ import annotations
@@ -370,7 +372,10 @@ def validate_rank_function(r: RankFunction) -> RankReport:
     checks visit elements first, but the report lists every violation
     mask-major, as an ordered walk of the subsets would: monotonicity by
     (T, j), then submodularity by (T, i, j).  These keys are distinct,
-    so sorting them gives that order exactly.
+    so sorting them gives that order exactly.  The failures found so far
+    are charged to `check_budget` after each pass that finds any, before
+    a single violation is built, so a table that fails almost everywhere
+    stops at the budget instead of printing millions of violations.
     """
     p, values = r.p, r.values
     n, low = 1 << p, min(values)
@@ -401,12 +406,14 @@ def validate_rank_function(r: RankFunction) -> RankReport:
         fails = m & (without_i >> 1)  # bit g/2 of the places without i
         if fails:
             monotone += [(t, i) for t in failing(fails << 1)]
+            check_budget(len(monotone) + len(submodular), "rank violations")
         m_high = wqh - w_i  # m + (g - 1) in every field, with no carry across
         for j in range(i + 1, p):
             without_ij = _tiled(without_i & ((1 << (bits << j)) - 1), bits << j + 1, size)
             fails = (m_high - (m >> (bits << j))) & without_ij
             if fails:
                 submodular += [(t, i, j) for t in failing(fails)]
+                check_budget(len(monotone) + len(submodular), "rank violations")
     violations: list[RankViolation] = []
     try:
         if values[0] != 0:
@@ -585,13 +592,24 @@ def is_mconvex(s: Support) -> MConvexReport:
     The witness is the first failing (x, y, i): x and then y in the
     support's order, then i increasing.  For a fixed x and i, the points
     y failing at i are those with y_i < x_i and y_j <= x_j for every j
-    whose move x - e_i + e_j stays in s.  With one bitmask over the
-    points per coordinate value, that set is at most p ANDs, so each x
-    costs O(p^2) big-integer operations instead of a pass over every y.
-    The least point index over all i, and the least i at that index,
-    give the same witness as the pass over pairs.  By Murota's
-    characterization (module docstring) the verdict equals "r_S is
-    submodular and B(r_S) holds |s| lattice points".
+    whose move x - e_i + e_j stays in s.  That set depends only on the
+    down point u = x - e_i:
+
+        A(u) = {y in s : y_j <= u_j for every j with u + e_j in s}.
+
+    For j = i, u + e_i = x is in s and y_i <= u_i says y_i < x_i.  For
+    j != i, u_j = x_j and u + e_j = x - e_i + e_j.
+
+    With one bitmask over the points per coordinate value, A(u) is at
+    most p ANDs, so a down point costs O(p) big-integer operations
+    instead of a pass over every y.  Many x share a down point, so the
+    keys of the down points found clean (A(u) empty) are kept in a set,
+    and a pair (x, i) whose u is there is skipped.  A down point that
+    fails ends the search at its x, so no other kind is kept, and no
+    mask is kept per down point.  The least point index over all i, and
+    the least i at that index, give the same witness as the pass over
+    pairs.  By Murota's characterization (module docstring) the verdict
+    equals "r_S is submodular and B(r_S) holds |s| lattice points".
     """
     if not s.points:
         raise ValidationError("M-convexity is undefined for an empty support")
@@ -614,19 +632,26 @@ def is_mconvex(s: Support) -> MConvexReport:
             upper[v] = seen
         below.append(lower)
         upto.append(upper)
+    clean: set[int] = set()  # keys of the down points u with A(u) empty
     for x in points:
         key = sum(map(mul, x, powers))
         first = None  # (index of y, i) of the earliest failure at this x
         for i in range(p):
             failing = below[i][x[i]]
-            moved = key - powers[i]
+            down = key - powers[i]
+            if not failing or down in clean:
+                continue
             for j in range(p):
-                if failing and j != i and moved + powers[j] in keys:
+                if j != i and down + powers[j] in keys:
                     failing &= upto[j][x[j]]
+                    if not failing:
+                        break
             if failing:
                 k = (failing & -failing).bit_length() - 1
                 if first is None or k < first[0]:
                     first = (k, i)
+            else:
+                clean.add(down)
         if first is not None:
             return MConvexReport(False, (x, points[first[0]], first[1] + 1))
     return MConvexReport(True, None)

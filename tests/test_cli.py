@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidegree import Support, polymatroid
+from multidegree import Support, errors, polymatroid
 from multidegree.cli import build_parser, main
 
 from json_oracle import oracle_bytes
@@ -448,6 +448,32 @@ class TestDeterminismAndErrors:
         assert len(calls) == 1
         run_json(["msupp-rank", "--json", '{"p":3,"values":[0,1,2,2,3,3,3,3]}'], capsys)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("p", [8, 11])
+    def test_rank_report_budget_exit_3(self, capsys, monkeypatch, p):
+        # a random table with entries 0..3 fails nearly everywhere (1,167
+        # violations at p = 8, 16,050 at p = 11); the failures are charged
+        # to the budget before a single violation is built, and a budget
+        # of one fewer than their number refuses the table
+        rng = random.Random(p)
+        table = {"p": p, "values": [rng.randint(0, 3) for _ in range(1 << p)]}
+        argv = ["msupp-rank", "--json", json.dumps(table)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        count = len(json.loads(err)["violations"]) - (table["values"][0] != 0)
+        built = []
+        violation = polymatroid.RankViolation
+        monkeypatch.setattr(polymatroid, "RankViolation", lambda *a: built.append(a) or violation(*a))
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", count - 1)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, built) == (3, "", [])
+        message = json.loads(err)["error"]
+        assert message.startswith("rank violations: ")
+        assert message.endswith(f" exceeds the budget of {count - 1}")
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", count)
+        code, out, again = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert len(json.loads(again)["violations"]) == count + (table["values"][0] != 0)
 
     def test_mconvex_beyond_ground_set_cap(self, capsys):
         # p = 21 has no rank table, and the exchange test needs none

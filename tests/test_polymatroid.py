@@ -4,7 +4,8 @@ The randomized checks generate rank functions as minima of nonnegative
 modular functions plus constants, filtered through the validator, or as
 linear ranks of random subspace families over Q and F_5, and cross-check
 msupp_from_rank against a pruning-free enumeration of all compositions
-and against the slice recursion without a memo.
+and against the slice recursion without a memo.  The M-convexity checks
+also perturb supports of sums of truncated modular ranks by one point.
 """
 
 import json
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multidegree import (
@@ -26,8 +27,10 @@ from multidegree import (
     Support,
     UnsupportedSizeError,
     ValidationError,
+    flag_msupp,
     is_mconvex,
     linear_rank,
+    m0n_msupp,
     m0n_rank_function,
     msupp_from_rank,
     rank_from_support,
@@ -35,7 +38,12 @@ from multidegree import (
 )
 from multidegree import errors, polymatroid
 
-from mconvex_oracle import exchange_report, murota_mconvex, rank_from_support_oracle
+from mconvex_oracle import (
+    bitset_exchange_report,
+    exchange_report,
+    murota_mconvex,
+    rank_from_support_oracle,
+)
 from msupp_oracle import slice_points
 from rank_oracle import sympy_rank
 from rank_report_oracle import validate_rank_oracle
@@ -558,6 +566,126 @@ class TestMConvexOracles:
     @given(small_supports())
     def test_property(self, s):
         assert_matches_oracles(s)
+
+
+def moved_off(s, x):
+    """s with x moved by the first -e_i + e_j that leaves s, or None."""
+    for i in range(s.p):
+        for j in range(s.p):
+            moved = tuple(v - (k == i) + (k == j) for k, v in enumerate(x))
+            if i != j and x[i] and moved not in s:
+                return Support(s.p, [pt for pt in s.points if pt != x] + [moved])
+    return None
+
+
+def removals_and_a_move(s):
+    """s, s without its first, middle or last point, and s with its
+    middle point moved off the set."""
+    points = s.points
+    out = [s]
+    if len(points) > 1:
+        for k in (0, len(points) // 2, len(points) - 1):
+            out.append(Support(s.p, points[:k] + points[k + 1 :]))
+    moved = moved_off(s, points[len(points) // 2])
+    return out + [moved] if moved is not None else out
+
+
+@st.composite
+def near_mconvex_supports(draw):
+    """The support of a random valid rank on p <= 6 elements with one point
+    removed, moved or added.  The point is drawn counting from the last,
+    so the first failure, if any, tends to come after many clean down
+    points.  The rank is a sum of truncated modular functions
+    min(c, w(A)), w >= 0, which is always normalized, monotone and
+    submodular; supports of more than 80 points are skipped, so the pass
+    over pairs stays fast."""
+    p = 6 - draw(st.integers(0, 5))
+    weights = st.lists(st.integers(0, 2), min_size=p, max_size=p)
+    parts = draw(st.lists(st.tuples(st.integers(1, 3), weights), min_size=1, max_size=3))
+    values = [
+        sum(min(c, sum(w[j] for j in range(p) if mask >> j & 1)) for c, w in parts)
+        for mask in range(1 << p)
+    ]
+    s = msupp_from_rank(RankFunction(p, values))
+    assume(len(s) <= 80)
+    points = list(s.points)
+    x = points[-1 - draw(st.integers(0, len(points) - 1))]
+    kind = draw(st.sampled_from(["remove", "move", "add"]))
+    if kind == "remove" and len(points) > 1:
+        return Support(p, [pt for pt in points if pt != x])
+    if kind == "move":
+        return moved_off(s, x) or s
+    cuts = sorted(draw(st.lists(st.integers(0, s.weight), min_size=p - 1, max_size=p - 1)))
+    return Support(p, points + [[b - a for a, b in zip([0] + cuts, cuts + [s.weight])]])
+
+
+class TestMConvexDownPoints:
+    """The search that decides each down point u = x - e_i once against
+    the search that decides every (x, i) afresh, the pass over pairs and
+    Murota's characterization."""
+
+    @pytest.mark.parametrize(
+        "support",
+        [("flag", p) for p in range(1, 7)] + [("m0n", p) for p in range(1, 11)],
+        ids=lambda case: f"{case[0]}{case[1]}",
+    )
+    def test_equals_the_bitset_search(self, support):
+        family, p = support
+        s = flag_msupp(p) if family == "flag" else m0n_msupp(p)
+        for t in removals_and_a_move(s):
+            assert is_mconvex(t) == bitset_exchange_report(t)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(near_mconvex_supports())
+    def test_near_mconvex_property(self, s):
+        report = is_mconvex(s)
+        assert report == exchange_report(s)
+        assert report == bitset_exchange_report(s)
+        assert report.mconvex == murota_mconvex(s)
+
+    def test_failing_down_point_reached_again_after_the_failure(self):
+        # (0,0,3) - e_3 = (0,0,2) is clean; (0,1,2) - e_2 reaches it again.
+        # (0,1,2) - e_3 = (0,1,1) fails against (2,1,0), and (0,2,1) - e_2,
+        # after the failure, reaches the same down point
+        s = Support(3, [(0, 0, 3), (0, 1, 2), (0, 2, 1), (2, 1, 0)])
+        assert is_mconvex(s).witness == ((0, 1, 2), (2, 1, 0), 3)
+        assert is_mconvex(s) == exchange_report(s)
+        # (0,0,3) - e_3 = (0,0,2) fails, and (0,1,2) - e_2 reaches it later
+        s = Support(3, [(0, 0, 3), (0, 1, 2), (2, 0, 1)])
+        assert is_mconvex(s).witness == ((0, 0, 3), (2, 0, 1), 3)
+        assert is_mconvex(s) == exchange_report(s)
+
+    def test_least_i_wins_at_the_same_y(self):
+        # x = (0,2,2) fails against y = (4,0,0) at i = 2 and at i = 3
+        s = Support(3, [(0, 2, 2), (4, 0, 0)])
+        assert is_mconvex(s).witness == ((0, 2, 2), (4, 0, 0), 2)
+        assert is_mconvex(s) == exchange_report(s)
+
+    def test_even_coordinates_fail_at_the_first_point(self):
+        # weight 120, every coordinate even: 1,891 points, and (0,0,120)
+        # has no move toward (0,2,118) since (0,1,119) is absent
+        s = Support(3, [(a, b, 120 - a - b) for a in range(0, 121, 2) for b in range(0, 121 - a, 2)])
+        assert len(s) == 1891
+        report = is_mconvex(s)
+        assert report.witness == ((0, 0, 120), (0, 2, 118), 3)
+        assert report == bitset_exchange_report(s)
+
+    def test_keeps_no_mask_per_down_point(self):
+        # 16,796 points: the clean down points are ints of a few digits
+        # (peak about 2.1 MB against 1.2 MB for the search that keeps
+        # none); one N-bit mask per down point peaks above 12 MB
+        s = m0n_msupp(10)
+        s.points  # built before either peak is taken
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                assert run(s).mconvex
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(is_mconvex) <= 3 * peak(bitset_exchange_report)
 
 
 class TestRankFromSupport:
