@@ -8,9 +8,9 @@ collections are emitted in canonical order).  Exit status: 0 success,
 
 A handler passes a `Support` itself in its result document.  `_emit`
 writes it as {"p":...,"points":...} with the text of
-`Support.points_json`, which a support from `msupp_from_rank` renders
-from its slice DAG without building point tuples; every other value goes
-through json.dumps with sorted keys and no spaces.
+`Support.points_json`, which a support from `msupp_from_rank` writes from
+its slice DAG, one JSON block per distinct slice and no point tuple;
+every other value goes through json.dumps with sorted keys and no spaces.
 
 One table, `_COMMANDS`, lists the subcommands.  The parser is built once
 per process, on first use, and every call parses with it.

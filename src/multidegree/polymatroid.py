@@ -17,7 +17,8 @@ polytope B(r) (equivalently, an M-convex set).  Every slice of B(r) is
 again a base polytope: fixing n_1 = v leaves B(r_v) on the elements
 2..p, with r_v(A) = min(r(A), r(A + 1) - v), and it is nonempty exactly
 for r([p]) - r([p] - 1) <= v <= r({1}) (Murota, *Discrete Convex
-Analysis*, 2003).  The enumeration recurses on these slices.
+Analysis*, 2003).  The enumeration recurses on these slices, each table
+packed into one int, and writes each distinct slice's JSON block once.
 
 Going the other way, a finite set S of one weight has the rank function
 r_S(J) = max_{x in S} x(J).  Every x in S satisfies x(J) <= r_S(J) and
@@ -51,8 +52,8 @@ from .linalg import extend_basis, integer_row, is_prime
 from .schemas import check
 
 MAX_GROUND_SET = 20
-# table entries the slice memo of msupp_from_rank may keep on small ground sets
-MEMO_FLOOR = 1 << 14
+# bytes of packed tables the slice memo of msupp_from_rank may keep on small ground sets
+MEMO_FLOOR = 1 << 16
 
 
 def check_ground_set(p: int) -> int:
@@ -113,11 +114,11 @@ class Support:
 
     A support from `msupp_from_rank` keeps the slice DAG of its base
     polytope in place of its points: its length and weight come from the
-    DAG, `points_json` writes its JSON from the DAG, and the point tuples
-    are built on the first read of `points` and then kept.  Equality,
-    hashing, membership and `repr` go by the points, so such a support
-    equals a plain one with the same points.  `weight` is the common
-    coordinate sum, or None for the empty support.
+    DAG, `points_json` writes each DAG node's JSON block once, and the
+    point tuples are built on the first read of `points` and then kept.
+    Equality, hashing, membership and `repr` go by the points, so such a
+    support equals a plain one with the same points.  `weight` is the
+    common coordinate sum, or None for the empty support.
     """
 
     __slots__ = ("p", "weight", "_count", "_points", "_root")
@@ -170,7 +171,12 @@ class Support:
     def points(self) -> tuple[tuple[int, ...], ...]:
         """The points in lexicographic order."""
         if self._points is None:
-            rows = _dag_rows(self._root[1], lambda a, b: (a, b), lambda v: (v,))
+            rows = _dag_rows(
+                self._root[1],
+                lambda firsts, seconds: list(zip(firsts, seconds)),
+                lambda v, rows: map((v,).__add__, rows),
+                lambda parts: list(chain.from_iterable(parts)),
+            )
             object.__setattr__(self, "_points", tuple(rows))
         return self._points
 
@@ -179,7 +185,13 @@ class Support:
         json.dumps(list of points, separators=(",", ":")) writes."""
         if self._root is None:
             return json.dumps(self._points, separators=(",", ":"))
-        return "[[" + "],[".join(_dag_rows(self._root[1], "{},{}".format, "{},".format)) + "]]"
+        block = _dag_rows(
+            self._root[1],
+            lambda firsts, seconds: "],[".join([f"{v},{w}" for v, w in zip(firsts, seconds)]),
+            lambda v, block: f"{v}," + block.replace("],[", f"],[{v},"),
+            "],[".join,
+        )
+        return "[[" + block + "]]"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -459,56 +471,86 @@ def _slice_dag(r: RankFunction) -> tuple[int, list | tuple[int, int, int]]:
     of more values than DEFAULT_ENUMERATION_BUDGET, or a count past it,
     raises BudgetExceededError before any point is built.
 
+    A table on s elements is one int of 2^s fields of k bytes, with
+    r([p]) < g = 2^(8k-1): every slice entry lies in [0, r([p])], so each
+    field's top bit g (its guard bit) is clear.  The field index is the
+    mask read backwards (p // 2 delta swaps of the packed input), so the
+    low half X holds r(A) and the high half Y holds r(A + 1), A without
+    the first element.  Y - v * ones never borrows (r(A + 1) >= r({1}) >=
+    v), and Y - v * ones + g * ones - X holds g + (Y - v) - X in [1, 2g)
+    in each field: its guard bits, spread to whole fields by a product
+    with 2^(8k) - 1, pick the fields where X is the minimum (Lamport,
+    CACM 18(8), 1975).  Packing needs no charge: validation packed the
+    same table in fields at least k bytes wide, charged past 8 bytes.
+
     The tables key a dict that dies with the call; the nodes hold their
-    children.  The dict keeps at most max(2^p, MEMO_FLOOR) table entries
-    in all, so it never outgrows the input table by much, however few
-    tables repeat (r(A) = k when A meets {1, 2} and 0 otherwise has k + 1
-    distinct first slices of 2^(p-1) entries).  A table that does not fit
-    is worked out again each time it is reached, as without a memo.
-
-    The support of `msupp_from_rank` keeps the DAG, and no point tuple
-    exists until `Support.points` is first read; `Support.points_json`
-    writes the JSON text from the DAG without building one.
+    children.  The dict keeps at most max(k * 2^p, MEMO_FLOOR) bytes of
+    tables, so it outgrows the packed input by at most MEMO_FLOOR bytes
+    however few tables repeat (r(A) = c when A meets {1, 2} and 0
+    otherwise has c + 1 distinct first slices).  A table that does not
+    fit is worked out again each time it is reached.
     """
-    memo: dict[tuple[int, ...], tuple[int, list | tuple[int, int, int]]] = {}
-    room = max(len(r.values), MEMO_FLOOR)
+    p = r.p
+    k = r.values[-1].bit_length() // 8 + 1  # r([p]) < 2^(8k - 1)
+    bits, field = 8 * k, (1 << 8 * k) - 1
+    ones = [_tiled(1, bits, bits << s) for s in range(p)]  # 1 in each of 2^s fields
+    guards = [g << bits - 1 for g in ones]
+    table = _packed(r.values, 0, k)
+    for a in range(p // 2):  # swap index bits a and b
+        b = p - 1 - a
+        # the fields whose index has bit a set and bit b clear
+        swap = _tiled(ones[a] * field << (bits << a), bits << a + 1, bits << b)
+        swap = _tiled(swap, bits << b + 1, bits << p)
+        shift = (bits << b) - (bits << a)
+        t = (table >> shift ^ table) & swap
+        table ^= t ^ t << shift
+    memo: dict[tuple[int, int], tuple[int, list | tuple[int, int, int]]] = {}
+    room = max(k << p, MEMO_FLOOR)
 
-    def node(values: tuple[int, ...]) -> tuple[int, list | tuple[int, int, int]]:
+    def node(table: int, s: int) -> tuple[int, list | tuple[int, int, int]]:
         nonlocal room
-        found = memo.get(values)
+        found = memo.get((s, table))
         if found is not None:
             return found
-        low, high = values[-1] - values[-2], values[1]
+        half = bits << s - 1
+        without, with_ = table & (1 << half) - 1, table >> half
+        weight = with_ >> half - bits
+        low, high = weight - (without >> half - bits), with_ & field
         check_budget(high - low + 1, "support points")
-        if len(values) == 4:
-            found = (high - low + 1, (low, high, values[3]))
+        if s == 2:
+            found = (high - low + 1, (low, high, weight))
         else:
-            # even masks leave out the current first element, odd ones hold it
-            without, with_ = values[0::2], values[1::2]
+            step, guard = ones[s - 1], guards[s - 1]
+            with_ -= low * step  # Y - v
+            diff = with_ + (guard - without)  # g + (Y - v) - X in every field
             count, children = 0, []
             for v in range(low, high + 1):
-                child = node(tuple([min(a, b - v) for a, b in zip(without, with_)]))
+                spread = (diff & guard) >> bits - 1
+                child = node(with_ ^ (without ^ with_) & spread * field, s - 1)
                 count += child[0]
                 check_budget(count, "support points")
                 children.append((v, child))
+                with_ -= step
+                diff -= step
             found = (count, children)
-        if len(values) <= room:
-            memo[values] = found
-            room -= len(values)
+        if k << s <= room:
+            memo[s, table] = found
+            room -= k << s
         return found
 
-    return node(r.values)
+    return node(table, p)
 
 
-def _dag_rows(root: list | tuple[int, int, int], pair: Callable, head: Callable) -> list:
-    """One row per point below the `_slice_dag` node whose children are
-    `root`, in lexicographic order: a node with two elements left gives
-    pair(v, weight - v) for low <= v <= high, and any other node gives
-    head(v) + row for each child (v, node) and each row of that node.
+def _dag_rows(root: list | tuple[int, int, int], leaf: Callable, prefix: Callable, join: Callable):
+    """The rows of the points below the `_slice_dag` node whose children
+    are `root`, in lexicographic order: leaf(firsts, seconds), the ranges
+    of v and weight - v, low <= v <= high, for a node with two elements
+    left, and join of prefix(v, rows of the child) over the children (v,
+    child) of any other node.
 
-    Each distinct node's rows are built once.  They wait in a memo, local
-    to the call, only while a parent that has not yet read them remains,
-    so rows of nodes that are reached once die as soon as they are read.
+    Each distinct node's rows are built once, and prefixed once by each
+    parent.  They wait in a memo, local to the call, only while a parent
+    that has not yet read them remains.
     """
     uses: dict[int, int] = {id(root): 1}  # parents yet to read each node's rows
 
@@ -524,19 +566,17 @@ def _dag_rows(root: list | tuple[int, int, int], pair: Callable, head: Callable)
 
     if type(root) is list:
         count(root)
-    memo: dict[int, list] = {}
+    memo: dict[int, object] = {}
 
-    def rows(children) -> list:
+    def rows(children):
         key = id(children)
         found = memo.pop(key, None)
         if found is None:
             if type(children) is tuple:
                 low, high, weight = children
-                found = [pair(v, weight - v) for v in range(low, high + 1)]
+                found = leaf(range(low, high + 1), range(weight - low, weight - high - 1, -1))
             else:
-                found = []
-                for v, (_, grandchildren) in children:
-                    found += map(head(v).__add__, rows(grandchildren))
+                found = join([prefix(v, rows(grandchildren)) for v, (_, grandchildren) in children])
         uses[key] -= 1
         if uses[key]:
             memo[key] = found
@@ -554,14 +594,14 @@ def msupp_from_rank(r: RankFunction) -> Support:
     the recursion on slices meets no dead end.  Many prefixes lead to the
     same slice table (m0n at p = 10: 4,862 prefixes of length 8, 9
     tables), so `_slice_dag` computes each distinct table's children and
-    point count once, in a memo no larger than the input table (or
-    MEMO_FLOOR entries), and refuses a support past
-    DEFAULT_ENUMERATION_BUDGET points by its count.  The support keeps
-    that DAG: its length is the root's count, and its points, in
-    lexicographic order, are built from the DAG only when they are first
-    read (`Support.points`) or written (`Support.points_json`).  An
-    invalid table raises InvalidRankError, which carries the full
-    validation report.
+    point count once, each child in a few operations on the packed table,
+    in a memo of at most MEMO_FLOOR bytes past the packed input, and
+    refuses a support past DEFAULT_ENUMERATION_BUDGET points by its
+    count.  The support keeps that DAG: its length is the root's count,
+    and its points, in lexicographic order, are built from the DAG only
+    when they are first read (`Support.points`) or written, one JSON
+    block per node (`Support.points_json`).  An invalid table raises
+    InvalidRankError, which carries the full validation report.
     """
     report = validate_rank_function(r)
     if not report.valid:

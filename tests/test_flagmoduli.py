@@ -19,7 +19,8 @@ from multidegree import (
     msupp_from_rank,
     validate_rank_function,
 )
-from multidegree.polymatroid import compositions
+from multidegree import errors
+from multidegree.polymatroid import _slice_dag, compositions
 
 
 def catalan_numbers(count):
@@ -163,6 +164,12 @@ class TestFlagSupport:
             tracemalloc.stop()
         assert peak < 20 * 2**20
 
+    def test_p10_counted_past_the_listing_budget(self, monkeypatch):
+        # a 2^10-entry table: the memo floor of 2^16 bytes keeps its repeated
+        # slices (a floor of 2^14 bytes makes the count take about 17 s)
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 10**12)
+        assert _slice_dag(flag_rank_function(10))[0] == 2_363_342_198
+
 
 class TestComparator:
     def test_literal_system_p2_rejects_everything(self):
@@ -244,6 +251,13 @@ class TestModuliSupport:
         expected = catalan_numbers(8)
         for p in range(1, 9):
             assert len(m0n_msupp(p)) == expected[p - 1]
+
+    def test_catalan_counts_up_to_p20(self, monkeypatch):
+        # the counts, past the listing budget from p = 14 on (C_20 = 6,564,120,420)
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 10**12)
+        expected = catalan_numbers(20)
+        for p in range(2, 21):
+            assert _slice_dag(m0n_rank_function(p))[0] == expected[p - 1]
 
     def test_mconvex(self):
         for p in range(1, 7):

@@ -3,9 +3,11 @@
 The randomized checks generate rank functions as minima of nonnegative
 modular functions plus constants, filtered through the validator, or as
 linear ranks of random subspace families over Q and F_5, and cross-check
-msupp_from_rank against a pruning-free enumeration of all compositions
-and against the slice recursion without a memo.  The M-convexity checks
-also perturb supports of sums of truncated modular ranks by one point.
+msupp_from_rank against a pruning-free enumeration of all compositions,
+against the slice recursion without a memo and, node for node, against
+the slice DAG on tuple tables, also under modular shifts that widen the
+packed fields.  The M-convexity checks also perturb supports of sums of
+truncated modular ranks by one point.
 """
 
 import json
@@ -14,6 +16,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -44,7 +47,7 @@ from mconvex_oracle import (
     murota_mconvex,
     rank_from_support_oracle,
 )
-from msupp_oracle import slice_points
+from msupp_oracle import slice_dag, slice_points
 from rank_oracle import sympy_rank
 from rank_report_oracle import validate_rank_oracle
 from reader_oracle import rank_function_oracle, support_oracle
@@ -352,6 +355,43 @@ def rank_tables(draw):
     return linear_rank(random_family(rng, p, rng.choice(["Q", "Fp:5"])))
 
 
+@st.composite
+def shifted_tables(draw):
+    """A table r of `rank_tables`, a modular shift m and the table r + m,
+    (r + m)(A) = r(A) + sum of m_i over i in A, whose base polytope is
+    B(r) + m.  The m_i lie in 0..3, in 2^8..2^9 or in 2^70..2^71, so the
+    packed slice tables have fields of 1, 2 or 10 bytes; or they are
+    spread evenly to bring (r + m)([p]) to a width's edge, one below or
+    at 2^7, 2^15 or 2^71, where the guard bit goes to a wider field."""
+    r = draw(rank_tables())
+    low = draw(st.sampled_from([0, 1 << 8, 1 << 70, None]))
+    if low is None:
+        total = draw(st.sampled_from([1 << 7, 1 << 15, 1 << 71])) - draw(st.integers(0, 1)) - r.values[-1]
+        m = [total // r.p + (i < total % r.p) for i in range(r.p)]
+    else:
+        m = draw(st.lists(st.integers(low, max(3, 2 * low)), min_size=r.p, max_size=r.p))
+    sums = [0]  # m(A) in mask order
+    for x in m:
+        sums += [t + x for t in sums]
+    return r, tuple(m), RankFunction(r.p, list(map(add, r.values, sums)))
+
+
+def assert_same_dag(node, expected, seen=None) -> None:
+    """The DAG below node has the counts, the v lists and the leaf
+    triples (low, high, weight) of the one below expected, node for node."""
+    seen = set() if seen is None else seen
+    if (id(node), id(expected)) in seen:
+        return
+    seen.add((id(node), id(expected)))
+    assert node[0] == expected[0]
+    if type(expected[1]) is tuple:
+        assert node[1] == expected[1]
+        return
+    assert [v for v, _ in node[1]] == [v for v, _ in expected[1]]
+    for (_, child), (_, expected_child) in zip(node[1], expected[1]):
+        assert_same_dag(child, expected_child, seen)
+
+
 class TestMsuppAgainstSliceRecursion:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rank_tables())
@@ -384,6 +424,34 @@ class TestMsuppAgainstSliceRecursion:
         if other is not None:
             assert support != Support(r.p, points[1:] + [other])
         assert pickle.loads(pickle.dumps(support)) == plain
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shifted_tables())
+    def test_a_modular_shift_moves_every_point(self, drawn):
+        r, m, shifted = drawn
+        points = [tuple(map(add, x, m)) for x in msupp_from_rank(r).points]
+        support = msupp_from_rank(shifted)
+        assert support.points_json() == json.dumps(points, separators=(",", ":"))
+        assert list(support.points) == points
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shifted_tables())
+    def test_dag_equals_the_tuple_dag_node_for_node(self, drawn):
+        _, _, r = drawn
+        assume(r.p > 1)
+        assert_same_dag(polymatroid._slice_dag(r), slice_dag(r))
+
+    @pytest.mark.parametrize("c", [127, 128, 255, 256, (1 << 15) - 1, 1 << 15, (1 << 16) - 1])
+    def test_uniform_tables_at_a_width_edge(self, c, monkeypatch):
+        # r(A) = c for every nonempty A of three elements: all C(c + 2, 2)
+        # compositions of c.  The first slice at v = 1 compares Y - v = c - 1
+        # with X = 0 and with X = c next to it, so a carry out of a field
+        # whose guard bit lies below c would change the second minimum
+        monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 10**12)
+        r = RankFunction(3, [0] + [c] * 7)
+        dag = polymatroid._slice_dag(r)
+        assert dag[0] == (c + 2) * (c + 1) // 2
+        assert_same_dag(dag, slice_dag(r))
 
     def test_memo_stays_near_the_recursion_in_memory(self):
         # r(A) = 300 when A meets {1, 2}: 301 points, but 301 distinct first
