@@ -9,8 +9,11 @@ collections are emitted in canonical order).  Exit status: 0 success,
 A handler passes a `Support` itself in its result document.  `_emit`
 writes it as {"p":...,"points":...} with the text of
 `Support.points_json`, which a support from `msupp_from_rank` writes from
-its slice DAG, one JSON block per distinct slice and no point tuple;
-every other value goes through json.dumps with sorted keys and no spaces.
+its slice DAG, one JSON block per distinct slice and no point tuple.
+A handler passes an `IntPolynomial` through `_polynomial_fields`, which
+renders it once into its "polynomial" JSON text, written as it stands,
+and its "pretty" text, with no dict per term.  Every other value goes
+through json.dumps with sorted keys and no spaces.
 
 One table, `_COMMANDS`, lists the subcommands.  The parser is built once
 per process, on first use, and every call parses with it.
@@ -26,6 +29,7 @@ from typing import Callable, Sequence
 
 from . import flagmoduli, hilbert, mixedvol, polymatroid, schubert
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
+from .poly import IntPolynomial
 from .schemas import SCHEMAS, check
 
 EXIT_OK = 0
@@ -75,17 +79,31 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValidationError(f"malformed {what} {text!r}: expected comma-separated integers") from exc
 
 
+class _JsonText(str):
+    """Compact JSON text with sorted keys, which `_encode` writes as it stands."""
+
+
+def _polynomial_fields(poly: IntPolynomial) -> dict:
+    """The "polynomial" and "pretty" fields of a result, from one render."""
+    text, pretty = poly.render()
+    return {"polynomial": _JsonText(text), "pretty": pretty}
+
+
 def _encode(value: object) -> str:
     """`value` as compact JSON with sorted keys: the bytes of
     json.dumps(value, sort_keys=True, separators=(",", ":")) with every
-    Support read as its `to_json_dict`.  A Support stands in a document
-    itself or as a value of its top-level dict, whose keys are str."""
+    Support and every IntPolynomial read as its `to_json_dict`.  A
+    Support stands in a document itself or as a value of its top-level
+    dict, whose keys are str; an IntPolynomial stands as such a value,
+    in the JSON text that `_polynomial_fields` puts in."""
     if isinstance(value, polymatroid.Support):
         return f'{{"p":{value.p},"points":{value.points_json()}}}'
-    supports = isinstance(value, dict) and any(
-        isinstance(item, polymatroid.Support) for item in value.values()
+    if isinstance(value, _JsonText):
+        return value
+    written = isinstance(value, dict) and any(
+        isinstance(item, (polymatroid.Support, _JsonText)) for item in value.values()
     )
-    if supports:
+    if written:
         return "{" + ",".join(
             f"{_dumps(key)}:{_encode(item)}" for key, item in sorted(value.items())
         ) + "}"
@@ -123,8 +141,7 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
     result = {
         "permutation": pi.to_json_dict(),
         "length": schubert.length(pi),
-        "polynomial": poly.to_json_dict(),
-        "pretty": poly.pretty(),
+        **_polynomial_fields(poly),
         "has_negative_coefficients": bool(poly.negative_exponents()),
         "support_convention": convention,
         "support": support,
@@ -190,7 +207,7 @@ def _cmd_mconvex(args: argparse.Namespace) -> int:
 def _cmd_kpoly(args: argparse.Namespace) -> int:
     ideal = hilbert.MonomialIdeal.from_json_dict(_load_document(args))
     poly = hilbert.kpolynomial(ideal)
-    return _emit({"polynomial": poly.to_json_dict(), "pretty": poly.pretty()}, args)
+    return _emit(_polynomial_fields(poly), args)
 
 
 def _cmd_multidegree(args: argparse.Namespace) -> int:
@@ -203,11 +220,7 @@ def _cmd_multidegree(args: argparse.Namespace) -> int:
     )
     poly = hilbert.multidegree_polynomial(ideal)
     return _emit(
-        {
-            "polynomial": poly.to_json_dict(),
-            "pretty": poly.pretty(),
-            "codimension": poly.total_degree(),
-        },
+        {**_polynomial_fields(poly), "codimension": poly.total_degree()},
         args,
     )
 

@@ -82,7 +82,7 @@ class Grading:
             raise ValidationError(
                 f"grading lists {len(degree_of)} degrees for {nvars} variables"
             )
-        degrees = tuple(tuple(map(_integer, d)) for d in degree_of)
+        degrees = tuple(tuple(x if type(x) is int else _integer(x) for x in d) for d in degree_of)
         for v, d in enumerate(degrees):
             if len(d) != p:
                 raise ValidationError(f"degree of variable {v + 1} has length {len(d)}")

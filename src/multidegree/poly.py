@@ -7,9 +7,10 @@ immutable after construction and every operation returns a fresh
 polynomial, which makes them safe to share between threads.
 
 Serialized form (terms in lexicographic exponent order, coefficients as
-decimal strings):
+decimal strings), as `to_json_text` and the CLI write it, with sorted
+keys and no spaces:
 
-    {"nvars": 2, "terms": [{"exp": [1, 1], "coef": "2"}]}
+    {"nvars":2,"terms":[{"coef":"2","exp":[1,1]}]}
 """
 
 from __future__ import annotations
@@ -230,25 +231,42 @@ class IntPolynomial:
 
     # -- formatting and serialization ---------------------------------------
 
+    def render(self) -> tuple[str, str]:
+        """The JSON text of `to_json_dict` (sorted keys, no spaces) and the
+        pretty text, from one sort of the terms and no dict per term.  Each
+        exponent column maps through two small tables, of decimal strings
+        and of factors "*t<i>^<e>" ("*t<i>" for 1, "" for 0).  Terms are
+        first written " + <coef><factors>"; a space stands only beside a
+        sign, so turning " + -" into " - " and " 1*" into " " then gives
+        the signs and drops each coefficient 1 of a nonconstant term."""
+        if not self._terms:
+            return f'{{"nvars":{self.nvars},"terms":[]}}', "0"
+        exps, coefs = zip(*sorted(self._terms.items()))
+        coefs = list(map(str, coefs))
+        decimals, factors = [], []
+        for i, column in enumerate(zip(*exps), 1):
+            values = set(column)
+            decimal = {e: str(e) for e in values}
+            factor = {e: f"*t{i}^{e}" for e in values}
+            factor[0], factor[1] = "", f"*t{i}"
+            decimals.append(map(decimal.__getitem__, column))
+            factors.append(map(factor.__getitem__, column))
+        # with no variables the only possible term is the constant one
+        rows = map(",".join, zip(*decimals)) if decimals else ("",)
+        monomials = map("".join, zip(*factors)) if factors else ("",)
+        terms = ",".join(map('{"coef":"%s","exp":[%s]}'.__mod__, zip(coefs, rows)))
+        text = " + " + " + ".join(map(str.__add__, coefs, monomials))
+        text = text.replace(" + -", " - ").replace(" 1*", " ")
+        pretty = text[3:] if text[1] == "+" else "-" + text[3:]
+        return f'{{"nvars":{self.nvars},"terms":[{terms}]}}', pretty
+
     def pretty(self) -> str:
         """Human-readable form like '2*t1^2*t2 - t3 + 1'."""
-        if not self._terms:
-            return "0"
-        names = [f"t{i}" for i in range(1, self.nvars + 1)]
-        pieces: list[str] = []
-        for exp, coef in sorted(self._terms.items()):
-            mono = "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e])
-            mag = abs(coef)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            sign = "-" if coef < 0 else "+"
-            pieces.append(f"{sign} {body}")
-        text = " ".join(pieces)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+        return self.render()[1]
+
+    def to_json_text(self) -> str:
+        """`to_json_dict` as compact JSON text with sorted keys."""
+        return self.render()[0]
 
     def to_json_dict(self) -> dict:
         return {

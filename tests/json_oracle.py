@@ -1,18 +1,18 @@
 """The CLI's JSON writer before supports were written from their slice
-DAG, the byte oracle for `cli._emit`.
+DAG and polynomials from their columns, the byte oracle for `cli._emit`.
 
-Every `Support` in the document is read as its `to_json_dict`, and the
-whole document goes through one json.dumps with sorted keys and no
-spaces, plus a newline.
+Every `Support` and every `IntPolynomial` in the document is read as its
+`to_json_dict`, and the whole document goes through one json.dumps with
+sorted keys and no spaces, plus a newline.
 """
 
 import json
 
-from multidegree import Support
+from multidegree import IntPolynomial, Support
 
 
 def _plain(value):
-    if isinstance(value, Support):
+    if isinstance(value, (IntPolynomial, Support)):
         return value.to_json_dict()
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}

@@ -20,12 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidegree import Support, errors, polymatroid
+from multidegree import Permutation, Support, errors, hilbert, polymatroid, schubert_polynomial
 from multidegree.cli import build_parser, main
 
 from json_oracle import oracle_bytes
 from mconvex_oracle import exchange_report
 from msupp_oracle import slice_points
+from pretty_oracle import pretty_oracle
+from test_hilbert import random_ideal
 from test_polymatroid import rank_tables  # valid rank tables on at most 8 elements
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -274,6 +276,51 @@ class TestSupportBytes:
                 doc = json.loads(out)
                 assert code == 0
                 assert doc["agrees"] is (doc["support"] == doc["theta_polytope_support"]) is True
+
+
+def polynomial_ideals():
+    """The ideal fixtures, the icosahedron's Stanley-Reisner ideal and
+    seeded random ideals, as (id, ideal document) pairs."""
+    complex_ = json.loads((FIXTURES / "icosahedron.json").read_text())
+    icosahedron = hilbert.SimplicialComplex.from_json_dict(complex_)
+    rng = random.Random(5)
+    return [
+        ("octahedron-pairs", json.loads((FIXTURES / "octahedron_sr_ideal_pairs.json").read_text())),
+        ("icosahedron", hilbert.stanley_reisner_ideal(icosahedron).to_json_dict()),
+        *((f"random-{k}", random_ideal(rng, max_vars=7).to_json_dict()) for k in range(6)),
+    ]
+
+
+class TestPolynomialBytes:
+    """Polynomials are written from their exponent columns; the bytes must
+    be those of the writer that dumped `to_json_dict` and the old `pretty`."""
+
+    @staticmethod
+    def assert_old_bytes(out, poly):
+        document = json.loads(out)
+        document.update(polynomial=poly, pretty=pretty_oracle(poly))
+        assert out == oracle_bytes(document)
+
+    @pytest.mark.parametrize("command", ["kpoly", "multidegree"])
+    @pytest.mark.parametrize("ideal", polynomial_ideals(), ids=lambda pair: pair[0])
+    def test_ideal_commands(self, capsys, command, ideal):
+        _name, document = ideal
+        code, out, _err = run_cli([command, "--json", json.dumps(document)], capsys)
+        assert code == 0
+        ideal = hilbert.MonomialIdeal.from_json_dict(document)
+        compute = hilbert.kpolynomial if command == "kpoly" else hilbert.multidegree_polynomial
+        self.assert_old_bytes(out, compute(ideal))
+
+    # 42531 is the permutation of the Rothe diagram fixture
+    @pytest.mark.parametrize(
+        "one_line",
+        [(4, 2, 5, 3, 1), *random.Random(5).sample(list(permutations(range(1, 7))), 4)],
+        ids=lambda one_line: "".join(map(str, one_line)),
+    )
+    def test_schubert(self, capsys, one_line):
+        code, out, _err = run_cli(["schubert", "--perm", ",".join(map(str, one_line))], capsys)
+        assert code == 0
+        self.assert_old_bytes(out, schubert_polynomial(Permutation(one_line)))
 
 
 class TestDeterminismAndErrors:
@@ -544,6 +591,8 @@ class TestDeterminismAndErrors:
             ("sr-ideal", {"nverts": 2, "facets": 3}),
             ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": 5}),
             ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1]], "generators": [[1.5]]}),
+            ("kpoly", {"nvars": 1, "p": 1, "degrees": [[1.0]], "generators": [[1]]}),
+            ("multidegree", {"nvars": 1, "p": 1, "degrees": [[True]], "generators": [[1]]}),
             ("kpoly", {"nvars": "1", "p": 1, "degrees": [[1]], "generators": [[1]]}),
             ("schubert", {"one_line": ["a", 2]}),
             ("schubert", {"one_line": 5}),

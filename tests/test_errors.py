@@ -10,6 +10,7 @@ import pytest
 
 from multidegree import (
     BudgetExceededError,
+    Grading,
     IntPolynomial,
     LatticePolytope,
     Permutation,
@@ -70,6 +71,8 @@ DIAGRAM = rothe_diagram(Permutation((2, 1, 3)))
         pytest.param(lambda: projection_codim(Permutation((2, 1, 3)), [1.0]), id="projection-float-row"),
         pytest.param(lambda: minkowski_sum([SEGMENT], [True]), id="weight-bool"),
         pytest.param(lambda: minkowski_sum([SEGMENT], [1.5]), id="weight-float"),
+        pytest.param(lambda: Grading(2, 1, [[1], [1.0]]), id="grading-float-degree"),
+        pytest.param(lambda: Grading(2, 1, [[1], [True]]), id="grading-bool-degree"),
     ],
 )
 def test_non_integer_argument_refused(call):

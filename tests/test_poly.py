@@ -1,9 +1,10 @@
 """Polynomial arithmetic: pinned examples plus randomized algebra laws."""
 
+import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multidegree import IntPolynomial, ValidationError
@@ -29,6 +30,16 @@ def swap_adjacent(f, i):
     return IntPolynomial(
         f.nvars, [(e[: i - 1] + (e[i], e[i - 1]) + e[i + 1 :], c) for e, c in f.terms.items()]
     )
+
+
+@st.composite
+def rendered_polynomials(draw):
+    """A polynomial in 0 to 14 variables with up to 6 terms, exponents up
+    to 14 and coefficients from +-1 to 45 digits."""
+    nvars = draw(st.integers(0, 14))
+    exps = st.tuples(*[st.integers(0, 14)] * nvars)
+    coefs = st.one_of(st.integers(-3, 3), st.integers(-(10**45), 10**45))
+    return IntPolynomial(nvars, draw(st.lists(st.tuples(exps, coefs), max_size=6)))
 
 
 class TestAddMul:
@@ -200,6 +211,25 @@ class TestSerialization:
             # up to 12 variables, so two-digit names occur
             f = random_poly(rng, rng.randint(0, 12), max_terms=8, max_exp=12, max_coef=120)
             assert f.pretty() == pretty_oracle(f)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rendered_polynomials())
+    # nvars 0 and 1, a single term, the zero polynomial, constants of
+    # +-1 and +-k, exponents of two digits and 40-digit coefficients
+    @example(IntPolynomial(0))
+    @example(IntPolynomial(0, [((), 1)]))
+    @example(IntPolynomial(0, [((), -1)]))
+    @example(IntPolynomial(1, [((0,), 7), ((1,), -1)]))
+    @example(IntPolynomial(2, [((0, 0), 1), ((1, 0), -1), ((0, 1), 1)]))
+    @example(IntPolynomial(1, [((0,), -1), ((2,), 3)]))
+    @example(IntPolynomial(2, [((0, 0), -12), ((0, 1), 1), ((10, 3), 1)]))
+    @example(IntPolynomial(1, [((11,), -(10**40 + 1))]))
+    @example(IntPolynomial(13, [((0,) * 12 + (10,), 10**45), ((1,) * 13, 1)]))
+    def test_render_matches_the_dict_route_and_the_old_formatter(self, f):
+        text, pretty = f.render()
+        assert text == f.to_json_text() == json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        assert pretty == f.pretty() == pretty_oracle(f)
+        assert IntPolynomial.from_json_dict(json.loads(text)) == f
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ValidationError):
