@@ -10,6 +10,11 @@ A handler passes a `Support` itself in its result document.  `_emit`
 writes it as {"p":...,"points":...} with the text of
 `Support.points_json`, which a support from `msupp_from_rank` writes from
 its slice DAG, one JSON block per distinct slice and no point tuple.
+A support that a result prints twice is rendered once: `flag` puts its
+points text in both the support and the comparator's `only_rank_route`
+(every flag point lies outside the literal system), and `schubert`,
+when its two supports agree, writes the theta polytope's support text
+into both fields.
 A handler passes an `IntPolynomial` through `_polynomial_fields`, which
 renders it once into its "polynomial" JSON text, written as it stands,
 and its "pretty" text, with no dict per term.  Every other value goes
@@ -83,6 +88,11 @@ class _JsonText(str):
     """Compact JSON text with sorted keys, which `_encode` writes as it stands."""
 
 
+def _support_text(p: int, points: str) -> _JsonText:
+    """The JSON text of a support on p elements whose points text is `points`."""
+    return _JsonText(f'{{"p":{p},"points":{points}}}')
+
+
 def _polynomial_fields(poly: IntPolynomial) -> dict:
     """The "polynomial" and "pretty" fields of a result, from one render."""
     text, pretty = poly.render()
@@ -97,7 +107,7 @@ def _encode(value: object) -> str:
     dict, whose keys are str; an IntPolynomial stands as such a value,
     in the JSON text that `_polynomial_fields` puts in."""
     if isinstance(value, polymatroid.Support):
-        return f'{{"p":{value.p},"points":{value.points_json()}}}'
+        return _support_text(value.p, value.points_json())
     if isinstance(value, _JsonText):
         return value
     written = isinstance(value, dict) and any(
@@ -138,6 +148,11 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
         convention, polytope = "exponent", polytope.complement(bound)
     else:
         convention, support = "msupp", support.complement(bound)
+    agrees = support == polytope
+    if agrees:
+        # one text for both fields; in the msupp convention the polytope's
+        # support is the one written from its slice DAG
+        support = polytope = _support_text(polytope.p, polytope.points_json())
     result = {
         "permutation": pi.to_json_dict(),
         "length": schubert.length(pi),
@@ -146,7 +161,7 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
         "support_convention": convention,
         "support": support,
         "theta_polytope_support": polytope,
-        "agrees": support == polytope,
+        "agrees": agrees,
     }
     return _emit(result, args)
 
@@ -270,12 +285,22 @@ def _cmd_flag(args: argparse.Namespace) -> int:
     if args.p is None:
         raise ValidationError("flag needs --p")
     support = flagmoduli.flag_msupp(args.p)
-    report = flagmoduli.flag_comparator_report(support)
+    points = _JsonText(support.points_json())
+    # every point has weight r([p]) = binom(p+1, 2), which the literal
+    # system never reaches, so its report lists every point
+    comparator = {
+        "p": support.p,
+        "count_rank_route": len(support),
+        "count_literal_route": 0,
+        "agree": False,
+        "only_rank_route": points,
+        "only_literal_route": [],
+    }
     return _emit(
         {
-            "support": support,
+            "support": _support_text(support.p, points),
             "count": len(support),
-            "comparator": report,
+            "comparator": _JsonText(_encode(comparator)),
         },
         args,
     )

@@ -6,7 +6,9 @@ The flag support comes from the rank function S(J) counting the
 dimension of the partial flag variety selected by J; that route is the
 ground truth here.  The shorter printed inequality system has no
 solution for any p when read literally (see `flag_comparator_report`),
-so the comparator report is built from the support alone; the literal
+so the comparator report follows from the support alone: the CLI writes
+it from the support's points text, and `flag_comparator_report`, which
+builds it point by point, is that writer's test oracle.  The literal
 system itself is kept in the tests as the reference.
 """
 
@@ -60,6 +62,10 @@ def flag_comparator_report(support: Support) -> dict:
     binom(p+1, 2) = |n|.  So `count_literal_route` is 0,
     `only_literal_route` is empty, and `only_rank_route` lists the
     support's points of weight binom(p+1, 2), in the support's order.
+
+    Every point of `flag_msupp(p)` has that weight, so the CLI's `flag`
+    writes this report from the support's points text without building
+    it; this function is the test oracle of that writer.
     """
     p = support.p
     # the points of a support share one weight

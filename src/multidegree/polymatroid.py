@@ -802,8 +802,11 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
     before the walk.  The subsets are visited depth first, adding
     elements in increasing order, and each subset's echelon basis is its
     parent's basis extended by the generators of the one added element:
-    2^p - 1 extensions, no elimination from scratch, and at most p + 1
-    bases alive at a time.
+    at most 2^p - 1 extensions, no elimination from scratch, and at most
+    p + 1 bases alive at a time.  A subset whose basis spans the ambient
+    space is not descended from: every superset the walk would reach
+    from it, the subset plus elements after its last, has full rank,
+    and those entries are one extended slice of the table.
     """
     p = fam.p
     check_ground_set(p)
@@ -812,13 +815,18 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
     prime = _parse_field(fam.field)
     generators = [[integer_row(vec, prime) for vec in gens] for gens in fam.generators]
     values = [0] * (1 << p)
+    d = fam.ambient_dim
 
     def visit(mask: int, basis: list, start: int) -> None:
         for j in range(start, p):
             child = mask | 1 << j
             extended = extend_basis(basis, generators[j], prime)
-            values[child] = len(extended)
-            visit(child, extended, j + 1)
+            if len(extended) == d:
+                # child < 2^(j+1): these are child plus each set of elements after j
+                values[child :: 1 << j + 1] = repeat(d, 1 << p - j - 1)
+            else:
+                values[child] = len(extended)
+                visit(child, extended, j + 1)
 
     visit(0, [], 0)
     return RankFunction(p, values)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from multidegree import Permutation, Support, errors, hilbert, polymatroid, schubert_polynomial
 from multidegree.cli import build_parser, main
+from multidegree.flagmoduli import flag_comparator_report, flag_msupp
 
 from json_oracle import oracle_bytes
 from mconvex_oracle import exchange_report
@@ -48,6 +49,18 @@ INTRO_SUBSPACES = {
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
     ],
 }
+
+# sha256 of the stdout bytes of `flag --p <p>` that the comparator printed
+# when it tested every point against the literal inequality system
+FLAG_DIGESTS = [
+    (1, "ba850b36f80f673747f08f0a39936572d62bfade259e7cee7f8f1649639bb0b9"),
+    (2, "ac02af6bac30145be48946c37b8ac0f2fc705bdfe407cc13eca0dab203099f21"),
+    (3, "4b704cc7cd362cac0a2c6f29a09172578f7fe5cc1c5f424d9f262eb40d30e5d9"),
+    (4, "7ba900e61e73875af3e7defb31ed7f58dffa96db156e206aaae7a9ee7a3f3a5c"),
+    (5, "28e5fefebc3d2fabb2a2fd9eef501518eb32edb6df8c727be8833cd633dc44b0"),
+    (6, "99d40e290376087fed16ca54f7c5311b6a787e87f44f17486c98a0f07e8dab08"),
+    (7, "84074ce0927a223311d1b250e00c2b149e96b34b1123fa4800d3162780be0d4b"),
+]
 
 
 def run_cli(args, capsys):
@@ -148,20 +161,7 @@ class TestSubcommands:
         assert doc["support"]["points"] == [[1, 2], [2, 1]]
         assert doc["comparator"]["agree"] is False
 
-    # sha256 of the stdout bytes that the comparator printed when it
-    # tested every point against the literal inequality system
-    @pytest.mark.parametrize(
-        "p, digest",
-        [
-            (1, "ba850b36f80f673747f08f0a39936572d62bfade259e7cee7f8f1649639bb0b9"),
-            (2, "ac02af6bac30145be48946c37b8ac0f2fc705bdfe407cc13eca0dab203099f21"),
-            (3, "4b704cc7cd362cac0a2c6f29a09172578f7fe5cc1c5f424d9f262eb40d30e5d9"),
-            (4, "7ba900e61e73875af3e7defb31ed7f58dffa96db156e206aaae7a9ee7a3f3a5c"),
-            (5, "28e5fefebc3d2fabb2a2fd9eef501518eb32edb6df8c727be8833cd633dc44b0"),
-            (6, "99d40e290376087fed16ca54f7c5311b6a787e87f44f17486c98a0f07e8dab08"),
-            (7, "84074ce0927a223311d1b250e00c2b149e96b34b1123fa4800d3162780be0d4b"),
-        ],
-    )
+    @pytest.mark.parametrize("p, digest", FLAG_DIGESTS)
     def test_flag_pinned_bytes(self, capsys, p, digest):
         code, out, _err = run_cli(["flag", "--p", str(p)], capsys)
         assert code == 0
@@ -276,6 +276,56 @@ class TestSupportBytes:
                 doc = json.loads(out)
                 assert code == 0
                 assert doc["agrees"] is (doc["support"] == doc["theta_polytope_support"]) is True
+
+
+def field_text(out, key):
+    """The JSON text of the value of `key` in the document `out`, as written."""
+    start = out.index(f'"{key}":') + len(key) + 3
+    _value, end = json.JSONDecoder().raw_decode(out, start)
+    return out[start:end]
+
+
+class TestSupportTextOnce:
+    """`flag` and an agreeing `schubert` write each support's points text
+    once and put it in both fields that print it."""
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_flag_comparator_matches_the_report(self, p):
+        code, out = run_quietly(["flag", "--p", str(p)])
+        assert code == 0
+        assert json.loads(out)["comparator"] == flag_comparator_report(flag_msupp(p))
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            *(pytest.param(["flag", "--p", str(p)], digest, id=f"flag-{p}") for p, digest in FLAG_DIGESTS),
+            pytest.param(
+                ["m0n", "--p", "10"],
+                "73e73f4a97e16027f2946be170c4d851206c9ec6a1afd5556555e744a6a1f04f",
+                id="m0n-10",
+            ),
+        ],
+    )
+    def test_no_point_tuple_is_built(self, monkeypatch, argv, digest):
+        def refuse(_support):
+            raise AssertionError("the output path read Support.points")
+
+        monkeypatch.setattr(Support, "points", property(refuse))
+        code, out = run_quietly(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_schubert_writes_both_supports_from_one_text(self, n):
+        rng = random.Random(n)
+        one_lines = [tuple(range(n, 0, -1)), *(rng.sample(range(1, n + 1), n) for _ in range(20))]
+        for one_line in one_lines:
+            for extra in ([], ["--exponent-coordinates"]):
+                code, out = run_quietly(["schubert", "--perm", ",".join(map(str, one_line)), *extra])
+                assert code == 0
+                assert json.loads(out)["agrees"] is True
+                assert field_text(out, "support") == field_text(out, "theta_polytope_support")
+                assert out == oracle_bytes(json.loads(out))
 
 
 def polynomial_ideals():

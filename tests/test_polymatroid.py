@@ -810,6 +810,10 @@ class TestLinearRank:
             SubspaceFamily(2, [[(1, 0), (0, 1)], [(1, 1)], [(2, 3)], [], [(0, 1)]], field),
             # the first three elements span the space before the last ones
             SubspaceFamily(3, [[(1, 1, 0)], [(0, 1, 1)], [(1, 0, 1)], [(1, 2, 3)], [(3, 2, 1)], [(1, 1, 1)]], field),
+            # the zero space: the empty basis spans it at every subset
+            SubspaceFamily(0, [[()], [], [(), ()]], field),
+            # only the last element spans the space, alone and with the others
+            SubspaceFamily(3, [[(1, 0, 0)], [], [(0, 1, 0), (2, 0, 0)], [(0, 1, 1), (0, 0, 1), (1, 0, 0)]], field),
         ]
         for fam in families:
             expected = tuple(
