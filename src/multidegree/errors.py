@@ -1,4 +1,4 @@
-"""Exception types and budgets shared across the library.
+"""Exception types, budgets and the value base shared across the library.
 
 The CLI maps ValidationError to exit status 2 and the resource-limit
 errors to exit status 3; everything else is a genuine bug.  Every
@@ -13,6 +13,8 @@ from operator import index
 DEFAULT_ENUMERATION_BUDGET = 2_000_000
 DEFAULT_RECURSION_BUDGET = 200_000
 
+_assign = object.__setattr__  # bypasses Value.__setattr__; bound once, as constructors are hot
+
 
 class ValidationError(ValueError):
     """Input violates a structural precondition or an axiom."""
@@ -24,6 +26,49 @@ class BudgetExceededError(RuntimeError):
 
 class UnsupportedSizeError(RuntimeError):
     """Input is valid but outside the supported size/dimension range."""
+
+
+class Value:
+    """An immutable value, compared, hashed and printed by its fields.
+
+    A subclass lists its fields in `__slots__` and sets them with `_set`;
+    plain assignment and deletion raise AttributeError.  Fields named with
+    a leading underscore are private caches: pickling and copying carry
+    them, but ==, hash and repr go by the public fields, in slot order.
+    """
+
+    __slots__ = ()
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            _assign(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_")
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state: dict) -> None:
+        self._set(**state)
 
 
 def check_budget(amount: int, what: str, budget: int | None = None) -> None:

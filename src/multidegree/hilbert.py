@@ -37,9 +37,9 @@ recursion
 
 with K(S/0) = 1 and a product base case for pairwise-coprime pure
 powers, run on an explicit stack of (generators, sign, shift) work
-items, so its depth is not bounded by Python's recursion limit.  The
-`recursion_budget` of `kpolynomial` bounds the items of this route
-only, one node per item as the recursive form counted one per call.
+items, so its depth is not bounded by Python's recursion limit.
+DEFAULT_RECURSION_BUDGET bounds the items of this route only, one node
+per item as the recursive form counted one per call.
 Every exponent it meets lies coordinatewise below b = deg(lcm of the
 generators), since each term is +-t^deg(lcm s) for a subset s of them
 (Taylor resolution); exponents are packed into one int with digit k in
@@ -50,31 +50,23 @@ for the additivity route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, prod
 from operator import add, and_, le, lt, or_, sub
 from typing import Iterable, Sequence
 
-from .errors import (
-    DEFAULT_ENUMERATION_BUDGET,
-    DEFAULT_RECURSION_BUDGET,
-    ValidationError,
-    check_budget,
-)
+from . import errors
+from .errors import ValidationError, Value, check_budget
 from .poly import IntPolynomial
 from .polymatroid import MAX_GROUND_SET, Support, _integer
 from .schemas import check
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(Value):
     """Map from each variable to its degree vector in N^p."""
 
-    nvars: int
-    p: int
-    degree_of: tuple[tuple[int, ...], ...]
+    __slots__ = ("nvars", "p", "degree_of")
 
     def __init__(self, nvars: int, p: int, degree_of: Sequence[Sequence[int]]):
         nvars, p = _integer(nvars), _integer(p)
@@ -90,9 +82,7 @@ class Grading:
                 raise ValidationError(f"negative degree entry for variable {v + 1}")
             if all(x == 0 for x in d):
                 raise ValidationError(f"variable {v + 1} has zero degree vector")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "degree_of", degrees)
+        self._set(nvars=nvars, p=p, degree_of=degrees)
 
     @classmethod
     def standard(cls, p: int) -> "Grading":
@@ -115,12 +105,10 @@ def _monus(x: int, y: int) -> int:
     return x - y if x > y else 0
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Value):
     """Monomial ideal given by its minimal generators' exponent vectors."""
 
-    grading: Grading
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("grading", "generators", "_supports")
 
     def __init__(self, grading: Grading, generators: Iterable[Iterable[int]]):
         gens = sorted({tuple(x if type(x) is int else _integer(x) for x in g) for g in generators})
@@ -144,10 +132,9 @@ class MonomialIdeal:
                 )
 
     def _fill(self, grading: Grading, gens: list[tuple[int, ...]]) -> None:
-        object.__setattr__(self, "grading", grading)
-        object.__setattr__(self, "generators", tuple(gens))
+        # variable v is bit v
         supports = tuple(sum(1 << v for v, e in enumerate(g) if e) for g in gens)
-        object.__setattr__(self, "_supports", supports)  # variable v is bit v
+        self._set(grading=grading, generators=tuple(gens), _supports=supports)
 
     @classmethod
     def _from_antichain(cls, grading: Grading, gens: list[tuple[int, ...]]) -> "MonomialIdeal":
@@ -191,7 +178,7 @@ def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
-def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET) -> IntPolynomial:
+def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     """K-polynomial of S/I in the p grading variables.
 
     Two routes give the same polynomial.  A squarefree ideal whose
@@ -199,15 +186,15 @@ def kpolynomial(ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_
     variables takes the face table (`_face_table_kpolynomial`): 2^n
     entries, never more than the 2^(number of generators) terms of the
     ideal's Taylor resolution.  Every other ideal takes the recursion
-    (`_recursive_kpolynomial`).  `recursion_budget` bounds the nodes of
-    the recursion only; more raise BudgetExceededError.
+    (`_recursive_kpolynomial`), whose nodes alone are bounded by
+    DEFAULT_RECURSION_BUDGET; more raise BudgetExceededError.
     """
     gens = ideal.generators
     used = reduce(or_, ideal._supports, 0)
     variables = [v for v in range(ideal.grading.nvars) if used >> v & 1]
     if len(variables) <= min(MAX_GROUND_SET, len(gens)) and max(map(max, gens), default=0) <= 1:
         return _face_table_kpolynomial(ideal, variables)
-    return _recursive_kpolynomial(ideal, recursion_budget)
+    return _recursive_kpolynomial(ideal)
 
 
 def _face_table_kpolynomial(ideal: MonomialIdeal, variables: Sequence[int]) -> IntPolynomial:
@@ -268,9 +255,7 @@ def _subset_degrees(grading: Grading, variables: Sequence[int]) -> list[tuple[in
     return degrees
 
 
-def _recursive_kpolynomial(
-    ideal: MonomialIdeal, recursion_budget: int = DEFAULT_RECURSION_BUDGET
-) -> IntPolynomial:
+def _recursive_kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     """K(S/I) by the short-exact-sequence recursion, for any monomial ideal.
 
     The recursion K(gens) = K(rest) - t^deg(m) K(gens' : m) runs on an
@@ -278,8 +263,8 @@ def _recursive_kpolynomial(
     sign * t^shift * K(S/(gens)); a leaf of pairwise-coprime pure powers
     adds sign * t^shift * prod (1 - t^deg g) to one accumulator.  The
     pivot m is the last generator among those of maximal total degree.
-    Every item counts as one node against `recursion_budget`, as every
-    call of the recursion did, and more nodes raise BudgetExceededError.
+    Every item is one node, as every call of the recursion was; more than
+    DEFAULT_RECURSION_BUDGET (read at the call) raise BudgetExceededError.
 
     Every term is +-t^deg(lcm s) for a subset s of the generators
     (Taylor resolution), so every exponent lies coordinatewise below
@@ -299,12 +284,12 @@ def _recursive_kpolynomial(
         return sum(e * w for e, w in zip(g, weight))
 
     acc: dict[int, int] = {}
-    nodes = 0
+    nodes, budget = 0, errors.DEFAULT_RECURSION_BUDGET
     stack = [(gens, 1, 0)]
     while stack:
         gens, sign, shift = stack.pop()
         nodes += 1
-        check_budget(nodes, "K-polynomial recursion nodes", recursion_budget)
+        check_budget(nodes, "K-polynomial recursion nodes", budget)
         if all(len(g) - g.count(0) == 1 for g in gens):
             # pairwise-coprime pure powers form a regular sequence
             terms = {shift: sign}
@@ -342,12 +327,13 @@ def _recursive_kpolynomial(
 def hilbert_function_oracle(
     ideal: MonomialIdeal,
     nu: Sequence[int],
-    budget: int = DEFAULT_ENUMERATION_BUDGET,
+    budget: int | None = None,
 ) -> int:
     """Count monomials of multidegree nu outside the ideal, exhaustively.
 
     This is the brute-force cross-check for the K-polynomial pipeline
-    and deliberately shares no code with it.
+    and deliberately shares no code with it.  More than `budget` steps
+    (DEFAULT_ENUMERATION_BUDGET by default) raise BudgetExceededError.
     """
     grading = ideal.grading
     target = tuple(map(_integer, nu))
@@ -404,12 +390,12 @@ def minimum_primes(ideal: MonomialIdeal) -> list[tuple[int, ...]]:
     """
     best = ideal.grading.nvars  # all variables always form a cover
     covers: list[int] = []
-    nodes = 0
+    nodes, budget = 0, errors.DEFAULT_RECURSION_BUDGET
     stack = [(0, 0, 0)]  # (chosen, forbidden, size), variables as bits
     while stack:
         chosen, forbidden, size = stack.pop()
         nodes += 1
-        check_budget(nodes, "minimum-prime search nodes", DEFAULT_RECURSION_BUDGET)
+        check_budget(nodes, "minimum-prime search nodes", budget)
         uncovered = next((s for s in ideal._supports if not s & chosen), None)
         if uncovered is None:
             if size < best:
@@ -498,12 +484,10 @@ def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
     return IntPolynomial._from_terms(p, result)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Value):
     """Abstract simplicial complex on vertices 1..nverts, given by facets."""
 
-    nverts: int
-    facets: tuple[tuple[int, ...], ...]
+    __slots__ = ("nverts", "facets", "_masks")
 
     def __init__(self, nverts: int, facets: Iterable[Iterable[int]]):
         nverts = _integer(nverts)
@@ -516,13 +500,11 @@ class SimplicialComplex:
             if any(not 1 <= v <= nverts for v in f):
                 raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
         check_budget(comb(len(cleaned), 2), "nested-facet check over facet pairs")
-        masks = [sum(1 << v for v in f) for f in cleaned]
+        masks = [sum(1 << v for v in f) for f in cleaned]  # vertex v is bit v
         for (a, ma), (b, mb) in combinations(zip(cleaned, masks), 2):
             if ma & mb in (ma, mb):
                 raise ValidationError(f"facets {a} and {b} are nested")
-        object.__setattr__(self, "nverts", nverts)
-        object.__setattr__(self, "facets", tuple(cleaned))
-        object.__setattr__(self, "_masks", tuple(masks))  # vertex v is bit v
+        self._set(nverts=nverts, facets=tuple(cleaned), _masks=tuple(masks))
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:
         """The minimal non-faces, by size and then lexicographically.

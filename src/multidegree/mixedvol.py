@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from operator import add, countOf, mul, sub
 from typing import Collection, Iterable, Sequence
 
-from .errors import UnsupportedSizeError, ValidationError, _rational, check_budget
+from .errors import UnsupportedSizeError, ValidationError, Value, _rational, check_budget
 from .linalg import extend_basis, rank_rational
 from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
 from .schemas import check
@@ -59,16 +58,14 @@ Point = tuple[Fraction, ...]
 IntPoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(Value):
     """Convex hull of finitely many rational points in R^d, d <= 3.
 
     The stored vertex list may contain redundant (non-extreme) points;
     canonicalize() reduces to the extreme points.
     """
 
-    d: int
-    vertices: tuple[Point, ...]
+    __slots__ = ("d", "vertices")
 
     def __init__(self, d: int, vertices: Iterable[Iterable[Fraction | int | str]]):
         d = _integer(d)
@@ -84,8 +81,7 @@ class LatticePolytope:
         for pt in pts:
             if len(pt) != d:
                 raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "vertices", tuple(pts))
+        self._set(d=d, vertices=tuple(pts))
 
     def canonicalize(self) -> "LatticePolytope":
         return LatticePolytope(self.d, extreme_points(self.d, self.vertices))
@@ -328,18 +324,13 @@ def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
 # -- mixed volumes -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixedVolumeTable:
+class MixedVolumeTable(Value):
     """Exact mixed volumes V(K; n) for all n in N^p with |n| = d."""
 
-    p: int
-    d: int
-    entries: tuple[tuple[tuple[int, ...], Fraction], ...]
+    __slots__ = ("p", "d", "entries")
 
     def __init__(self, p: int, d: int, entries: dict[tuple[int, ...], Fraction]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "entries", tuple(sorted(entries.items())))
+        self._set(p=p, d=d, entries=tuple(sorted(entries.items())))
 
     def value(self, n: Sequence[int]) -> Fraction:
         key = tuple(map(_integer, n))

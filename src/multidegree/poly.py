@@ -19,14 +19,14 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .errors import ValidationError
+from .errors import ValidationError, Value
 from .polymatroid import Support, _integer
 from .schemas import check
 
 ExponentVector = tuple[int, ...]
 
 
-class IntPolynomial:
+class IntPolynomial(Value):
     """Immutable sparse multivariate polynomial over the integers.
 
     The public constructor checks its input: `nvars`, every exponent
@@ -37,7 +37,8 @@ class IntPolynomial:
     `from_json_dict` also reads decimal-string coefficients.  Every
     operation builds its result with `_from_terms`, which drops zero
     coefficients and checks nothing else, since its exponents come from
-    checked polynomials.
+    checked polynomials.  Immutability is enforced: assigning to or
+    deleting a field raises AttributeError.
     """
 
     __slots__ = ("nvars", "_terms")
@@ -50,7 +51,6 @@ class IntPolynomial:
         nvars = _integer(nvars)
         if nvars < 0:
             raise ValidationError("nvars must be nonnegative")
-        self.nvars = nvars
         acc: dict[ExponentVector, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coef in items:
@@ -62,7 +62,7 @@ class IntPolynomial:
             if any(e < 0 for e in key):
                 raise ValidationError(f"negative exponent in {key}")
             acc[key] = acc.get(key, 0) + (coef if type(coef) is int else _integer(coef))
-        self._terms: dict[ExponentVector, int] = {k: c for k, c in acc.items() if c != 0}
+        self._set(nvars=nvars, _terms={k: c for k, c in acc.items() if c != 0})
 
     # -- constructors ------------------------------------------------------
 
@@ -72,8 +72,7 @@ class IntPolynomial:
         tuples of length nvars; zero coefficients are dropped and nothing
         else is checked."""
         poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly._terms = {e: c for e, c in terms.items() if c}
+        poly._set(nvars=nvars, _terms={e: c for e, c in terms.items() if c})
         return poly
 
     @classmethod

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul, sub
@@ -44,6 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import (
     UnsupportedSizeError,
     ValidationError,
+    Value,
     _integer,
     _rational,
     check_budget,
@@ -108,7 +108,7 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class Support:
+class Support(Value):
     """Finite set of natural-number vectors of constant coordinate sum,
     held in lexicographic order.
 
@@ -145,8 +145,7 @@ class Support:
         """Set the fields, once: the points, or else the root (count,
         children) of a slice DAG; weight is None for the empty support."""
         count = len(points) if root is None else root[0]
-        for name, value in zip(self.__slots__, (p, weight, count, points, root)):
-            object.__setattr__(self, name, value)
+        self._set(p=p, weight=weight, _count=count, _points=points, _root=root)
 
     @classmethod
     def _from_sorted(cls, p: int, points: list[tuple[int, ...]]) -> "Support":
@@ -164,9 +163,6 @@ class Support:
         support._fill(p, None, root, weight)
         return support
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
     @property
     def points(self) -> tuple[tuple[int, ...], ...]:
         """The points in lexicographic order."""
@@ -177,7 +173,7 @@ class Support:
                 lambda v, rows: map((v,).__add__, rows),
                 lambda parts: list(chain.from_iterable(parts)),
             )
-            object.__setattr__(self, "_points", tuple(rows))
+            self._set(_points=tuple(rows))
         return self._points
 
     def points_json(self) -> str:
@@ -203,9 +199,6 @@ class Support:
 
     def __repr__(self) -> str:
         return f"Support(p={self.p!r}, points={self.points!r})"
-
-    def __reduce__(self) -> tuple:
-        return (Support, (self.p, self.points))
 
     def __contains__(self, point: Iterable[int]) -> bool:
         key = tuple(point)
@@ -240,8 +233,7 @@ class Support:
         return cls(data["p"], data["points"])
 
 
-@dataclass(frozen=True)
-class RankFunction:
+class RankFunction(Value):
     """Integer set function on all subsets of [p], indexed by bitmask.
 
     Construction only checks the table shape; `validate_rank_function`
@@ -249,8 +241,7 @@ class RankFunction:
     keeps deliberately corrupted tables representable for diagnosis.
     """
 
-    p: int
-    values: tuple[int, ...]
+    __slots__ = ("p", "values")
 
     def __init__(self, p: int, values: Sequence[int]):
         p = check_ground_set(p)
@@ -260,11 +251,10 @@ class RankFunction:
             raise ValidationError(
                 f"rank table has {len(values)} entries, expected {1 << p}"
             )
-        object.__setattr__(self, "p", p)
         values = tuple(values)
         if not set(map(type, values)) <= {int}:  # convert or name the first non-int
             values = tuple(v if type(v) is int else _integer(v) for v in values)
-        object.__setattr__(self, "values", values)
+        self._set(p=p, values=values)
 
     def of_mask(self, mask: int) -> int:
         return self.values[mask]
@@ -286,13 +276,14 @@ class RankFunction:
         return cls(data["p"], data["values"])
 
 
-@dataclass(frozen=True)
-class RankViolation:
+class RankViolation(Value):
     """One failed axiom with the witnessing subset pair."""
 
-    axiom: str  # "normalization" | "monotonicity" | "submodularity"
-    subsets: tuple[tuple[int, ...], ...]
-    detail: str
+    __slots__ = ("axiom", "subsets", "detail")
+
+    def __init__(self, axiom: str, subsets: tuple[tuple[int, ...], ...], detail: str):
+        # axiom is "normalization", "monotonicity" or "submodularity"
+        self._set(axiom=axiom, subsets=subsets, detail=detail)
 
     def to_json_dict(self) -> dict:
         return {
@@ -302,10 +293,11 @@ class RankViolation:
         }
 
 
-@dataclass(frozen=True)
-class RankReport:
-    valid: bool
-    violations: tuple[RankViolation, ...]
+class RankReport(Value):
+    __slots__ = ("valid", "violations")
+
+    def __init__(self, valid: bool, violations: tuple[RankViolation, ...]):
+        self._set(valid=valid, violations=violations)
 
     def to_json_dict(self) -> dict:
         return {
@@ -612,11 +604,12 @@ def msupp_from_rank(r: RankFunction) -> Support:
     return Support._from_dag(r.p, r.values[-1], _slice_dag(r))
 
 
-@dataclass(frozen=True)
-class MConvexReport:
-    mconvex: bool
-    # witness = (x, y, i) such that x_i > y_i but no valid exchange exists
-    witness: tuple[tuple[int, ...], tuple[int, ...], int] | None
+class MConvexReport(Value):
+    __slots__ = ("mconvex", "witness")
+
+    def __init__(self, mconvex: bool, witness: tuple[tuple, tuple, int] | None):
+        # witness = (x, y, i) such that x_i > y_i but no valid exchange exists
+        self._set(mconvex=mconvex, witness=witness)
 
     def to_json_dict(self) -> dict:
         if self.witness is None:
@@ -716,17 +709,14 @@ def rank_from_support(s: Support) -> RankFunction:
     return RankFunction(s.p, values)
 
 
-@dataclass(frozen=True)
-class SubspaceFamily:
+class SubspaceFamily(Value):
     """Spanning sets for subspaces V_1, ..., V_p of k^ambient_dim.
 
     The field k is the rationals ("Q") or a prime field ("Fp:<prime>").
     Empty generator lists give the zero subspace.
     """
 
-    ambient_dim: int
-    field: str
-    generators: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    __slots__ = ("ambient_dim", "field", "generators")
 
     def __init__(
         self,
@@ -755,9 +745,7 @@ class SubspaceFamily:
                     )
                 vecs.append(entries)
             parsed.append(tuple(vecs))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "generators", tuple(parsed))
+        self._set(ambient_dim=ambient_dim, field=field, generators=tuple(parsed))
 
     @property
     def p(self) -> int:

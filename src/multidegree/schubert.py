@@ -10,30 +10,26 @@ of diagrams are 1-indexed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, Value, check_budget
 from .poly import IntPolynomial
 from .polymatroid import RankFunction, Support, msupp_from_rank
 from .polymatroid import _integer, _set_to_mask, check_ground_set
 from .schemas import check
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """Permutation of [p] in one-line notation (1-indexed values)."""
 
-    p: int
-    one_line: tuple[int, ...]
+    __slots__ = ("p", "one_line")
 
     def __init__(self, one_line: Iterable[int]):
         entries = tuple(map(_integer, one_line))
         if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValidationError(f"{entries} is not a permutation of 1..{len(entries)}")
-        object.__setattr__(self, "p", len(entries))
-        object.__setattr__(self, "one_line", entries)
+        self._set(p=len(entries), one_line=entries)
 
     @classmethod
     def identity(cls, p: int) -> "Permutation":
@@ -121,12 +117,10 @@ def schubert_polynomial(pi: Permutation) -> IntPolynomial:
     return _schubert_cached(pi.one_line)
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(Value):
     """Subset of the p x p grid; cells are (row, col), 1-indexed."""
 
-    p: int
-    cells: frozenset[tuple[int, int]]
+    __slots__ = ("p", "cells")
 
     def __init__(self, p: int, cells: Iterable[tuple[int, int]]):
         p = _integer(p)
@@ -136,8 +130,7 @@ class Diagram:
         for r, c in cell_set:
             if not (1 <= r <= p and 1 <= c <= p):
                 raise ValidationError(f"cell ({r},{c}) outside the {p}x{p} grid")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "cells", cell_set)
+        self._set(p=p, cells=cell_set)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "cells": [list(c) for c in sorted(self.cells)]}

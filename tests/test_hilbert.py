@@ -15,6 +15,7 @@ non-faces.
 
 import random
 import time
+from contextlib import contextmanager
 from itertools import combinations, product
 
 import pytest
@@ -54,6 +55,14 @@ from multidegree.hilbert import (
 
 from kpoly_oracle import face_sum_oracle, kpolynomial_oracle, minimalize
 from nonface_oracle import minimal_nonfaces_oracle
+
+
+@contextmanager
+def recursion_budget(nodes):
+    """DEFAULT_RECURSION_BUDGET set to `nodes` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "DEFAULT_RECURSION_BUDGET", nodes)
+        yield
 
 
 def ideal_2vars(*generators):
@@ -241,17 +250,18 @@ class TestKPolynomial:
 
     def test_budget_guard(self):
         ico = stanley_reisner_ideal(icosahedron_boundary())
-        with pytest.raises(BudgetExceededError):
-            _recursive_kpolynomial(ico, recursion_budget=50)
+        with recursion_budget(50), pytest.raises(BudgetExceededError):
+            _recursive_kpolynomial(ico)
 
     def test_budget_guard_of_the_public_function(self):
         # not squarefree, so the public function takes the recursion
         ideal = MonomialIdeal(Grading.standard(3), [(2, 1, 0), (0, 1, 1), (1, 0, 2)])
         expected, nodes = kpolynomial_oracle(ideal)
-        assert kpolynomial(ideal, recursion_budget=nodes) == expected
+        with recursion_budget(nodes):
+            assert kpolynomial(ideal) == expected
         message = f"K-polynomial recursion nodes: {nodes} exceeds the budget of {nodes - 1}"
-        with pytest.raises(BudgetExceededError, match=message):
-            kpolynomial(ideal, recursion_budget=nodes - 1)
+        with recursion_budget(nodes - 1), pytest.raises(BudgetExceededError, match=message):
+            kpolynomial(ideal)
 
 
 def assert_matches_oracle(ideal):
@@ -259,9 +269,10 @@ def assert_matches_oracle(ideal):
     oracle's node count meets exactly."""
     expected, nodes = kpolynomial_oracle(ideal)
     assert kpolynomial(ideal) == expected
-    assert _recursive_kpolynomial(ideal, recursion_budget=nodes) == expected
-    with pytest.raises(BudgetExceededError):
-        _recursive_kpolynomial(ideal, recursion_budget=nodes - 1)
+    with recursion_budget(nodes):
+        assert _recursive_kpolynomial(ideal) == expected
+    with recursion_budget(nodes - 1), pytest.raises(BudgetExceededError):
+        _recursive_kpolynomial(ideal)
 
 
 class TestKPolynomialAgainstOracle:
@@ -377,7 +388,7 @@ class TestFaceTable:
             hilbert, "_face_table_kpolynomial", lambda ideal, variables: taken.append("table")
         )
         monkeypatch.setattr(
-            hilbert, "_recursive_kpolynomial", lambda ideal, budget: taken.append("recursion")
+            hilbert, "_recursive_kpolynomial", lambda ideal: taken.append("recursion")
         )
         kpolynomial(ideal)
         return taken
@@ -422,13 +433,16 @@ class TestFaceTable:
         # three nodes of the recursion, where a table would have 2^20 entries
         ideal = MonomialIdeal(Grading.standard(20), [(1,) * 20])
         expected = IntPolynomial(20, {(0,) * 20: 1, (1,) * 20: -1})
-        assert kpolynomial(ideal, recursion_budget=3) == expected
-        with pytest.raises(BudgetExceededError):
-            kpolynomial(ideal, recursion_budget=2)
+        with recursion_budget(3):
+            assert kpolynomial(ideal) == expected
+        with recursion_budget(2), pytest.raises(BudgetExceededError):
+            kpolynomial(ideal)
 
     def test_recursion_budget_does_not_bound_the_table(self):
         ico = stanley_reisner_ideal(icosahedron_boundary())
-        assert kpolynomial(ico, recursion_budget=1) == _recursive_kpolynomial(ico)
+        expected = _recursive_kpolynomial(ico)
+        with recursion_budget(1):
+            assert kpolynomial(ico) == expected
 
 
 class TestMinimalityCheck:
@@ -610,6 +624,16 @@ class TestMultidegreeByAdditivity:
         edges = [tuple(int(v in (2 * i, 2 * i + 1)) for v in range(34)) for i in range(17)]
         with pytest.raises(BudgetExceededError, match="minimum-prime search"):
             multidegree_polynomial(MonomialIdeal(grading, edges))
+
+    def test_cover_search_reads_the_recursion_budget_at_call_time(self):
+        # nodes: the root, {x2}, {x1, x2} (a cover), {x2, x3} (cut), {x3}, {x1, x3}
+        ideal = MonomialIdeal(Grading.standard(3), [(3, 0, 0), (2, 0, 1), (0, 3, 1), (1, 1, 0)])
+        expected = IntPolynomial(3, {(1, 1, 0): 4, (1, 0, 1): 1})
+        with recursion_budget(6):
+            assert multidegree_polynomial(ideal) == expected
+        message = "minimum-prime search nodes: 6 exceeds the budget of 5"
+        with recursion_budget(5), pytest.raises(BudgetExceededError, match=message):
+            multidegree_polynomial(ideal)
 
     def test_standard_monomial_budget(self):
         ideal = MonomialIdeal(Grading.standard(1), [(10**7,)])
