@@ -43,9 +43,10 @@ per item as the recursive form counted one per call.
 Every exponent it meets lies coordinatewise below b = deg(lcm of the
 generators), since each term is +-t^deg(lcm s) for a subset s of them
 (Taylor resolution); exponents are packed into one int with digit k in
-base b_k + 1, and a shift never carries.  The lowest-degree part of
-K(S/I; 1 - t) is C(S/I; t); the tests use that expansion as the oracle
-for the additivity route.
+base b_k + 1, t_1 the most significant, and a shift never carries.
+Both routes return that packed form of `IntPolynomial` as it stands.
+The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the tests use
+that expansion as the oracle for the additivity route.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, compress, product
 from math import comb, prod
-from operator import add, and_, le, lt, or_, sub
+from operator import and_, le, lt, mul, or_, sub
 from typing import Iterable, Sequence
 
 from . import errors
 from .errors import ValidationError, Value, check_budget
-from .poly import IntPolynomial
+from .poly import IntPolynomial, _places
 from .polymatroid import MAX_GROUND_SET, Support, _integer
 from .schemas import check
 
@@ -179,7 +180,7 @@ def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
-    """K-polynomial of S/I in the p grading variables.
+    """K-polynomial of S/I in the p grading variables, in packed form.
 
     Two routes give the same polynomial.  A squarefree ideal whose
     generators use n <= min(MAX_GROUND_SET, number of generators)
@@ -187,7 +188,10 @@ def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     entries, never more than the 2^(number of generators) terms of the
     ideal's Taylor resolution.  Every other ideal takes the recursion
     (`_recursive_kpolynomial`), whose nodes alone are bounded by
-    DEFAULT_RECURSION_BUDGET; more raise BudgetExceededError.
+    DEFAULT_RECURSION_BUDGET; more raise BudgetExceededError.  Both
+    return the `IntPolynomial` packed form (see `poly`), with digit k in
+    base b_k + 1 for a bound b on every exponent, so neither builds an
+    exponent tuple.
     """
     gens = ideal.generators
     used = reduce(or_, ideal._supports, 0)
@@ -195,6 +199,16 @@ def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     if len(variables) <= min(MAX_GROUND_SET, len(gens)) and max(map(max, gens), default=0) <= 1:
         return _face_table_kpolynomial(ideal, variables)
     return _recursive_kpolynomial(ideal)
+
+
+def _packing(grading: Grading, bound: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(bases, weights) for packing exponents that lie coordinatewise
+    below deg(x^bound): digit k, t_1 the most significant, is in base
+    deg(x^bound)_k + 1, and weights[v] is the packed degree of x_v."""
+    bases = [b + 1 for b in grading.degree_of_monomial(bound)]
+    places = _places(bases)
+    weights = [sum(map(mul, deg, places)) for deg in grading.degree_of]
+    return bases, weights
 
 
 def _face_table_kpolynomial(ideal: MonomialIdeal, variables: Sequence[int]) -> IntPolynomial:
@@ -214,14 +228,21 @@ def _face_table_kpolynomial(ideal: MonomialIdeal, variables: Sequence[int]) -> I
     generator) and the transform are taken over a table indexed by
     bitmasks of `variables`, one whole-list rotation per variable: the
     rotation c = c[0::2] + c[1::2] brings each bit in turn to bit 0, and
-    after n rotations every index is back in place.  The exponent
-    deg(W) of a W with c_W != 0 is the sum of the degrees of its lower
-    and upper half, each looked up in a table of 2^(n/2) subset degrees.
+    after n rotations every index is back in place.
+
+    Every deg(W) lies below the degree of the product of `variables`,
+    which sets the packing (`_packing`).  The packed deg(W) of a W with
+    c_W != 0 is the sum of the packed degrees of its lower and upper
+    half, each looked up in a table of 2^(n/2) subset sums; subsets of
+    one degree add their coefficients under one key.
     """
     grading = ideal.grading
+    bound = [0] * grading.nvars
+    for v in variables:
+        bound[v] = 1
+    bases, weights = _packing(grading, bound)
     # the first variable is the top bit: when deg x_v = e_v, as in a
-    # Stanley-Reisner grading, the terms then come out in the order that
-    # printing sorts them into
+    # Stanley-Reisner grading, the keys then come out in increasing order
     variables = variables[::-1]
     bit = {v: 1 << k for k, v in enumerate(variables)}
     table = [1] * (1 << len(variables))
@@ -234,25 +255,25 @@ def _face_table_kpolynomial(ideal: MonomialIdeal, variables: Sequence[int]) -> I
         lo, hi = table[0::2], table[1::2]
         table = lo + list(map(sub, hi, lo))
     half = len(variables) // 2
-    low = _subset_degrees(grading, variables[:half])
-    high = _subset_degrees(grading, variables[half:])
+    low = _subset_sums(weights, variables[:half])
+    high = _subset_sums(weights, variables[half:])
     low_bits = (1 << half) - 1
-    terms: dict[tuple[int, ...], int] = {}
+    terms: dict[int, int] = {}
     for w in compress(range(len(table)), table):
-        e = tuple(map(add, low[w & low_bits], high[w >> half]))
+        e = low[w & low_bits] + high[w >> half]
         terms[e] = terms.get(e, 0) + table[w]
-    return IntPolynomial._from_terms(grading.p, terms)
+    return IntPolynomial._from_packed(grading.p, bases, terms)
 
 
-def _subset_degrees(grading: Grading, variables: Sequence[int]) -> list[tuple[int, ...]]:
-    """deg(W) for every subset W of `variables`, indexed by bitmask, by
-    subset doubling: the subsets containing the next variable are those
-    already listed, shifted by its degree."""
-    degrees = [(0,) * grading.p]
+def _subset_sums(weights: Sequence[int], variables: Sequence[int]) -> list[int]:
+    """The sum of weights[v] over v in W for every subset W of
+    `variables`, indexed by bitmask, by subset doubling: the subsets
+    containing the next variable are those already listed, shifted by
+    its weight."""
+    sums = [0]
     for v in variables:
-        d = grading.degree_of[v]
-        degrees += [tuple(map(add, e, d)) for e in degrees]
-    return degrees
+        sums += list(map(weights[v].__add__, sums))
+    return sums
 
 
 def _recursive_kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
@@ -269,19 +290,18 @@ def _recursive_kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     Every term is +-t^deg(lcm s) for a subset s of the generators
     (Taylor resolution), so every exponent lies coordinatewise below
     b = deg(lcm of all generators).  Exponents are packed into one int
-    with digit k in base b_k + 1; a shift and its exponent multiply to a
-    divisor of that lcm, so adding their packed forms never carries.
-    The accumulator is unpacked into an IntPolynomial once, at the end.
+    with digit k in base b_k + 1, t_1 the most significant (`_packing`);
+    a shift and its exponent multiply to a divisor of that lcm, so adding
+    their packed forms never carries.  The accumulator is the packed
+    form of the result as it stands.
     """
     grading = ideal.grading
     gens = ideal.generators
     lcm = [max(column) for column in zip(*gens)]  # empty for the zero ideal
-    bases = [b + 1 for b in grading.degree_of_monomial(lcm)]
-    places = [prod(bases[:k]) for k in range(grading.p)]
-    weight = [sum(d * w for d, w in zip(deg, places)) for deg in grading.degree_of]
+    bases, weight = _packing(grading, lcm)
 
     def packed(g: tuple[int, ...]) -> int:
-        return sum(e * w for e, w in zip(g, weight))
+        return sum(map(mul, g, weight))
 
     acc: dict[int, int] = {}
     nodes, budget = 0, errors.DEFAULT_RECURSION_BUDGET
@@ -312,16 +332,7 @@ def _recursive_kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
             raise AssertionError("minimality violated inside recursion")
         stack.append((_minimalize(quotients), -sign, shift + packed(m)))
         stack.append((rest, sign, shift))
-
-    terms = {}
-    for e, c in acc.items():
-        if c:
-            exponent = []
-            for base in bases:
-                e, digit = divmod(e, base)
-                exponent.append(digit)
-            terms[tuple(exponent)] = c
-    return IntPolynomial._from_terms(grading.p, terms)
+    return IntPolynomial._from_packed(grading.p, bases, acc)
 
 
 def hilbert_function_oracle(
@@ -455,22 +466,28 @@ def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
     codimension (`minimum_primes`; Miller-Sturmfels, *Combinatorial
     Commutative Algebra*, Thm 8.53).  mult_P(S/I) is the number of
     standard monomials of the Artinian ideal left when every variable
-    outside P is set to 1 (1 for every squarefree ideal).  `Grading`
-    refuses zero and negative degree vectors, so nothing cancels, the
-    total degree is the codimension, and C is the lowest-degree part of
-    K(S/I; 1 - t).  The cover search stops at DEFAULT_RECURSION_BUDGET
-    nodes and the standard-monomial count at DEFAULT_ENUMERATION_BUDGET
-    cells in all, each raising BudgetExceededError.  C is the multidegree
-    of MultiProj(S/I) when the quotient has no irrelevant torsion, which
-    the caller asserts.
+    outside P is set to 1.  A squarefree ideal takes mult_P = 1 without
+    that count: for a minimum cover P every v in P is the only variable
+    of P in some generator (else P - v would cover), so the ideal left
+    is (x_v : v in P).  Every other ideal counts in `_length_at`.
+    `Grading` refuses zero and negative degree vectors, so nothing
+    cancels, the total degree is the codimension, and C is the
+    lowest-degree part of K(S/I; 1 - t).  The cover search stops at
+    DEFAULT_RECURSION_BUDGET nodes and the standard-monomial count at
+    DEFAULT_ENUMERATION_BUDGET cells in all, each raising
+    BudgetExceededError.  C is the multidegree of MultiProj(S/I) when
+    the quotient has no irrelevant torsion, which the caller asserts.
     """
     p = ideal.grading.p
     forms = [[(k, d) for k, d in enumerate(deg) if d] for deg in ideal.grading.degree_of]
+    squarefree = max(map(max, ideal.generators), default=0) <= 1
     result: dict[tuple[int, ...], int] = {}
     spent = 0
     for cover in minimum_primes(ideal):
-        length, cells = _length_at(ideal, cover, spent)
-        spent += cells
+        length = 1
+        if not squarefree:
+            length, cells = _length_at(ideal, cover, spent)
+            spent += cells
         term = {(0,) * p: 1}
         for v in cover:  # times <deg x_v, t> = sum_k d_k t_k
             nxt: dict[tuple[int, ...], int] = {}

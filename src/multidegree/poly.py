@@ -1,10 +1,23 @@
 """Exact sparse polynomials with integer coefficients.
 
-A polynomial in ``nvars`` variables t_1, ..., t_nvars is stored as a
-mapping from exponent tuples (one natural number per variable) to
-nonzero Python ints, so coefficients can never overflow.  Values are
-immutable after construction and every operation returns a fresh
-polynomial, which makes them safe to share between threads.
+A polynomial in ``nvars`` variables t_1, ..., t_nvars maps exponents
+(one natural number per variable) to nonzero Python ints, so
+coefficients can never overflow.  It is held in one of two forms:
+
+- tuple form: a dict from exponent tuples to coefficients, as the
+  constructor, the arithmetic and Schubert and multidegree build it;
+- packed form: a dict from packed keys to coefficients, as `kpolynomial`
+  builds it.  A key holds the exponent of t_k in digit k of a mixed
+  radix with bases b_1, ..., b_nvars, t_1 the most significant digit:
+  key = sum_k e_k * b_{k+1} * ... * b_nvars with every e_k < b_k.  Int
+  order of the keys is then lexicographic order of the exponents.
+
+A packed polynomial builds its tuple dict on the first read that needs
+it and then keeps it; `len` and `render` never need it.  `render`, the
+one writer, reads sorted packed keys, so a tuple-form polynomial is
+packed there first.  Values are immutable after construction and every
+operation returns a fresh polynomial, which makes them safe to share
+between threads.
 
 Serialized form (terms in lexicographic exponent order, coefficients as
 decimal strings), as `to_json_text` and the CLI write it, with sorted
@@ -16,10 +29,11 @@ keys and no spaces:
 from __future__ import annotations
 
 import math
-from itertools import product
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, product, repeat
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError, Value
+from .errors import UnsupportedSizeError, ValidationError, Value, _assign
 from .polymatroid import Support, _integer
 from .schemas import check
 
@@ -37,11 +51,16 @@ class IntPolynomial(Value):
     `from_json_dict` also reads decimal-string coefficients.  Every
     operation builds its result with `_from_terms`, which drops zero
     coefficients and checks nothing else, since its exponents come from
-    checked polynomials.  Immutability is enforced: assigning to or
-    deleting a field raises AttributeError.
+    checked polynomials, and `_from_packed` likewise from packed keys.
+    Immutability is enforced: assigning to or deleting a field raises
+    AttributeError.
     """
 
-    __slots__ = ("nvars", "_terms")
+    # _tuples: exponent tuple -> coefficient, None until a packed
+    # polynomial is first read by exponent; _packed: packed key ->
+    # coefficient and _bases: the digit bases, t_1 first, both None for
+    # the tuple form
+    __slots__ = ("nvars", "_tuples", "_packed", "_bases")
 
     def __init__(
         self,
@@ -62,7 +81,7 @@ class IntPolynomial(Value):
             if any(e < 0 for e in key):
                 raise ValidationError(f"negative exponent in {key}")
             acc[key] = acc.get(key, 0) + (coef if type(coef) is int else _integer(coef))
-        self._set(nvars=nvars, _terms={k: c for k, c in acc.items() if c != 0})
+        self._fill(nvars, {k: c for k, c in acc.items() if c != 0}, None, None)
 
     # -- constructors ------------------------------------------------------
 
@@ -72,8 +91,27 @@ class IntPolynomial(Value):
         tuples of length nvars; zero coefficients are dropped and nothing
         else is checked."""
         poly = object.__new__(cls)
-        poly._set(nvars=nvars, _terms={e: c for e, c in terms.items() if c})
+        poly._fill(nvars, {e: c for e, c in terms.items() if c}, None, None)
         return poly
+
+    @classmethod
+    def _from_packed(cls, nvars: int, bases: Iterable[int], terms: dict[int, int]) -> "IntPolynomial":
+        """A polynomial from int coefficients keyed by packed exponents
+        with these nvars digit bases, t_1 first (see the module
+        docstring); zero coefficients are dropped and nothing else is
+        checked."""
+        poly = object.__new__(cls)
+        poly._fill(nvars, None, {e: c for e, c in terms.items() if c}, tuple(bases))
+        return poly
+
+    def _fill(self, nvars: int, tuples: dict | None, packed: dict | None, bases: tuple | None) -> None:
+        """Set the four fields once, one assignment each: `Value._set`
+        with keywords costs about twice as much, and every operation
+        builds a polynomial."""
+        _assign(self, "nvars", nvars)
+        _assign(self, "_tuples", tuples)
+        _assign(self, "_packed", packed)
+        _assign(self, "_bases", bases)
 
     @classmethod
     def zero(cls, nvars: int) -> "IntPolynomial":
@@ -103,6 +141,15 @@ class IntPolynomial(Value):
     # -- basic protocol ----------------------------------------------------
 
     @property
+    def _terms(self) -> dict[ExponentVector, int]:
+        """The term mapping by exponent tuple; a packed polynomial unpacks
+        its keys on the first read and keeps the result."""
+        if self._tuples is None:
+            exps = _unpack(self._bases, self._packed)
+            self._set(_tuples=dict(zip(exps, self._packed.values())))
+        return self._tuples
+
+    @property
     def terms(self) -> dict[ExponentVector, int]:
         """Copy of the term mapping (exponent tuple -> nonzero coefficient)."""
         return dict(self._terms)
@@ -111,7 +158,7 @@ class IntPolynomial(Value):
         return self._terms.get(tuple(exp), 0)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._tuples if self._packed is None else self._packed)
 
     def __iter__(self) -> Iterator[tuple[ExponentVector, int]]:
         return iter(sorted(self._terms.items()))
@@ -230,31 +277,40 @@ class IntPolynomial(Value):
 
     # -- formatting and serialization ---------------------------------------
 
+    def _packed_form(self) -> tuple[tuple[int, ...], dict[int, int]]:
+        """(bases, packed key -> coefficient).  A tuple-form polynomial is
+        packed here, in base 1 + the largest exponent of each variable."""
+        if self._packed is not None:
+            return self._bases, self._packed
+        exps = self._tuples
+        bases = tuple(max(column) + 1 for column in zip(*exps))
+        places = _places(bases)
+        return bases, dict(zip([sum(map(mul, e, places)) for e in exps], exps.values()))
+
     def render(self) -> tuple[str, str]:
         """The JSON text of `to_json_dict` (sorted keys, no spaces) and the
-        pretty text, from one sort of the terms and no dict per term.  Each
-        exponent column maps through two small tables, of decimal strings
-        and of factors "*t<i>^<e>" ("*t<i>" for 1, "" for 0).  Terms are
-        first written " + <coef><factors>"; a space stands only beside a
-        sign, so turning " + -" into " - " and " 1*" into " " then gives
-        the signs and drops each coefficient 1 of a nonconstant term."""
-        if not self._terms:
+        pretty text, from one sort of the packed keys and no dict per term.
+
+        The exponent and factor texts of the keys come from `_texts`, and
+        every piece of every term goes into one join.  Terms are first
+        written " + <coef><factors>"; a space stands only beside a sign, so
+        turning " + -" into " - " and " 1*" into " " then gives the signs
+        and drops each coefficient 1 of a nonconstant term.  A coefficient
+        or exponent of more digits than str() writes raises
+        UnsupportedSizeError."""
+        bases, packed = self._packed_form()
+        if not packed:
             return f'{{"nvars":{self.nvars},"terms":[]}}', "0"
-        exps, coefs = zip(*sorted(self._terms.items()))
-        coefs = list(map(str, coefs))
-        decimals, factors = [], []
-        for i, column in enumerate(zip(*exps), 1):
-            values = set(column)
-            decimal = {e: str(e) for e in values}
-            factor = {e: f"*t{i}^{e}" for e in values}
-            factor[0], factor[1] = "", f"*t{i}"
-            decimals.append(map(decimal.__getitem__, column))
-            factors.append(map(factor.__getitem__, column))
-        # with no variables the only possible term is the constant one
-        rows = map(",".join, zip(*decimals)) if decimals else ("",)
-        monomials = map("".join, zip(*factors)) if factors else ("",)
-        terms = ",".join(map('{"coef":"%s","exp":[%s]}'.__mod__, zip(coefs, rows)))
-        text = " + " + " + ".join(map(str.__add__, coefs, monomials))
+        keys = sorted(packed)
+        try:
+            coefs = list(map(str, map(packed.__getitem__, keys)))
+            exps, monomials = _texts(keys, bases, 1)
+        except ValueError as exc:  # a number of more digits than str() writes
+            raise UnsupportedSizeError(f"a polynomial is too large to print: {exc}") from exc
+        # the pieces of every term in turn, joined once, with no format per term
+        rows = zip(repeat('{"coef":"'), coefs, repeat('","exp":['), exps, repeat("]},"))
+        terms = "".join(chain.from_iterable(rows))[:-1]
+        text = "".join(chain.from_iterable(zip(repeat(" + "), coefs, monomials)))
         text = text.replace(" + -", " - ").replace(" 1*", " ")
         pretty = text[3:] if text[1] == "+" else "-" + text[3:]
         return f'{{"nvars":{self.nvars},"terms":[{terms}]}}', pretty
@@ -288,3 +344,42 @@ class IntPolynomial(Value):
                 raise ValidationError(f"coefficient of {term['exp']}: {exc}") from exc
         return cls(data["nvars"], terms)
 
+
+def _places(bases: Sequence[int]) -> list[int]:
+    """The place value of each digit of a packed key with these bases,
+    t_1 first: the product of the bases after it."""
+    return [math.prod(bases[k + 1 :]) for k in range(len(bases))]
+
+
+def _unpack(bases: tuple[int, ...], keys: Iterable[int]) -> list[ExponentVector]:
+    """The exponent tuples of packed keys with these digit bases, t_1
+    first, in the order of `keys`."""
+    places = _places(bases)
+    return [tuple(key // place % base for place, base in zip(places, bases)) for key in keys]
+
+
+def _texts(keys: list[int], bases: tuple[int, ...], first: int) -> tuple[list[str], list[str]]:
+    """The texts of distinct packed keys whose digits have these bases and
+    are the exponents of t_first, t_first+1, ...: the exponents as
+    comma-separated decimals, and the factors "*t<i>^<e>" ("*t<i>" for
+    1, none for 0), each list in the order of `keys`.  A key of two or
+    more digits splits at its middle digit, and the texts of each
+    distinct half are written once, by the same rule."""
+    if len(bases) < 2:
+        name = f"*t{first}"
+        exps = list(map(str, keys)) if bases else [""] * len(keys)  # no digits: the one key is 0
+        return exps, [f"{name}^{e}" if e > 1 else name if e else "" for e in keys]
+    mid = len(bases) // 2
+    split = math.prod(bases[mid:])
+    halves = []
+    for part, part_bases, part_first in (
+        (list(map(split.__rfloordiv__, keys)), bases[:mid], first),
+        (list(map(split.__rmod__, keys)), bases[mid:], first + mid),
+    ):
+        distinct = list(set(part))
+        exps, monomials = _texts(distinct, part_bases, part_first)
+        halves.append(map(dict(zip(distinct, exps)).__getitem__, part))
+        halves.append(map(dict(zip(distinct, monomials)).__getitem__, part))
+    high_exps, high_monomials, low_exps, low_monomials = halves
+    exps = list(map(",".join, zip(high_exps, low_exps)))
+    return exps, list(map(str.__add__, high_monomials, low_monomials))

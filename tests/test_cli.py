@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidegree import Permutation, Support, errors, hilbert, polymatroid, schubert_polynomial
+from multidegree import Permutation, Support, errors, hilbert, poly, polymatroid, schubert_polynomial
 from multidegree.cli import build_parser, main
 from multidegree.flagmoduli import flag_comparator_report, flag_msupp
 
 from json_oracle import oracle_bytes
+from kpoly_oracle import kpolynomial_oracle
 from mconvex_oracle import exchange_report
 from msupp_oracle import slice_points
 from pretty_oracle import pretty_oracle
@@ -342,8 +343,9 @@ def polynomial_ideals():
 
 
 class TestPolynomialBytes:
-    """Polynomials are written from their exponent columns; the bytes must
-    be those of the writer that dumped `to_json_dict` and the old `pretty`."""
+    """Polynomials are written from their packed exponent keys; the bytes
+    must be those of the writer that dumped `to_json_dict` and the old
+    `pretty`."""
 
     @staticmethod
     def assert_old_bytes(out, poly):
@@ -371,6 +373,50 @@ class TestPolynomialBytes:
         code, out, _err = run_cli(["schubert", "--perm", ",".join(map(str, one_line))], capsys)
         assert code == 0
         self.assert_old_bytes(out, schubert_polynomial(Permutation(one_line)))
+
+
+class TestKpolyReadsPackedKeys:
+    """`kpoly` writes the packed K-polynomial as it stands: with the
+    unpacking patched to raise, it still prints the oracle's bytes, and
+    `len`, which the benchmark tracer counts terms with, still works."""
+
+    @staticmethod
+    def ideals():
+        """The ideal fixtures, the Stanley-Reisner ideals of the complex
+        fixtures in both gradings, and those of seeded random complexes."""
+        documents = [json.loads((FIXTURES / "octahedron_sr_ideal_pairs.json").read_text())]
+        complexes = [
+            hilbert.SimplicialComplex.from_json_dict(json.loads((FIXTURES / name).read_text()))
+            for name in ("hollow_triangle.json", "octahedron.json", "icosahedron.json")
+        ]
+        rng = random.Random(31)
+        for _ in range(12):
+            nverts = rng.randint(4, 10)
+            facets = [rng.sample(range(1, nverts + 1), 3) for _ in range(rng.randint(2, 12))]
+            facets = [f for f in facets if not any(set(f) < set(g) for g in facets)]
+            complexes.append(hilbert.SimplicialComplex(nverts, facets))
+        for complex_ in complexes:
+            for pairs in (1, 2):
+                documents.append(hilbert.stanley_reisner_ideal(complex_, pairs).to_json_dict())
+        return documents
+
+    def test_no_exponent_tuple_is_built(self, monkeypatch):
+        def refuse(_bases, _keys):
+            raise AssertionError("the kpoly path unpacked an exponent tuple")
+
+        monkeypatch.setattr(poly, "_unpack", refuse)
+        routes = set()
+        for document in self.ideals():
+            ideal = hilbert.MonomialIdeal.from_json_dict(document)
+            expected = kpolynomial_oracle(ideal)[0]  # tuple form: nothing to unpack
+            code, out = run_quietly(["kpoly", "--json", json.dumps(document)])
+            assert code == 0
+            assert out == oracle_bytes({"polynomial": expected, "pretty": pretty_oracle(expected)})
+            assert len(hilbert.kpolynomial(ideal)) == len(expected)
+            gens = ideal.generators
+            used = {v for g in gens for v, e in enumerate(g) if e}
+            routes.add(len(used) <= len(gens))
+        assert routes == {True, False}  # the face table and the recursion
 
 
 class TestDeterminismAndErrors:
@@ -702,6 +748,18 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "digits" in json.loads(err)["error"]
+
+    def test_multidegree_past_the_digit_limit_exit_3(self, capsys):
+        # C = d1 d2 d3 t^3 for (x1, x2, x3): 1,501-digit degrees give a
+        # 4,501-digit coefficient, more than str() writes
+        degrees = [[int(str(k) * 1501)] for k in (7, 8, 9)]
+        ideal = {"nvars": 3, "p": 1, "degrees": degrees, "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+        code, out, err = run_cli(["multidegree", "--json", json.dumps(ideal)], capsys)
+        assert code == 3
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("warning:")
+        assert len(lines) == 2 and "digits" in json.loads(lines[1])["error"]
 
     def test_support_budget_exit_3(self, capsys):
         # n_1 + n_2 = 10^9: a billion points in a 60-byte document

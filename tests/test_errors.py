@@ -1,8 +1,9 @@
 """The contracts of errors.py: one function decides every budget,
 `_integer` reads every public integer argument, and every value class
 is immutable and compared, hashed, printed and pickled by its fields.
-The library imports nothing outside the standard library, and the CLI
-does not import `dataclasses` or `inspect`."""
+A number too long to print raises UnsupportedSizeError.  The library
+imports nothing outside the standard library, and the CLI does not
+import `dataclasses` or `inspect`."""
 
 import ast
 import copy
@@ -30,12 +31,15 @@ from multidegree import (
     SimplicialComplex,
     SubspaceFamily,
     Support,
+    UnsupportedSizeError,
     ValidationError,
     errors,
     flag_msupp,
+    kpolynomial,
     m0n_msupp,
     minkowski_sum,
     msupp_from_rank,
+    multidegree_polynomial,
     projection_codim,
     rothe_diagram,
     theta,
@@ -228,6 +232,11 @@ VALUES = {
         lambda: IntPolynomial(2, {(1, 0): 2, (0, 2): -1}),
         "IntPolynomial(2, '-t2^2 + 3*t1')",
     ),
+    "int-polynomial-packed": (
+        lambda: kpolynomial(MonomialIdeal(Grading.standard(2), [(1, 1)])),
+        lambda: kpolynomial(MonomialIdeal(Grading.standard(2), [(2, 1)])),
+        "IntPolynomial(2, '1 - t1*t2')",
+    ),
 }
 
 
@@ -247,3 +256,15 @@ def test_value_semantics(make, changed, text):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b and repr(a) == text
+
+
+def test_polynomial_past_the_digit_limit_is_unsupported():
+    # (x1, x2, x3) in one grading variable: C = d1 d2 d3 t^3, whose
+    # 4,501 digits from three 1,501-digit degrees are more than str() writes
+    degrees = [int(str(k) * 1501) for k in (7, 8, 9)]
+    ideal = MonomialIdeal(Grading(3, 1, [[d] for d in degrees]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    c = multidegree_polynomial(ideal)
+    assert c == IntPolynomial(1, {(3,): degrees[0] * degrees[1] * degrees[2]})
+    for write in (c.render, c.pretty, c.to_json_text):
+        with pytest.raises(UnsupportedSizeError, match="digits"):
+            write()

@@ -6,17 +6,21 @@ test-local recursion with randomized pivot choices is the oracle for
 pivot-independence of the K-polynomial, and the per-node IntPolynomial
 recursion of `kpoly_oracle` the oracle for its packed accumulator and
 node count; the face sum of `kpoly_oracle`, one subset at a time, the
-oracle for the face table of squarefree ideals; the lowest-degree part of
-K(S/I; 1 - t) is the oracle for the multidegree by additivity, an
+oracle for the face table of squarefree ideals, and the tuple form of
+that recursion the oracle for the packed form both routes return; the
+lowest-degree part of K(S/I; 1 - t) and the box walk of
+`box_walk_oracle` are the oracles for the multidegree by additivity, an
 exhaustive subset search the oracle for the minimum primes, and the
 vertex-subset search of `nonface_oracle` the oracle for the minimal
 non-faces.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
 from itertools import combinations, product
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +57,10 @@ from multidegree.hilbert import (
     _recursive_kpolynomial,
 )
 
+from box_walk_oracle import box_walk_multidegree
 from kpoly_oracle import face_sum_oracle, kpolynomial_oracle, minimalize
 from nonface_oracle import minimal_nonfaces_oracle
+from pretty_oracle import pretty_oracle
 
 
 @contextmanager
@@ -445,6 +451,116 @@ class TestFaceTable:
             assert kpolynomial(ico) == expected
 
 
+@st.composite
+def graded_ideals(draw):
+    """Ideals, squarefree or not, in one of five gradings: fine
+    (deg x_v = e_v), pair (x_v and x_{v+n} both of degree e_v), permuted
+    unit (deg x_v = e_sigma(v)), coarse (p = 1, degrees 1 to 3) and
+    random degree vectors with entries 0 to 2.  In the pair, coarse and
+    random gradings two monomials can share a degree, so terms merge and
+    can cancel."""
+    kind = draw(st.sampled_from(["fine", "pair", "permuted", "coarse", "random"]))
+    n = draw(st.integers(1, 5))
+    units = [[int(j == k) for j in range(n)] for k in range(n)]
+    if kind == "fine":
+        degrees = units
+    elif kind == "pair":
+        degrees = units * 2
+    elif kind == "permuted":
+        degrees = [units[k] for k in draw(st.permutations(range(n)))]
+    elif kind == "coarse":
+        degrees = draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=1), min_size=n, max_size=n))
+    else:
+        p = draw(st.integers(1, 3))
+        nonzero = st.lists(st.integers(0, 2), min_size=p, max_size=p).filter(any)
+        degrees = draw(st.lists(nonzero, min_size=n, max_size=n))
+    nvars = len(degrees)
+    top = 1 if draw(st.booleans()) else 3
+    exponents = st.lists(st.integers(0, top), min_size=nvars, max_size=nvars).filter(any)
+    candidates = {tuple(e) for e in draw(st.lists(exponents, max_size=6))}
+    gens = [g for g in candidates if not any(h != g and all(map(le, h, g)) for h in candidates)]
+    return MonomialIdeal(Grading(nvars, len(degrees[0]), degrees), gens)
+
+
+def assert_packed_equals(packed, plain):
+    """A packed polynomial against the same polynomial in tuple form:
+    `len` and `render` first, which must leave the packed one unpacked,
+    then every reading by exponent."""
+    assert packed._packed is not None and plain._packed is None
+    assert len(packed) == len(plain)
+    text, pretty = packed.render()
+    assert (text, pretty) == plain.render()
+    assert packed._tuples is None
+    assert text == json.dumps(plain.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert pretty == pretty_oracle(plain)
+    assert packed == plain and plain == packed
+    assert hash(packed) == hash(plain)
+    assert packed.to_json_dict() == plain.to_json_dict()
+    assert support_or_fault(packed) == support_or_fault(plain)
+
+
+def support_or_fault(f):
+    """f.support(), or the message of the ValidationError it raises when
+    its positive terms have different total degrees."""
+    try:
+        return f.support()
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestPackedForm:
+    """Both K-polynomial routes return the packed form, and it reads the
+    same as the tuple form of the oracle recursion in every way."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(graded_ideals())
+    def test_property(self, ideal):
+        plain = kpolynomial_oracle(ideal)[0]
+        assert_packed_equals(kpolynomial(ideal), plain)
+        assert_packed_equals(_recursive_kpolynomial(ideal), plain)
+        if all(e <= 1 for g in ideal.generators for e in g):
+            assert_packed_equals(_face_table_kpolynomial(ideal, used_variables(ideal)), plain)
+
+    def test_terms_merge_and_cancel(self):
+        coarse = Grading(3, 1, [(1,), (1,), (2,)])
+        cases = [
+            # x1 x2 and x2 x3 have one degree: 1 - 2t^2 + t^3
+            (MonomialIdeal(Grading(3, 1, [(1,)] * 3), [(1, 1, 0), (0, 1, 1)]), "1 - 2*t1^2 + t1^3"),
+            # (1 - t)(1 - t)(1 - t^2): -t^2 from x3 cancels +t^2 from x1 x2
+            (MonomialIdeal(coarse, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), "1 - 2*t1 + 2*t1^3 - t1^4"),
+            # the hollow triangle in the pair grading: 2^6 subsets on 3 degrees
+            (stanley_reisner_ideal(hollow_triangle(), vars_per_vertex=2), None),
+        ]
+        for ideal, pretty in cases:
+            plain = kpolynomial_oracle(ideal)[0]
+            for packed in (
+                kpolynomial(ideal),
+                _face_table_kpolynomial(ideal, used_variables(ideal)),
+                _recursive_kpolynomial(ideal),
+            ):
+                assert_packed_equals(packed, plain)
+            assert pretty in (None, plain.pretty())
+
+    def test_twenty_variables(self):
+        rng = random.Random(20)
+        grading = Grading.standard(20)
+        ideals = [MonomialIdeal(grading, [(1,) * 20])]
+        for _ in range(5):
+            gens = {tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(20)) for _ in range(4)}
+            gens = [g for g in gens if any(g) and not any(h != g and all(map(le, h, g)) for h in gens)]
+            ideals.append(MonomialIdeal(grading, gens))
+        for ideal in ideals:
+            assert_packed_equals(kpolynomial(ideal), kpolynomial_oracle(ideal)[0])
+        assert kpolynomial(ideals[0]).pretty() == "1 - " + "*".join(f"t{i}" for i in range(1, 21))
+
+    def test_exponents_past_a_byte(self):
+        grading = Grading(2, 2, [(1, 0), (1, 3)])
+        for gens in ([(300, 0)], [(256, 1), (0, 2)], [(255, 255)], [(1000, 0), (3, 400)]):
+            ideal = MonomialIdeal(grading, gens)
+            assert_packed_equals(kpolynomial(ideal), kpolynomial_oracle(ideal)[0])
+        assert kpolynomial(MonomialIdeal(grading, [(300, 0)])).pretty() == "1 - t1^300"
+
+
 class TestMinimalityCheck:
     def test_many_variables_checked_quickly(self):
         # 1,121,251 pairs of disjoint supports: the support masks settle
@@ -649,6 +765,60 @@ class TestMultidegreeByAdditivity:
         monkeypatch.setattr(errors, "DEFAULT_ENUMERATION_BUDGET", 11)
         with pytest.raises(BudgetExceededError, match="standard-monomial count cells: 12 exceeds the budget of 11"):
             multidegree_polynomial(ideal)
+
+
+class TestSquarefreeMultiplicity:
+    """A squarefree ideal takes mult_P = 1 at every minimum prime without
+    the standard-monomial count; every other ideal still counts.  The
+    box-walk route of `box_walk_oracle` counts every multiplicity."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """The covers `_length_at` is called with, from here on."""
+        calls = []
+
+        def spy(ideal, cover, spent):
+            calls.append(cover)
+            return _length_at(ideal, cover, spent)
+
+        monkeypatch.setattr(hilbert, "_length_at", spy)
+        return calls
+
+    @pytest.mark.parametrize("pairs", [1, 2], ids=["fine", "pair"])
+    def test_random_squarefree_ideals(self, monkeypatch, pairs):
+        calls = self.counted(monkeypatch)
+        rng = random.Random(22 + pairs)
+        for _ in range(60):
+            nverts = rng.randint(1, 7)
+            facets = [rng.sample(range(1, nverts + 1), rng.randint(1, nverts)) for _ in range(rng.randint(1, 5))]
+            facets = [f for f in facets if not any(set(f) < set(g) for g in facets)]
+            ideal = stanley_reisner_ideal(SimplicialComplex(nverts, facets), vars_per_vertex=pairs)
+            assert multidegree_polynomial(ideal) == box_walk_multidegree(ideal)
+        assert calls == []
+
+    def test_random_squarefree_ideals_in_random_gradings(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        rng = random.Random(23)
+        for _ in range(200):
+            ideal = random_ideal(rng, max_vars=7, entries=(0, 0, 1), max_gens=6)
+            assert multidegree_polynomial(ideal) == box_walk_multidegree(ideal)
+        assert calls == []
+
+    def test_other_ideals_still_count(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        # x1^2 x2 is not squarefree; its covers (x1) and (x2) have lengths 2 and 1
+        ideal = MonomialIdeal(Grading.standard(2), [(2, 1)])
+        assert multidegree_polynomial(ideal) == IntPolynomial(2, {(1, 0): 2, (0, 1): 1})
+        assert calls == [(0,), (1,)]
+        rng = random.Random(24)
+        for _ in range(200):
+            ideal = random_ideal(rng, max_vars=6, entries=(0, 0, 1, 2, 3), max_gens=6)
+            squarefree = all(e <= 1 for g in ideal.generators for e in g)
+            del calls[:]
+            assert multidegree_polynomial(ideal) == box_walk_multidegree(ideal)
+            assert (calls == []) is squarefree
+            if not squarefree:
+                assert calls == minimum_primes(ideal)
 
 
 class TestSupportAsUnionOfPolymatroids:

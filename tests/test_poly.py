@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multidegree import IntPolynomial, ValidationError
+from multidegree import IntPolynomial, UnsupportedSizeError, ValidationError
 
 from pretty_oracle import pretty_oracle
 
@@ -318,3 +318,65 @@ class TestTrustedResults:
             assert_well_formed(h)
         divisor = IntPolynomial.variable(f.nvars, i) - IntPolynomial.variable(f.nvars, i + 1)
         assert quotient * divisor == f - swapped
+
+
+def assert_old_bytes(f):
+    """`render` against the dict route and the old formatter."""
+    text, pretty = f.render()
+    assert text == json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert pretty == pretty_oracle(f)
+
+
+def packed_copy(f, bases):
+    """f in packed form with these digit bases, t_1 first."""
+    keys = {}
+    for exp, coef in f.terms.items():
+        key = 0
+        for e, base in zip(exp, bases):
+            key = key * base + e
+        keys[key] = coef
+    return IntPolynomial._from_packed(f.nvars, bases, keys)
+
+
+class TestPackedWriter:
+    """The one writer reads packed keys: a tuple-form polynomial is packed
+    in base 1 + its largest exponent of each variable, and either form,
+    in any bases, gives the old bytes."""
+
+    def test_twenty_variables(self):
+        rng = random.Random(20)
+        for _ in range(20):
+            f = random_poly(rng, 20, max_terms=12, max_exp=3, max_coef=40)
+            assert_old_bytes(f)
+            packed = packed_copy(f, [4] * 20)
+            assert packed.render() == f.render() and packed == f
+
+    @pytest.mark.parametrize("top", [255, 256, 300, 10**6])
+    def test_exponents_past_a_byte(self, top):
+        f = poly(3, ((top, 0, 1), 2), ((0, top, 0), -1), ((1, 1, top), 5), ((0, 0, 0), -7))
+        assert_old_bytes(f)
+        assert f.pretty() == f"-7 - t2^{top} + 5*t1*t2*t3^{top} + 2*t1^{top}*t3"
+        packed = packed_copy(f, [top + 1] * 3)
+        assert packed.render() == f.render() and packed == f
+
+    def test_coefficient_just_under_the_digit_limit(self):
+        # Python writes at most 4,300 digits of an int; the sign is no digit
+        for coef in (10**4300 - 1, -(10**4300 - 1)):
+            f = poly(2, ((1, 0), coef), ((0, 0), 1))
+            assert_old_bytes(f)
+            assert packed_copy(f, [2, 1]).render() == f.render()
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            poly(2, ((1, 0), 10**4300), ((0, 0), 1)),
+            poly(1, ((0,), -(10**4300))),
+            IntPolynomial._from_packed(2, (3, 3), {4: 10**4300}),
+            poly(2, ((10**4300, 1), 1)),  # an exponent past the limit
+        ],
+        ids=["coefficient", "negative-constant", "packed", "exponent"],
+    )
+    def test_past_the_digit_limit_unsupported(self, f):
+        for write in (f.render, f.pretty, f.to_json_text):
+            with pytest.raises(UnsupportedSizeError, match="too large to print.*digits"):
+                write()
