@@ -324,13 +324,13 @@ class IntPolynomial(Value):
         return self.render()[0]
 
     def to_json_dict(self) -> dict:
-        return {
-            "nvars": self.nvars,
-            "terms": [
-                {"exp": list(exp), "coef": str(coef)}
-                for exp, coef in sorted(self._terms.items())
-            ],
-        }
+        try:
+            terms = [
+                {"exp": list(exp), "coef": str(coef)} for exp, coef in sorted(self._terms.items())
+            ]
+        except ValueError as exc:  # a coefficient of more digits than str() writes
+            raise UnsupportedSizeError(f"a polynomial is too large to print: {exc}") from exc
+        return {"nvars": self.nvars, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntPolynomial":

@@ -28,7 +28,11 @@ above).  `is_mconvex` decides the exchange axiom directly, because it
 must name the first failing triple; the tests hold its verdict to this
 characterization.  Whether some y fails the exchange of x at i depends
 only on the down point x - e_i, so each down point is decided once
-however many points of S lie above it.
+however many points of S lie above it.  Its masks over the points are
+read from one byte text per column by `translate` and `int(..., 2)`.
+
+A `Support` is read in a few passes over all coordinates, and points
+already strictly increasing are not sorted again.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import mul, sub
+from itertools import chain, islice, repeat
+from operator import lt, mul, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -128,15 +132,21 @@ class Support(Value):
         if p < 0:
             raise ValidationError(f"ground set size {p} is negative")
         rows = list(map(tuple, points))
-        # plain ints, rows of length p, nonnegative, of one weight: decided in a
-        # few passes over all coordinates; the per-entry loop only names a fault
-        if (
+        # plain ints >= 0, decided in two passes over all coordinates
+        naturals = (
             set(map(type, chain.from_iterable(rows))) <= {int}
-            and set(map(len, rows)) <= {p}
             and min(chain.from_iterable(rows), default=0) >= 0
-            and len(weights := set(map(sum, rows))) <= 1
-        ):
-            rows = sorted(set(rows))
+        )
+        self._read(p, rows, naturals)
+
+    def _read(self, p: int, rows: list[tuple], naturals: bool) -> None:
+        """Fill the fields from rows, all of whose coordinates are ints
+        >= 0 if `naturals`.  Rows of length p and of one weight are sorted
+        and deduplicated unless strictly increasing; otherwise
+        `_read_points` converts them or names the first fault."""
+        if naturals and set(map(len, rows)) <= {p} and len(weights := set(map(sum, rows))) <= 1:
+            if not all(map(lt, rows, islice(rows, 1, None))):
+                rows = sorted(set(rows))
         else:
             rows, weights = _read_points(p, rows)
         self._fill(p, tuple(rows), None, weights.pop() if weights else None)
@@ -228,9 +238,17 @@ class Support(Value):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Support":
-        """A support from a document of the `support` schema."""
+        """A support from a document of the `support` schema.
+
+        The schema vouches that p is an int >= 1 and that every coordinate
+        is an int >= 0 (never a bool), so only the lengths of the points
+        and their one weight are checked here.  A fault gets the message
+        that `Support(p, points)` gives it.
+        """
         check("support", data)
-        return cls(data["p"], data["points"])
+        support = object.__new__(cls)
+        support._read(data["p"], list(map(tuple, data["points"])), True)
+        return support
 
 
 class RankFunction(Value):
@@ -618,6 +636,25 @@ class MConvexReport(Value):
         return {"mconvex": self.mconvex, "witness": {"x": list(x), "y": list(y), "i": i}}
 
 
+def _rank_masks(ranks: list[int], m: int) -> list[int]:
+    """masks[r] for r < m: the points whose rank is at most r, as bits.
+    `ranks` holds each point's rank in 0..m-1, the point of bit 0 last,
+    so the ranks as bytes are a text that `int(..., 2)` reads once each
+    rank is made "1" or "0".  Up to 16 ranks, each mask is one
+    `translate` and one `int`: m passes over the N points, in C.  More
+    ranks are split into digits base 16, r = 16h + c.  The masks of the
+    high digits h and of the low digits c come the same way, and mask r
+    is the blocks below h together with the points of block h whose low
+    digit is at most c: two big-int operations per rank."""
+    if m <= 16:
+        text = bytes(ranks)
+        return [int(text.translate(b"1" * (r + 1) + b"0" * (255 - r)), 2) for r in range(m)]
+    blocks = _rank_masks(list(map((4).__rrshift__, ranks)), (m + 15) >> 4)
+    lows = _rank_masks(list(map((15).__and__, ranks)), 16)
+    below = [0] + blocks
+    return [below[r >> 4] | blocks[r >> 4] & lows[r & 15] for r in range(m)]
+
+
 def is_mconvex(s: Support) -> MConvexReport:
     """Test the exchange axiom: for x, y in s and x_i > y_i there is j
     with x_j < y_j and x - e_i + e_j in s.
@@ -643,39 +680,46 @@ def is_mconvex(s: Support) -> MConvexReport:
     the least i at that index, give the same witness as the pass over
     pairs.  By Murota's characterization (module docstring) the verdict
     equals "r_S is submodular and B(r_S) holds |s| lattice points".
+
+    The masks of column j come from the rank of each point's value among
+    the column's m distinct values (`_rank_masks`): the points y with
+    y_j <= v are one `translate` and one `int(..., 2)` of that text, and
+    the points with y_j < v are the entry at the value before v.  A
+    column of up to 16 values costs m passes over N bytes in C, a wider
+    one at most 16 per base-16 digit of m and two big-int operations
+    per value; one OR per point into masks of up to N bits cost O(N^2)
+    digit operations.  A mask is one bit per point, and `int(..., 2)`
+    reads a text of any length, as the limit on int() digits spares
+    base 2.
     """
     if not s.points:
         raise ValidationError("M-convexity is undefined for an empty support")
     points, p = s.points, s.p
     # x -> its digits in base weight + 1, so a move -e_i + e_j is one addition
     powers = [(s.weight + 1) ** j for j in range(p)]
-    keys = {sum(map(mul, x, powers)) for x in points}
+    keys = [sum(map(mul, x, powers)) for x in points]
+    members = set(keys)
     # below[j][v] / upto[j][v]: the points y with y_j < v / y_j <= v, bit k for
     # points[k], for the values v that occur in coordinate j
     below: list[dict[int, int]] = []
     upto: list[dict[int, int]] = []
-    for j in range(p):
-        by_value: dict[int, int] = {}
-        for k, y in enumerate(points):
-            by_value[y[j]] = by_value.get(y[j], 0) | 1 << k
-        lower, upper, seen = {}, {}, 0
-        for v in sorted(by_value):
-            lower[v] = seen
-            seen |= by_value[v]
-            upper[v] = seen
-        below.append(lower)
-        upto.append(upper)
+    for column in zip(*points):
+        values = sorted(set(column))
+        rank = dict(zip(values, range(len(values))))
+        masks = _rank_masks(list(map(rank.__getitem__, reversed(column))), len(values))
+        below.append(dict(zip(values, [0] + masks)))
+        upto.append(dict(zip(values, masks)))
     clean: set[int] = set()  # keys of the down points u with A(u) empty
-    for x in points:
-        key = sum(map(mul, x, powers))
+    for x, key in zip(points, keys):
         first = None  # (index of y, i) of the earliest failure at this x
         for i in range(p):
-            failing = below[i][x[i]]
+            if not x[i]:  # no y has y_i < 0
+                continue
             down = key - powers[i]
-            if not failing or down in clean:
+            if down in clean or not (failing := below[i][x[i]]):
                 continue
             for j in range(p):
-                if j != i and down + powers[j] in keys:
+                if j != i and down + powers[j] in members:
                     failing &= upto[j][x[j]]
                     if not failing:
                         break

@@ -9,7 +9,8 @@ O(|S|^2 p^2) steps, too many for supports of thousands of points.
 points were shared: the same witness, with the failing set of every
 (x, i) taken afresh as at most p ANDs of one mask per coordinate value,
 so it is fast enough for those supports and independent of the set of
-clean down points that `is_mconvex` keeps.
+clean down points that `is_mconvex` keeps.  Its masks are built by one
+OR per point, independent of the rank texts that `is_mconvex` reads.
 `murota_mconvex` decides the same property by Murota's characterization
 (*Discrete Convex Analysis*, 2003): S is M-convex iff r_S is submodular
 and B(r_S) has exactly |S| lattice points.  `rank_from_support_oracle`

@@ -2,8 +2,8 @@
 `_integer` reads every public integer argument, and every value class
 is immutable and compared, hashed, printed and pickled by its fields.
 A number too long to print raises UnsupportedSizeError.  The library
-imports nothing outside the standard library, and the CLI does not
-import `dataclasses` or `inspect`."""
+imports nothing outside the standard library, parses as Python 3.10,
+and the CLI does not import `dataclasses` or `inspect`."""
 
 import ast
 import copy
@@ -132,6 +132,12 @@ def test_src_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} {name}")
     assert outside == []
+
+
+def test_src_parses_as_the_oldest_supported_python():
+    # pyproject.toml declares requires-python = ">=3.10"
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
@@ -265,6 +271,6 @@ def test_polynomial_past_the_digit_limit_is_unsupported():
     ideal = MonomialIdeal(Grading(3, 1, [[d] for d in degrees]), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     c = multidegree_polynomial(ideal)
     assert c == IntPolynomial(1, {(3,): degrees[0] * degrees[1] * degrees[2]})
-    for write in (c.render, c.pretty, c.to_json_text):
+    for write in (c.render, c.pretty, c.to_json_text, c.to_json_dict):
         with pytest.raises(UnsupportedSizeError, match="digits"):
             write()

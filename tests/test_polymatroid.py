@@ -40,6 +40,7 @@ from multidegree import (
     validate_rank_function,
 )
 from multidegree import errors, polymatroid
+from multidegree.schemas import check
 
 from mconvex_oracle import (
     bitset_exchange_report,
@@ -698,6 +699,8 @@ class TestMConvexDownPoints:
         ids=lambda case: f"{case[0]}{case[1]}",
     )
     def test_equals_the_bitset_search(self, support):
+        # flag6 (7,958 points) and m0n10 (16,796) have masks longer than
+        # the 4,300 digits int() reads in base 10; base 2 has no limit
         family, p = support
         s = flag_msupp(p) if family == "flag" else m0n_msupp(p)
         for t in removals_and_a_move(s):
@@ -754,6 +757,57 @@ class TestMConvexDownPoints:
                 tracemalloc.stop()
 
         assert peak(is_mconvex) <= 3 * peak(bitset_exchange_report)
+
+
+@st.composite
+def wide_supports(draw):
+    """A support of weight up to 600 on 2 or 3 elements whose columns
+    take up to 601 distinct values: the points of one weight in a box
+    (an M-convex set), the first coordinate in an interval at least half
+    the weight long and, for p = 3, the last in a short one, with up to
+    two points removed and up to two of the same weight added.  Half the
+    weights are drawn past 520, so many columns hold more than 256
+    values."""
+    p = draw(st.integers(2, 3))
+    weight = draw(st.integers(0, 600) | st.integers(520, 600))
+    lo, hi = draw(st.integers(0, weight // 4)), draw(st.integers(weight - weight // 4, weight))
+    lasts = range(draw(st.integers(0, weight)), weight + 1)[: draw(st.integers(1, 3))] if p == 3 else [0]
+    points = [(v, weight - v - w, w)[:p] for v in range(lo, hi + 1) for w in lasts if v + w <= weight]
+    for _ in range(draw(st.integers(0, 2))):
+        if len(points) > 1:
+            points.pop(draw(st.integers(0, len(points) - 1)))
+    for _ in range(draw(st.integers(0, 2))):
+        cuts = sorted(draw(st.lists(st.integers(0, weight), min_size=p - 1, max_size=p - 1)))
+        points.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [weight])))
+    return Support(p, points or [(weight,) + (0,) * (p - 1)])
+
+
+class TestMConvexMasks:
+    """The masks of columns with many distinct values against the search
+    that builds one mask per value by ORs over the points.  Supports of
+    more points than int() reads decimal digits are m0n10 (16,796) and
+    flag6 in `TestMConvexDownPoints`."""
+
+    @pytest.mark.parametrize("weight", [300, 4099])
+    def test_columns_of_more_than_256_values(self, weight):
+        # (v, W - v) for every v: W + 1 distinct values in each column
+        s = Support(2, [(v, weight - v) for v in range(weight + 1)])
+        cases = removals_and_a_move(s) + [Support(2, s.points[:17] + s.points[18:])]
+        for t in cases:
+            assert is_mconvex(t) == bitset_exchange_report(t)
+        # a gap inside the segment breaks the exchange; a shorter segment does not
+        assert [is_mconvex(t).mconvex for t in cases] == [True, True, False, True, False]
+
+    def test_values_past_any_byte_or_character(self):
+        big = 10**30
+        s = Support(2, [(0, big), (1, big - 1), (big, 0)])
+        assert is_mconvex(s) == exchange_report(s) == bitset_exchange_report(s)
+        assert is_mconvex(s).witness == ((1, big - 1), (big, 0), 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(wide_supports())
+    def test_wide_property(self, s):
+        assert is_mconvex(s) == bitset_exchange_report(s)
 
 
 class TestRankFromSupport:
@@ -996,14 +1050,25 @@ def plant(draw, rows, at, fault):
         rows[row] = rows[row][:-1] if draw(st.booleans()) else rows[row] + [0]
 
 
+# the orders a list of rows is given in, before a fault is planted
+ARRANGEMENTS = {
+    "drawn": lambda rows: rows,
+    "sorted": lambda rows: [list(row) for row in sorted(set(map(tuple, rows)))],
+    "reversed": lambda rows: [list(row) for row in sorted(set(map(tuple, rows)), reverse=True)],
+    "duplicated": lambda rows: rows + [list(rows[-1])],
+}
+
+
 @st.composite
 def planted_supports(draw):
-    """(p, points) of a support on p <= 4 elements, as lists, with one
-    bool, float, string, index-only, negative, wrong-length or
-    mixed-weight entry at a drawn place, or none."""
+    """(p, points) of a support on p <= 4 elements, as lists, as drawn,
+    sorted and distinct, reversed or with a row repeated, with one bool,
+    float, string, index-only, negative, wrong-length or mixed-weight
+    entry at a drawn place, or none."""
     p, weight = draw(st.integers(1, 4)), draw(st.integers(0, 4))
     cuts = st.lists(st.integers(0, weight), min_size=p - 1, max_size=p - 1).map(sorted)
     rows = [[b - a for a, b in zip([0] + c, c + [weight])] for c in draw(st.lists(cuts, min_size=1, max_size=8))]
+    rows = ARRANGEMENTS[draw(st.sampled_from(sorted(ARRANGEMENTS)))](rows)
     fault = draw(st.sampled_from(["none", "bool", "float", "str", "index", "negative", "weight", "length"]))
     plant(draw, rows, (draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, p - 1))), fault)
     return p, rows
@@ -1031,9 +1096,14 @@ def outcome(read, p, entries):
     return built, getattr(built, "weight", None)
 
 
+def read_document(p, rows):
+    return Support.from_json_dict({"p": p, "points": rows})
+
+
 class TestReadersAgainstOracle:
     """The one-pass readers against the per-entry constructors: the same
-    object, or the same first fault with the same message."""
+    object, or the same first fault with the same message.  The document
+    reader gives the schema's message for what the schema refuses."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(planted_supports())
@@ -1044,6 +1114,54 @@ class TestReadersAgainstOracle:
     @given(planted_tables())
     def test_rank_function(self, case):
         assert outcome(RankFunction, *case) == outcome(rank_function_oracle, *case)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(planted_supports())
+    def test_support_document(self, case):
+        # a fault the schema refuses gets the schema's message; the others
+        # (wrong length, mixed weight) and clean rows in any order go as
+        # the per-entry constructor takes them
+        p, rows = case
+        try:
+            check("support", {"p": p, "points": rows})
+        except ValidationError as exc:
+            expected = (ValidationError, str(exc))
+        else:
+            expected = outcome(support_oracle, p, rows)
+        assert outcome(read_document, p, rows) == expected
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1, 1], [2, 0, 0]], "point (2, 0, 0) has length 3, expected 2"),
+            ([[1, 2], [1, 1]], "points have mixed coordinate sums [2, 3]"),
+            ([[2, 0], [0, 2], [1, 1], [0, 2]], None),
+            ([[0, 1], [1, True]], "points[1][1] must be an integer, not bool"),
+            ([[0, 1], [1, 0.0]], "points[1][1] must be an integer, not float"),
+            ([[0, 1], ["1", 0]], "points[1][0] must be an integer, not str"),
+            ([[0, 1], [2, -1]], "points[1][1] must be at least 0"),
+        ],
+    )
+    def test_support_document_cases(self, rows, message):
+        if message is None:
+            assert read_document(2, rows) == support_oracle(2, rows)
+        else:
+            with pytest.raises(ValidationError) as caught:
+                read_document(2, rows)
+            assert str(caught.value) == message
+
+    def test_increasing_rows_are_not_sorted_again(self, monkeypatch):
+        s = m0n_msupp(6)
+        rows = [list(pt) for pt in s.points]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("strictly increasing rows were sorted")
+
+        monkeypatch.setattr(polymatroid, "sorted", refuse, raising=False)
+        assert Support.from_json_dict({"p": s.p, "points": rows}) == s
+        assert Support(s.p, rows) == s
+        with pytest.raises(AssertionError, match="sorted"):  # the patch is in effect
+            Support(s.p, rows[::-1])
 
     @pytest.mark.parametrize(
         "points",
