@@ -44,7 +44,7 @@ Every exponent it meets lies coordinatewise below b = deg(lcm of the
 generators), since each term is +-t^deg(lcm s) for a subset s of them
 (Taylor resolution); exponents are packed into one int with digit k in
 base b_k + 1, t_1 the most significant, and a shift never carries.
-Both routes return that packed form of `IntPolynomial` as it stands.
+Both routes build these keys of `IntPolynomial` (see `poly`) directly.
 The lowest-degree part of K(S/I; 1 - t) is C(S/I; t); the tests use
 that expansion as the oracle for the additivity route.
 """
@@ -180,7 +180,7 @@ def _minimalize(gens: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 
 
 def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
-    """K-polynomial of S/I in the p grading variables, in packed form.
+    """K-polynomial of S/I in the p grading variables.
 
     Two routes give the same polynomial.  A squarefree ideal whose
     generators use n <= min(MAX_GROUND_SET, number of generators)
@@ -189,9 +189,8 @@ def kpolynomial(ideal: MonomialIdeal) -> IntPolynomial:
     ideal's Taylor resolution.  Every other ideal takes the recursion
     (`_recursive_kpolynomial`), whose nodes alone are bounded by
     DEFAULT_RECURSION_BUDGET; more raise BudgetExceededError.  Both
-    return the `IntPolynomial` packed form (see `poly`), with digit k in
-    base b_k + 1 for a bound b on every exponent, so neither builds an
-    exponent tuple.
+    build packed keys (see `poly`), with digit k in base b_k + 1 for a
+    bound b on every exponent, so neither builds an exponent tuple.
     """
     gens = ideal.generators
     used = reduce(or_, ideal._supports, 0)
@@ -472,33 +471,37 @@ def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
     is (x_v : v in P).  Every other ideal counts in `_length_at`.
     `Grading` refuses zero and negative degree vectors, so nothing
     cancels, the total degree is the codimension, and C is the
-    lowest-degree part of K(S/I; 1 - t).  The cover search stops at
+    lowest-degree part of K(S/I; 1 - t).  So no exponent passes the
+    codimension, and C is built as packed keys (see `poly`) in base
+    codimension + 1.  The cover search stops at
     DEFAULT_RECURSION_BUDGET nodes and the standard-monomial count at
     DEFAULT_ENUMERATION_BUDGET cells in all, each raising
     BudgetExceededError.  C is the multidegree of MultiProj(S/I) when
     the quotient has no irrelevant torsion, which the caller asserts.
     """
     p = ideal.grading.p
-    forms = [[(k, d) for k, d in enumerate(deg) if d] for deg in ideal.grading.degree_of]
+    covers = minimum_primes(ideal)
+    bases = [len(covers[0]) + 1] * p
+    places = _places(bases)
+    forms = [[(place, d) for place, d in zip(places, deg) if d] for deg in ideal.grading.degree_of]
     squarefree = max(map(max, ideal.generators), default=0) <= 1
-    result: dict[tuple[int, ...], int] = {}
+    result: dict[int, int] = {}
     spent = 0
-    for cover in minimum_primes(ideal):
+    for cover in covers:
         length = 1
         if not squarefree:
             length, cells = _length_at(ideal, cover, spent)
             spent += cells
-        term = {(0,) * p: 1}
+        term = {0: 1}
         for v in cover:  # times <deg x_v, t> = sum_k d_k t_k
-            nxt: dict[tuple[int, ...], int] = {}
+            nxt: dict[int, int] = {}
             for e, c in term.items():
-                for k, d in forms[v]:
-                    f = e[:k] + (e[k] + 1,) + e[k + 1 :]
-                    nxt[f] = nxt.get(f, 0) + c * d
+                for place, d in forms[v]:
+                    nxt[e + place] = nxt.get(e + place, 0) + c * d
             term = nxt
         for e, c in term.items():
             result[e] = result.get(e, 0) + length * c
-    return IntPolynomial._from_terms(p, result)
+    return IntPolynomial._from_packed(p, bases, result)
 
 
 class SimplicialComplex(Value):

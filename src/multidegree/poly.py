@@ -2,22 +2,21 @@
 
 A polynomial in ``nvars`` variables t_1, ..., t_nvars maps exponents
 (one natural number per variable) to nonzero Python ints, so
-coefficients can never overflow.  It is held in one of two forms:
+coefficients can never overflow.  It is held in one form, a dict from
+packed keys to coefficients.  A key holds the exponent of t_k in digit
+k of a mixed radix with bases b_1, ..., b_nvars, t_1 the most
+significant digit: key = sum_k e_k * b_{k+1} * ... * b_nvars with every
+e_k < b_k.  Int order of the keys is then lexicographic order of the
+exponents.  The constructor packs in base 1 + the largest exponent of
+each variable; `kpolynomial`, `multidegree_polynomial` and
+`divided_difference` build keys in bases of their own.
 
-- tuple form: a dict from exponent tuples to coefficients, as the
-  constructor, the arithmetic and Schubert and multidegree build it;
-- packed form: a dict from packed keys to coefficients, as `kpolynomial`
-  builds it.  A key holds the exponent of t_k in digit k of a mixed
-  radix with bases b_1, ..., b_nvars, t_1 the most significant digit:
-  key = sum_k e_k * b_{k+1} * ... * b_nvars with every e_k < b_k.  Int
-  order of the keys is then lexicographic order of the exponents.
-
-A packed polynomial builds its tuple dict on the first read that needs
-it and then keeps it; `len` and `render` never need it.  `render`, the
-one writer, reads sorted packed keys, so a tuple-form polynomial is
-packed there first.  Values are immutable after construction and every
-operation returns a fresh polynomial, which makes them safe to share
-between threads.
+`len`, `render` (the one writer), `support`, `negative_exponents` and
+`divided_difference` read the keys.  `_terms`, the dict by exponent
+tuple, is an uncached view, unpacked on every read; equality, hashing,
+the arithmetic and `to_json_dict` read it.  Values are immutable after
+construction and every operation returns a fresh polynomial, which
+makes them safe to share between threads.
 
 Serialized form (terms in lexicographic exponent order, coefficients as
 decimal strings), as `to_json_text` and the CLI write it, with sorted
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from itertools import chain, product, repeat
 from operator import mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError, Value, _assign
 from .polymatroid import Support, _integer
@@ -49,18 +48,17 @@ class IntPolynomial(Value):
     exponent must be a nonnegative vector of length `nvars`.  Repeated
     exponents add up and zero coefficients are dropped.
     `from_json_dict` also reads decimal-string coefficients.  Every
-    operation builds its result with `_from_terms`, which drops zero
-    coefficients and checks nothing else, since its exponents come from
-    checked polynomials, and `_from_packed` likewise from packed keys.
+    operation builds its result with `_from_terms` from exponent tuples
+    or `_from_packed` from packed keys; both drop zero coefficients and
+    check nothing else, since their exponents come from checked
+    polynomials.
     Immutability is enforced: assigning to or deleting a field raises
     AttributeError.
     """
 
-    # _tuples: exponent tuple -> coefficient, None until a packed
-    # polynomial is first read by exponent; _packed: packed key ->
-    # coefficient and _bases: the digit bases, t_1 first, both None for
-    # the tuple form
-    __slots__ = ("nvars", "_tuples", "_packed", "_bases")
+    # _packed: packed key -> nonzero coefficient; _bases: the digit
+    # bases, t_1 first
+    __slots__ = ("nvars", "_packed", "_bases")
 
     def __init__(
         self,
@@ -71,8 +69,7 @@ class IntPolynomial(Value):
         if nvars < 0:
             raise ValidationError("nvars must be nonnegative")
         acc: dict[ExponentVector, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exp, coef in items:
+        for exp, coef in terms.items() if isinstance(terms, Mapping) else terms:
             key = tuple(e if type(e) is int else _integer(e) for e in exp)
             if len(key) != nvars:
                 raise ValidationError(
@@ -81,18 +78,15 @@ class IntPolynomial(Value):
             if any(e < 0 for e in key):
                 raise ValidationError(f"negative exponent in {key}")
             acc[key] = acc.get(key, 0) + (coef if type(coef) is int else _integer(coef))
-        self._fill(nvars, {k: c for k, c in acc.items() if c != 0}, None, None)
+        self._fill(nvars, *_pack(nvars, acc))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict[ExponentVector, int]) -> "IntPolynomial":
-        """A polynomial from int coefficients keyed by nonnegative int
-        tuples of length nvars; zero coefficients are dropped and nothing
-        else is checked."""
-        poly = object.__new__(cls)
-        poly._fill(nvars, {e: c for e, c in terms.items() if c}, None, None)
-        return poly
+        """`_from_packed` of int coefficients keyed by nonnegative int
+        tuples of length nvars, packed by `_pack`."""
+        return cls._from_packed(nvars, *_pack(nvars, terms))
 
     @classmethod
     def _from_packed(cls, nvars: int, bases: Iterable[int], terms: dict[int, int]) -> "IntPolynomial":
@@ -101,15 +95,14 @@ class IntPolynomial(Value):
         docstring); zero coefficients are dropped and nothing else is
         checked."""
         poly = object.__new__(cls)
-        poly._fill(nvars, None, {e: c for e, c in terms.items() if c}, tuple(bases))
+        poly._fill(nvars, tuple(bases), {e: c for e, c in terms.items() if c})
         return poly
 
-    def _fill(self, nvars: int, tuples: dict | None, packed: dict | None, bases: tuple | None) -> None:
-        """Set the four fields once, one assignment each: `Value._set`
+    def _fill(self, nvars: int, bases: tuple[int, ...], packed: dict[int, int]) -> None:
+        """Set the three fields once, one assignment each: `Value._set`
         with keywords costs about twice as much, and every operation
         builds a polynomial."""
         _assign(self, "nvars", nvars)
-        _assign(self, "_tuples", tuples)
         _assign(self, "_packed", packed)
         _assign(self, "_bases", bases)
 
@@ -142,23 +135,17 @@ class IntPolynomial(Value):
 
     @property
     def _terms(self) -> dict[ExponentVector, int]:
-        """The term mapping by exponent tuple; a packed polynomial unpacks
-        its keys on the first read and keeps the result."""
-        if self._tuples is None:
-            exps = _unpack(self._bases, self._packed)
-            self._set(_tuples=dict(zip(exps, self._packed.values())))
-        return self._tuples
+        """The term mapping (exponent tuple -> nonzero coefficient), a new
+        dict unpacked on every read."""
+        return dict(zip(_unpack(self._bases, self._packed), self._packed.values()))
 
-    @property
-    def terms(self) -> dict[ExponentVector, int]:
-        """Copy of the term mapping (exponent tuple -> nonzero coefficient)."""
-        return dict(self._terms)
+    terms = _terms
 
     def coefficient(self, exp: Iterable[int]) -> int:
         return self._terms.get(tuple(exp), 0)
 
     def __len__(self) -> int:
-        return len(self._tuples if self._packed is None else self._packed)
+        return len(self._packed)
 
     def __iter__(self) -> Iterator[tuple[ExponentVector, int]]:
         return iter(sorted(self._terms.items()))
@@ -178,11 +165,11 @@ class IntPolynomial(Value):
 
     def _check_compatible(self, other: "IntPolynomial") -> None:
         if self.nvars != other.nvars:
-            raise ValidationError(
-                f"variable-count mismatch: {self.nvars} vs {other.nvars}"
-            )
+            raise ValidationError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._check_compatible(other)
         acc = dict(self._terms)
         for exp, coef in other._terms.items():
@@ -190,16 +177,17 @@ class IntPolynomial(Value):
         return IntPolynomial._from_terms(self.nvars, acc)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial._from_terms(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + (-other)
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial._from_terms(
-                self.nvars, {e: c * other for e, c in self._terms.items()}
-            )
+            packed = {e: c * other for e, c in self._packed.items()}
+            return IntPolynomial._from_packed(self.nvars, self._bases, packed)
+        if not isinstance(other, IntPolynomial):
+            return NotImplemented
         self._check_compatible(other)
         acc: dict[ExponentVector, int] = {}
         for e1, c1 in self._terms.items():
@@ -221,32 +209,38 @@ class IntPolynomial(Value):
         a > b it gives c sum_{k=b}^{a-1} t_i^k t_{i+1}^(a+b-1-k), every
         other exponent unchanged; when a < b, a and b swap and c changes
         sign.  The division is exact, so no remainder is left to check.
+
+        A key splits by divmod into a, b and the digits above and below
+        them.  New keys hold digits i and i+1 in base w = max(b_i, b_{i+1}),
+        which bounds each new digit, as each is below max(a, b); the key
+        for k is the key for 0 plus k * (w - 1) places of t_{i+1}.
         """
+        i = _integer(i)
         if not 1 <= i < self.nvars:
-            raise ValidationError(
-                f"divided difference index {i} out of range 1..{self.nvars - 1}"
-            )
-        acc: dict[ExponentVector, int] = {}
-        for exp, coef in self._terms.items():
-            a, b = exp[i - 1], exp[i]
+            raise ValidationError(f"divided difference index {i} out of range 1..{self.nvars - 1}")
+        bases = self._bases
+        low = math.prod(bases[i + 1 :])  # the place of t_{i+1}
+        below, width = bases[i] * low, max(bases[i - 1], bases[i])
+        above, step = bases[i - 1] * below, (width - 1) * low
+        acc: dict[int, int] = {}
+        for key, coef in self._packed.items():
+            high, rest = divmod(key, above)
+            a, rest = divmod(rest, below)
+            b, rest = divmod(rest, low)
             if a < b:
                 a, b, coef = b, a, -coef
-            head, tail = exp[: i - 1], exp[i + 1 :]
+            first = (high * width * width + a + b - 1) * low + rest
             for k in range(b, a):
-                key = head + (k, a + b - 1 - k) + tail
-                acc[key] = acc.get(key, 0) + coef
-        return IntPolynomial._from_terms(self.nvars, acc)
+                acc[first + k * step] = acc.get(first + k * step, 0) + coef
+        widened = bases[: i - 1] + (width, width) + bases[i + 1 :]
+        return IntPolynomial._from_packed(self.nvars, widened, acc)
 
     def substitute_one_minus(self) -> "IntPolynomial":
         """Replace every variable t_i by (1 - t_i), fully expanded."""
         acc: dict[ExponentVector, int] = {}
         for exp, coef in self._terms.items():
-            ranges = [range(e + 1) for e in exp]
-            for k in product(*ranges):
-                sign = -1 if sum(k) % 2 else 1
-                weight = coef * sign
-                for e_i, k_i in zip(exp, k):
-                    weight *= math.comb(e_i, k_i)
+            for k in product(*[range(e + 1) for e in exp]):
+                weight = (-coef if sum(k) % 2 else coef) * math.prod(map(math.comb, exp, k))
                 acc[k] = acc.get(k, 0) + weight
         return IntPolynomial._from_terms(self.nvars, acc)
 
@@ -254,9 +248,7 @@ class IntPolynomial(Value):
 
     def total_degree(self) -> int:
         """Largest coordinate sum of an exponent; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, _unpack(self._bases, self._packed)), default=-1)
 
     def truncate_total_degree(self, d: int) -> "IntPolynomial":
         """Keep exactly the terms whose exponents sum to d."""
@@ -268,24 +260,16 @@ class IntPolynomial(Value):
         """Exponents with strictly positive coefficient.
 
         Negative-coefficient terms are excluded here; use
-        negative_exponents() to inspect them.
+        negative_exponents() to inspect them.  Sorted keys unpack to
+        increasing points, which the support reader keeps unsorted.
         """
-        return Support(self.nvars, [e for e, c in self._terms.items() if c > 0])
+        keys = sorted(k for k, c in self._packed.items() if c > 0)
+        return Support._from_naturals(self.nvars, _unpack(self._bases, keys))
 
     def negative_exponents(self) -> list[ExponentVector]:
-        return sorted(e for e, c in self._terms.items() if c < 0)
+        return _unpack(self._bases, sorted(k for k, c in self._packed.items() if c < 0))
 
     # -- formatting and serialization ---------------------------------------
-
-    def _packed_form(self) -> tuple[tuple[int, ...], dict[int, int]]:
-        """(bases, packed key -> coefficient).  A tuple-form polynomial is
-        packed here, in base 1 + the largest exponent of each variable."""
-        if self._packed is not None:
-            return self._bases, self._packed
-        exps = self._tuples
-        bases = tuple(max(column) + 1 for column in zip(*exps))
-        places = _places(bases)
-        return bases, dict(zip([sum(map(mul, e, places)) for e in exps], exps.values()))
 
     def render(self) -> tuple[str, str]:
         """The JSON text of `to_json_dict` (sorted keys, no spaces) and the
@@ -298,13 +282,13 @@ class IntPolynomial(Value):
         and drops each coefficient 1 of a nonconstant term.  A coefficient
         or exponent of more digits than str() writes raises
         UnsupportedSizeError."""
-        bases, packed = self._packed_form()
+        packed = self._packed
         if not packed:
             return f'{{"nvars":{self.nvars},"terms":[]}}', "0"
         keys = sorted(packed)
         try:
             coefs = list(map(str, map(packed.__getitem__, keys)))
-            exps, monomials = _texts(keys, bases, 1)
+            exps, monomials = _texts(keys, self._bases, 1)
         except ValueError as exc:  # a number of more digits than str() writes
             raise UnsupportedSizeError(f"a polynomial is too large to print: {exc}") from exc
         # the pieces of every term in turn, joined once, with no format per term
@@ -325,9 +309,7 @@ class IntPolynomial(Value):
 
     def to_json_dict(self) -> dict:
         try:
-            terms = [
-                {"exp": list(exp), "coef": str(coef)} for exp, coef in sorted(self._terms.items())
-            ]
+            terms = [{"exp": list(exp), "coef": str(coef)} for exp, coef in self]
         except ValueError as exc:  # a coefficient of more digits than str() writes
             raise UnsupportedSizeError(f"a polynomial is too large to print: {exc}") from exc
         return {"nvars": self.nvars, "terms": terms}
@@ -351,11 +333,20 @@ def _places(bases: Sequence[int]) -> list[int]:
     return [math.prod(bases[k + 1 :]) for k in range(len(bases))]
 
 
-def _unpack(bases: tuple[int, ...], keys: Iterable[int]) -> list[ExponentVector]:
-    """The exponent tuples of packed keys with these digit bases, t_1
-    first, in the order of `keys`."""
+def _pack(nvars: int, terms: dict[ExponentVector, int]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(bases, packed key -> coefficient) of the nonzero terms, in base
+    1 + the largest exponent of each variable (base 1 if there is none)."""
+    terms = {e: c for e, c in terms.items() if c}
+    bases = tuple(max(column) + 1 for column in zip(*terms)) if terms else (1,) * nvars
     places = _places(bases)
-    return [tuple(key // place % base for place, base in zip(places, bases)) for key in keys]
+    return bases, dict(zip([sum(map(mul, e, places)) for e in terms], terms.values()))
+
+
+def _unpack(bases: tuple[int, ...], keys: Collection[int]) -> list[ExponentVector]:
+    """The exponent tuples of packed keys with these digit bases, t_1
+    first, in the order of `keys`, from one digit column per variable."""
+    columns = [map(b.__rmod__, map(p.__rfloordiv__, keys)) for p, b in zip(_places(bases), bases)]
+    return list(zip(*columns)) if bases else [()] * len(keys)  # no digits: every key is 0
 
 
 def _texts(keys: list[int], bases: tuple[int, ...], first: int) -> tuple[list[str], list[str]]:

@@ -166,6 +166,14 @@ class Support(Value):
         return support
 
     @classmethod
+    def _from_naturals(cls, p: int, rows: list[tuple]) -> "Support":
+        """A support on p >= 0 elements from rows of ints >= 0, read by
+        `_read`: lengths and weight are checked, increasing rows kept."""
+        support = object.__new__(cls)
+        support._read(p, rows, True)
+        return support
+
+    @classmethod
     def _from_dag(cls, p: int, weight: int, root: tuple) -> "Support":
         """A support from the root of a `_slice_dag` on p >= 2 elements,
         whose points have this weight; nothing is checked."""
@@ -246,9 +254,7 @@ class Support(Value):
         that `Support(p, points)` gives it.
         """
         check("support", data)
-        support = object.__new__(cls)
-        support._read(data["p"], list(map(tuple, data["points"])), True)
-        return support
+        return cls._from_naturals(data["p"], list(map(tuple, data["points"])))
 
 
 class RankFunction(Value):

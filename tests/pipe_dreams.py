@@ -69,3 +69,22 @@ def schubert_via_pipe_dreams(pi: Permutation) -> IntPolynomial:
             exponent[row - 1] += 1
         total = total + IntPolynomial.monomial(pi.p, exponent)
     return total
+
+
+def schubert_polynomials_via_pipe_dreams(p: int) -> dict[tuple[int, ...], IntPolynomial]:
+    """Every Schubert polynomial of S_p, keyed by one-line notation, from
+    one pass over all placements on the staircase: a placement is a
+    reduced pipe dream of the permutation it realizes exactly when it has
+    length-many crossings."""
+    cells = staircase_cells(p)
+    terms: dict[tuple[int, ...], list] = {}
+    for size in range(len(cells) + 1):
+        for combo in combinations(cells, size):
+            exits = trace_permutation(p, set(combo))
+            w = Permutation([exits[i] for i in range(1, p + 1)])
+            if length(w) == size:
+                exponent = [0] * p
+                for row, _col in combo:
+                    exponent[row - 1] += 1
+                terms.setdefault(w.one_line, []).append((exponent, 1))
+    return {w: IntPolynomial(p, t) for w, t in terms.items()}

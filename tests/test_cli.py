@@ -404,19 +404,24 @@ class TestKpolyReadsPackedKeys:
         def refuse(_bases, _keys):
             raise AssertionError("the kpoly path unpacked an exponent tuple")
 
-        monkeypatch.setattr(poly, "_unpack", refuse)
-        routes = set()
+        # the oracle's arithmetic and writer read exponent tuples, so its
+        # bytes are taken before unpacking is refused
+        cases, routes = [], set()
         for document in self.ideals():
             ideal = hilbert.MonomialIdeal.from_json_dict(document)
-            expected = kpolynomial_oracle(ideal)[0]  # tuple form: nothing to unpack
-            code, out = run_quietly(["kpoly", "--json", json.dumps(document)])
-            assert code == 0
-            assert out == oracle_bytes({"polynomial": expected, "pretty": pretty_oracle(expected)})
-            assert len(hilbert.kpolynomial(ideal)) == len(expected)
+            expected = kpolynomial_oracle(ideal)[0]
+            text = oracle_bytes({"polynomial": expected, "pretty": pretty_oracle(expected)})
+            cases.append((document, ideal, text, len(expected)))
             gens = ideal.generators
             used = {v for g in gens for v, e in enumerate(g) if e}
             routes.add(len(used) <= len(gens))
         assert routes == {True, False}  # the face table and the recursion
+        monkeypatch.setattr(poly, "_unpack", refuse)
+        for document, ideal, text, terms in cases:
+            code, out = run_quietly(["kpoly", "--json", json.dumps(document)])
+            assert code == 0
+            assert out == text
+            assert len(hilbert.kpolynomial(ideal)) == terms
 
 
 class TestDeterminismAndErrors:

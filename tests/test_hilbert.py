@@ -6,8 +6,8 @@ test-local recursion with randomized pivot choices is the oracle for
 pivot-independence of the K-polynomial, and the per-node IntPolynomial
 recursion of `kpoly_oracle` the oracle for its packed accumulator and
 node count; the face sum of `kpoly_oracle`, one subset at a time, the
-oracle for the face table of squarefree ideals, and the tuple form of
-that recursion the oracle for the packed form both routes return; the
+oracle for the face table of squarefree ideals, and the arithmetic of
+that recursion the oracle for the packed keys both routes build; the
 lowest-degree part of K(S/I; 1 - t) and the box walk of
 `box_walk_oracle` are the oracles for the multidegree by additivity, an
 exhaustive subset search the oracle for the minimum primes, and the
@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from itertools import combinations, product
 from operator import le
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,7 @@ from multidegree import (
     quotient_krull_dimension,
     stanley_reisner_ideal,
 )
-from multidegree import errors, hilbert
+from multidegree import errors, hilbert, poly
 from multidegree.hilbert import (
     MAX_GROUND_SET,
     _face_table_kpolynomial,
@@ -58,6 +59,7 @@ from multidegree.hilbert import (
 )
 
 from box_walk_oracle import box_walk_multidegree
+from divided_difference_oracle import assert_divided_differences_match
 from kpoly_oracle import face_sum_oracle, kpolynomial_oracle, minimalize
 from nonface_oracle import minimal_nonfaces_oracle
 from pretty_oracle import pretty_oracle
@@ -483,14 +485,15 @@ def graded_ideals(draw):
 
 
 def assert_packed_equals(packed, plain):
-    """A packed polynomial against the same polynomial in tuple form:
-    `len` and `render` first, which must leave the packed one unpacked,
-    then every reading by exponent."""
-    assert packed._packed is not None and plain._packed is None
-    assert len(packed) == len(plain)
-    text, pretty = packed.render()
-    assert (text, pretty) == plain.render()
-    assert packed._tuples is None
+    """A K-polynomial against the same polynomial from the oracle's
+    arithmetic: `len` and `render` first, which must read the packed keys
+    alone, so they run with unpacking patched to raise, then every
+    reading by exponent."""
+    expected = plain.render()
+    with mock.patch.object(poly, "_unpack", side_effect=AssertionError("unpacked a key")):
+        assert len(packed) == len(plain)
+        text, pretty = packed.render()
+    assert (text, pretty) == expected
     assert text == json.dumps(plain.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert pretty == pretty_oracle(plain)
     assert packed == plain and plain == packed
@@ -509,8 +512,8 @@ def support_or_fault(f):
 
 
 class TestPackedForm:
-    """Both K-polynomial routes return the packed form, and it reads the
-    same as the tuple form of the oracle recursion in every way."""
+    """Both K-polynomial routes build packed keys in bases of their own,
+    and the result reads the same as the oracle recursion's in every way."""
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(graded_ideals())
@@ -520,6 +523,12 @@ class TestPackedForm:
         assert_packed_equals(_recursive_kpolynomial(ideal), plain)
         if all(e <= 1 for g in ideal.generators for e in g):
             assert_packed_equals(_face_table_kpolynomial(ideal, used_variables(ideal)), plain)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(graded_ideals(), st.lists(st.integers(1, 2), min_size=1, max_size=4))
+    def test_divided_differences_match_the_tuple_route(self, ideal, chain):
+        f = kpolynomial(ideal)
+        assert_divided_differences_match(f, [i for i in chain if i < f.nvars])
 
     def test_terms_merge_and_cancel(self):
         coarse = Grading(3, 1, [(1,), (1,), (2,)])

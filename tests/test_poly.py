@@ -1,7 +1,9 @@
 """Polynomial arithmetic: pinned examples plus randomized algebra laws."""
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,10 @@ from hypothesis import strategies as st
 
 from multidegree import IntPolynomial, UnsupportedSizeError, ValidationError
 
+from divided_difference_oracle import assert_divided_differences_match
 from pretty_oracle import pretty_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "multidegree"
 
 
 def poly(nvars, *terms):
@@ -40,6 +45,22 @@ def rendered_polynomials(draw):
     exps = st.tuples(*[st.integers(0, 14)] * nvars)
     coefs = st.one_of(st.integers(-3, 3), st.integers(-(10**45), 10**45))
     return IntPolynomial(nvars, draw(st.lists(st.tuples(exps, coefs), max_size=6)))
+
+
+@st.composite
+def divided_difference_cases(draw):
+    """(f, chain): f in 2 to 6 variables, whose exponents of t_k lie
+    below a top of t_k's own, up to 300, so adjacent bases differ and
+    digits pass a byte; half the time packed in wider bases than it
+    needs.  chain is 1 to 4 divided-difference indices."""
+    nvars = draw(st.integers(2, 6))
+    tops = draw(st.lists(st.sampled_from((0, 1, 2, 5, 255, 256, 300)), min_size=nvars, max_size=nvars))
+    exps = st.tuples(*[st.integers(0, top) for top in tops])
+    f = IntPolynomial(nvars, draw(st.lists(st.tuples(exps, st.integers(-4, 4)), max_size=4)))
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.integers(0, 300), min_size=nvars, max_size=nvars))
+        f = packed_copy(f, [top + 1 + e for top, e in zip(tops, extra)])
+    return f, draw(st.lists(st.integers(1, nvars - 1), min_size=1, max_size=4))
 
 
 class TestAddMul:
@@ -73,6 +94,12 @@ class TestAddMul:
         assert (one - t1) * (one - t2) == poly(
             2, ((0, 0), 1), ((1, 0), -1), ((0, 1), -1), ((1, 1), 1)
         )
+
+    def test_other_operands_are_not_implemented(self):
+        f = IntPolynomial.one(2)
+        for operate in (lambda: f * 2.0, lambda: 2.0 * f, lambda: f + 2.0, lambda: f - 2.0, lambda: f * "t"):
+            with pytest.raises(TypeError):
+                operate()
 
     def test_nvars_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -113,6 +140,19 @@ class TestDividedDifference:
             f.divided_difference(0)
         with pytest.raises(ValidationError):
             f.divided_difference(2)
+        # read as constructor input is: no float, and no bool as index 1
+        for i in (1.0, True):
+            with pytest.raises(ValidationError, match="is not an integer"):
+                f.divided_difference(i)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(divided_difference_cases())
+    @example((IntPolynomial.zero(2), [1]))
+    @example((IntPolynomial.zero(6), [5, 4, 3, 2]))
+    @example((IntPolynomial.monomial(3, (300, 0, 256)), [1, 2, 1]))
+    @example((IntPolynomial.monomial(4, (3, 2, 1, 0)), [1, 2, 1, 3]))
+    def test_matches_the_tuple_route(self, case):
+        assert_divided_differences_match(*case)
 
     def test_squares_to_zero_randomized(self):
         rng = random.Random(23)
@@ -328,7 +368,7 @@ def assert_old_bytes(f):
 
 
 def packed_copy(f, bases):
-    """f in packed form with these digit bases, t_1 first."""
+    """f with its keys packed in these digit bases, t_1 first."""
     keys = {}
     for exp, coef in f.terms.items():
         key = 0
@@ -339,9 +379,9 @@ def packed_copy(f, bases):
 
 
 class TestPackedWriter:
-    """The one writer reads packed keys: a tuple-form polynomial is packed
-    in base 1 + its largest exponent of each variable, and either form,
-    in any bases, gives the old bytes."""
+    """The one writer reads packed keys: the constructor packs in base
+    1 + the largest exponent of each variable, and a polynomial packed in
+    any bases gives the old bytes."""
 
     def test_twenty_variables(self):
         rng = random.Random(20)
@@ -380,3 +420,24 @@ class TestPackedWriter:
         for write in (f.render, f.pretty, f.to_json_text):
             with pytest.raises(UnsupportedSizeError, match="too large to print.*digits"):
                 write()
+
+
+def test_only_poly_reads_the_key_layout():
+    """No module but poly.py reads the packed keys or their bases, or
+    unpacks them; others build keys with `_places` and `_from_packed`."""
+    fields = {"_packed", "_bases", "_tuples", "_unpack"}
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id] if node.id == "_unpack" else []
+            else:
+                continue
+            readers += [f"{path.name}:{node.lineno} {name}" for name in names if name in fields]
+    assert readers == []

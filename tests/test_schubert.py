@@ -1,11 +1,13 @@
 """Schubert polynomials, Rothe diagrams, theta, and the support polytope.
 
-The pipe-dream expansion in pipe_dreams.py is the independent oracle;
+The pipe-dream expansion in pipe_dreams.py is the independent oracle,
+also for the bytes the packed divided-difference chain writes;
 the classical S_3 table and a handful of textbook values are frozen as
 additional anchors.  theta and its table are held to the p x p grid
 walk of theta_oracle.py.
 """
 
+import json
 import random
 from itertools import permutations
 
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multidegree.poly as poly_module
 import multidegree.schubert as schubert_module
 from multidegree import (
     BudgetExceededError,
@@ -30,7 +33,8 @@ from multidegree import (
     theta,
     theta_rank_function,
 )
-from pipe_dreams import schubert_via_pipe_dreams
+from pipe_dreams import schubert_polynomials_via_pipe_dreams, schubert_via_pipe_dreams
+from pretty_oracle import pretty_oracle
 from theta_oracle import theta_grid_walk
 
 FIGURE_DIAGRAM = rothe_diagram(Permutation((4, 2, 5, 3, 1)))
@@ -142,6 +146,25 @@ class TestSchubertPolynomial:
         for one_line in permutations(range(1, 5)):
             pi = Permutation(one_line)
             assert schubert_polynomial(pi) == schubert_via_pipe_dreams(pi)
+
+    @pytest.mark.parametrize("p", [3, 4, 5, 6])
+    def test_chain_and_render_read_packed_keys(self, p, monkeypatch):
+        """With unpacking patched to raise, the divided-difference chain
+        and `render` give the pipe-dream oracle's bytes on all of S_p."""
+
+        def refuse(_bases, _keys):
+            raise AssertionError("the Schubert path unpacked an exponent tuple")
+
+        oracle = schubert_polynomials_via_pipe_dreams(p)
+        assert sorted(oracle) == list(permutations(range(1, p + 1)))
+        expected = {
+            one_line: (json.dumps(f.to_json_dict(), sort_keys=True, separators=(",", ":")), pretty_oracle(f))
+            for one_line, f in oracle.items()
+        }
+        schubert_module._schubert_cached.cache_clear()
+        monkeypatch.setattr(poly_module, "_unpack", refuse)
+        for one_line, texts in expected.items():
+            assert schubert_polynomial(Permutation(one_line)).render() == texts
 
     def test_degree_equals_length(self):
         rng = random.Random(5)
