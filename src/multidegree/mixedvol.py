@@ -2,7 +2,8 @@
 sums, and mixed volumes read off one hull.
 
 All geometry is exact: coordinates are rationals, scaled to integers
-before hull computations.  A volume is the one mixed volume of a
+once, and the hulls, the corner test and the positivity criterion work
+in integers from there on.  A volume is the one mixed volume of a
 one-polytope tuple, V(K; (d)) = vol K, so one route below computes
 both.  Hulls are a monotone chain in 2D and, in 3D, a triangulated hull
 built incrementally (de Berg et al., *Computational Geometry*, chapter
@@ -13,7 +14,13 @@ and raises AssertionError when a check fails, so a wrong volume is
 never returned silently: a closed oriented surface of Euler
 characteristic 2 (checked once per surface, on the half-edges and vertex
 use counts that the seed and each insertion change), every point
-beneath every face plane, positive volume.
+beneath every face plane, positive volume.  The beneath check packs the
+x, y and z columns of all the points once into three ints of one k-bit
+digit per point; a face's corners are among the points, so with m the
+largest |coordinate| each value n . q - offset lies within 48 m^3, and
+k is set from that bound so that one masked evaluation of
+nx X + ny Y + nz Z - offset ONES + BIAS decides a face against every
+point at once.
 
 Mixed volumes are the coefficients of the volume polynomial (Schneider,
 *Convex Bodies*, section 5.1):
@@ -44,12 +51,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from operator import add, countOf, mul, sub
+from operator import add, mul, sub
 from typing import Collection, Iterable, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError, Value, _rational, check_budget
 from .linalg import extend_basis, rank_rational
-from .polymatroid import SubspaceFamily, _integer, compositions, linear_rank
+from .polymatroid import _integer, _rank_table, check_ground_set, compositions
 from .schemas import check
 
 MAX_AMBIENT_DIM = 3
@@ -103,8 +110,9 @@ class LatticePolytope(Value):
 
 
 def _scale_to_int(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
+    """The points times the lcm L of their denominators, and L."""
     scale = math.lcm(*(x.denominator for pt in points for x in pt))
-    return [tuple(int(x * scale) for x in pt) for pt in points], scale
+    return [tuple(x.numerator * (scale // x.denominator) for x in pt) for pt in points], scale
 
 
 def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
@@ -214,26 +222,66 @@ def _replace_faces(
     half_edges: set, uses: Counter, old: Sequence[tuple], new: Sequence[tuple]
 ) -> None:
     """Replace the faces `old` of a closed oriented surface, given by its
-    directed half-edges and vertex use counts, by the faces `new`; raise
-    AssertionError exactly when the new face list is not a closed oriented
-    surface of Euler characteristic 2 (the full check `_surface_checks`
-    in tests/hull_oracle.py).  Only a half-edge that changed can lose its
-    reverse.  From the empty surface, `old` is empty and every half-edge
-    of `new` is checked."""
+    directed half-edges and the use counts of its vertices, by the faces
+    `new`; raise AssertionError exactly when the new face list is not a
+    closed oriented surface of Euler characteristic 2 (the full check
+    `_surface_checks` in tests/hull_oracle.py).  From the empty surface,
+    `old` is empty and every half-edge of `new` is checked.
+
+    Only a half-edge that changed can lose its reverse, and an added one
+    is in the surface once the sizes agree.  A vertex leaves `uses` when
+    its count falls to zero, so the surface has V = len(uses) vertices."""
     removed = [e for a, b, c, *_plane in old for e in ((a, b), (b, c), (c, a))]
     added = [e for a, b, c, *_plane in new for e in ((a, b), (b, c), (c, a))]
     half_edges.difference_update(removed)
     size = len(half_edges)
     half_edges.update(added)
-    if len(half_edges) != size + len(added) or any(
-        ((u, v) in half_edges) != ((v, u) in half_edges) for u, v in removed + added
+    # each added half-edge must find its reverse, and a removed one that
+    # was not added back must not
+    if (
+        len(half_edges) != size + len(added)
+        or any((v, u) not in half_edges for u, v in added)
+        or any((v, u) in half_edges for u, v in removed if (u, v) not in half_edges)
     ):
         raise AssertionError("hull surface is not a closed oriented manifold")
-    uses.subtract(v for f in old for v in f[:3])
-    uses.update(v for f in new for v in f[:3])
+    uses.update([v for f in new for v in f[:3]])
+    for v in [v for f in old for v in f[:3]]:
+        count = uses[v] - 1
+        if count:
+            uses[v] = count
+        else:
+            del uses[v]
     # closed, with no half-edge twice: E = |half_edges| / 2, F = |half_edges| / 3
-    if len(uses) - countOf(uses.values(), 0) - len(half_edges) // 6 != 2:
+    if len(uses) - len(half_edges) // 6 != 2:
         raise AssertionError("hull surface is not a topological sphere")
+
+
+def _beneath(points: Sequence[IntPoint], faces: Sequence[Face]) -> bool:
+    """Whether every point lies beneath or on every face plane, n . q <=
+    offset, where every face's corners are among the points.
+
+    With m the largest |coordinate|, each edge vector has entries of at
+    most 2m and each normal entries of at most 8m^2, so |n . q - offset|
+    = |n . (q - a)| <= 48 m^3.  The x, y and z columns are packed once
+    into ints X, Y, Z of one k-bit digit per point, 2^(k-1) > 48 m^3.
+    In nx X + ny Y + nz Z - offset ONES + BIAS, each digit of BIAS being
+    2^(k-1) - 1, each point's digit is n . q - offset + 2^(k-1) - 1, in
+    [0, 2^k), so no digit borrows from or carries into the next, and
+    its top bit is set exactly when n . q > offset: one masked
+    evaluation decides a face against every point."""
+    k = (48 * max(max(map(abs, q)) for q in points) ** 3).bit_length() + 1
+    xs = ys = zs = 0
+    for x, y, z in points:
+        xs = (xs << k) + x
+        ys = (ys << k) + y
+        zs = (zs << k) + z
+    ones = ((1 << k * len(points)) - 1) // ((1 << k) - 1)
+    bias = (1 << k - 1) - 1
+    top = ones << k - 1
+    return not any(
+        (nx * xs + ny * ys + nz * zs + (bias - offset) * ones) & top
+        for _a, _b, _c, (nx, ny, nz), offset in faces
+    )
 
 
 def _hull_3d_incremental(points: Collection[IntPoint]) -> list[Face] | None:
@@ -241,7 +289,9 @@ def _hull_3d_incremental(points: Collection[IntPoint]) -> list[Face] | None:
     the points lie in a plane.
 
     Each face carries its plane; as a . ((b - a) x (c - a)) = det(a, b, c),
-    the offsets sum to six times the volume, which must be positive.  The
+    the offsets sum to six times the volume, which must be positive.
+    Every point must lie beneath or on every final face plane, which
+    `_beneath` decides in one packed evaluation per face.  The
     points are sorted, then shuffled by a generator seeded with 0: in
     lexicographic order nearly every point of a Minkowski sum was
     inserted beyond a large visible cap.  The seed tetrahedron is the
@@ -278,22 +328,35 @@ def _hull_3d_incremental(points: Collection[IntPoint]) -> list[Face] | None:
         cone = [_face(u, v, q) for u, v in edges if (v, u) not in edges]
         _replace_faces(half_edges, uses, visible, cone)
         faces = kept + cone
-    for _u, _v, _w, (nx, ny, nz), offset in faces:
-        if any(nx * x + ny * y + nz * z > offset for x, y, z in pts):
-            raise AssertionError("a point ended up beyond a hull face plane")
+    if not _beneath(pts, faces):
+        raise AssertionError("a point ended up beyond a hull face plane")
     if sum(f[4] for f in faces) <= 0:
         raise AssertionError("closed outward surface must enclose positive volume")
     return faces
+
+
+def _spans_space(vectors: Iterable[IntPoint]) -> bool:
+    """Whether the integer vectors in R^3 have rank 3.  Greedily, u is
+    the first nonzero one, v the first after it with u x v != 0, and
+    some w after v must have (u x v) . w != 0: a vector skipped on the
+    way lies in the span of those taken."""
+    rest = iter(vectors)
+    u = next((u for u in rest if any(u)), None)
+    if u is None:
+        return False
+    normal = next((n for n in (_cross3(u, v) for v in rest) if any(n)), None)
+    return normal is not None and any(_dot(normal, w) for w in rest)
 
 
 def _corners(d: int, points: Collection[IntPoint]) -> list[IntPoint]:
     """The extreme points among the integer points, in no fixed order.
 
     In 3D a hull point is a corner exactly when the normals of its faces
-    have rank 3: a point inside an edge or a facet lies on at most two
-    facet planes.  A flat set is projected onto the pivot coordinates of
-    its affine span, which is one-to-one on the span, and its corners
-    are taken there; a single point is its own corner."""
+    have rank 3 (`_spans_space`, a cross and a dot product in integers):
+    a point inside an edge or a facet lies on at most two facet planes.
+    A flat set is projected onto the pivot coordinates of its affine
+    span, which is one-to-one on the span, and its corners are taken
+    there; a single point is its own corner."""
     if d == 1:
         return sorted({min(points), max(points)})
     if d == 2:
@@ -304,7 +367,7 @@ def _corners(d: int, points: Collection[IntPoint]) -> list[IntPoint]:
         for a, b, c, normal, _offset in faces:
             for q in (a, b, c):
                 normals.setdefault(q, []).append(normal)
-        return [q for q, rows in normals.items() if len(extend_basis([], rows)) == 3]
+        return [q for q, rows in normals.items() if _spans_space(rows)]
     pts = list(points)
     pivots = [col for col, _row in extend_basis([], [_sub(q, pts[0]) for q in pts])]
     if not pivots:
@@ -449,7 +512,11 @@ def positivity_criterion(
 ) -> bool:
     """V(K; n) > 0 iff |n| = d and n(J) <= r(J) for every subset J, where
     r(J) = dim(sum_{j in J} K_j) is the rank of the edge directions of
-    the K_j with j in J."""
+    the K_j with j in J.
+
+    The directions are taken from each K_j's first vertex, after all
+    vertices are scaled to integers by one lcm, which keeps their spans;
+    r is the table of `linear_rank`'s walk (`_rank_table`) over them."""
     d = _common_dim(polytopes)
     p = len(polytopes)
     counts = list(map(_integer, n))
@@ -457,13 +524,15 @@ def positivity_criterion(
         raise ValidationError(f"type vector {counts} must be in N^{p}")
     if sum(counts) != d:
         return False
-    directions = [
-        [[x - y for x, y in zip(v, k.vertices[0])] for v in k.vertices[1:]]
-        for k in polytopes
-    ]
-    r = linear_rank(SubspaceFamily(d, directions))
+    check_ground_set(p)
+    rest = iter(_scale_to_int([v for k in polytopes for v in k.vertices])[0])
+    directions = []
+    for k in polytopes:
+        base, *others = [next(rest) for _v in k.vertices]
+        directions.append([_sub(v, base) for v in others])
+    r = _rank_table(p, d, directions, None)
     return all(
-        sum(counts[j] for j in range(p) if mask >> j & 1) <= r.of_mask(mask)
+        sum(counts[j] for j in range(p) if mask >> j & 1) <= r[mask]
         for mask in range(1, 1 << p)
     )
 

@@ -837,28 +837,37 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
 
     Ranks come from exact elimination in integers, over Q or over the
     tagged prime field.  Each generator is read once, by `integer_row`,
-    before the walk.  The subsets are visited depth first, adding
-    elements in increasing order, and each subset's echelon basis is its
-    parent's basis extended by the generators of the one added element:
-    at most 2^p - 1 extensions, no elimination from scratch, and at most
-    p + 1 bases alive at a time.  A subset whose basis spans the ambient
-    space is not descended from: every superset the walk would reach
-    from it, the subset plus elements after its last, has full rank,
-    and those entries are one extended slice of the table.
+    before the walk of `_rank_table`.
     """
     p = fam.p
     check_ground_set(p)
     if p < 1:
         raise ValidationError("subspace family must be nonempty")
     prime = _parse_field(fam.field)
-    generators = [[integer_row(vec, prime) for vec in gens] for gens in fam.generators]
+    rows = [[integer_row(vec, prime) for vec in gens] for gens in fam.generators]
+    return RankFunction(p, _rank_table(p, fam.ambient_dim, rows, prime))
+
+
+def _rank_table(p: int, d: int, rows: Sequence[Sequence[Sequence[int]]], prime: int | None) -> list[int]:
+    """values[J] = the rank of the rows of the members j in J, for each
+    mask J, over Q or F_prime; rows[j] are integer vectors of length d as
+    `integer_row` makes them (over Q any integer vector will do).
+
+    The subsets are visited depth first, adding elements in increasing
+    order, and each subset's echelon basis is its parent's basis
+    extended by the rows of the one added element: at most 2^p - 1
+    extensions, no elimination from scratch, and at most p + 1 bases
+    alive at a time.  A subset whose basis spans k^d is not descended
+    from: every superset the walk would reach from it, the subset plus
+    elements after its last, has full rank, and those entries are one
+    extended slice of the table.
+    """
     values = [0] * (1 << p)
-    d = fam.ambient_dim
 
     def visit(mask: int, basis: list, start: int) -> None:
         for j in range(start, p):
             child = mask | 1 << j
-            extended = extend_basis(basis, generators[j], prime)
+            extended = extend_basis(basis, rows[j], prime)
             if len(extended) == d:
                 # child < 2^(j+1): these are child plus each set of elements after j
                 values[child :: 1 << j + 1] = repeat(d, 1 << p - j - 1)
@@ -867,4 +876,4 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
                 visit(child, extended, j + 1)
 
     visit(0, [], 0)
-    return RankFunction(p, values)
+    return values

@@ -860,6 +860,15 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert f"ground set size {p}" in json.loads(err)["error"]
 
+    def test_positivity_past_the_ground_set_cap_exit_3(self, capsys):
+        p = polymatroid.MAX_GROUND_SET + 1
+        body = {"polytopes": [{"d": 1, "vertices": [[k]]} for k in range(p)]}
+        n = ",".join(["1"] + ["0"] * (p - 1))
+        code, out, err = run_cli(["positivity", "--json", json.dumps(body), "--n", n], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"ground set size {p}" in json.loads(err)["error"]
+
     def test_prime_below_the_trial_division_budget(self, capsys):
         document = '{"ambient":1,"field":"Fp:2147483647","subspaces":[[["1"]]]}'
         doc = run_json(["msupp-linear", "--json", document], capsys)

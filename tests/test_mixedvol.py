@@ -17,18 +17,25 @@ test `volume` makes; the rank computation `polytope_dim` is its oracle
 on flat and full-dimensional input.  Whole mixed-volume tables are
 compared with mixedvol_oracle.py, and the hull's surface update, on the
 seed and on each insertion, with the full surface check of
-hull_oracle.py.
+hull_oracle.py.  The packed final check `_beneath` is held to the scalar
+loop over every point and face, on and one step beyond the planes and
+with coordinates up to 10^40, and a reversed plane that keeps its
+corners shows that this check alone catches a point left beyond a face.
+The integer corner test is held to elimination by `extend_basis`, and
+the positivity criterion to the Fraction route of positivity_oracle.py.
 """
 
+import ast
 import math
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from operator import add
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multidegree import (
@@ -42,16 +49,19 @@ from multidegree import (
     segments_criterion,
     volume,
 )
-from multidegree.linalg import rank_rational
+from multidegree.linalg import extend_basis, rank_rational
 from multidegree import mixedvol
 from multidegree.mixedvol import (
+    _beneath,
     _face,
     _hull_3d_incremental,
     _replace_faces,
     _scale_to_int,
+    _spans_space,
     _sub,
     extreme_points,
 )
+from multidegree.polymatroid import MAX_GROUND_SET, compositions
 
 from hull_oracle import (
     _surface_checks,
@@ -61,6 +71,7 @@ from hull_oracle import (
     supporting_planes,
 )
 from mixedvol_oracle import mixed_volumes_oracle
+from positivity_oracle import positivity_oracle
 
 
 def cube(d=3):
@@ -518,6 +529,215 @@ class TestIncrementalSurfaceCheck:
                 with pytest.raises(AssertionError):
                     _hull_3d_incremental(pts)
 
+    def test_use_counts_keep_only_used_vertices(self):
+        rng = random.Random(1357)
+        for _ in range(40):
+            faces, visible, cone = insertion(rng)
+            half_edges, uses = set(), Counter()
+            _replace_faces(half_edges, uses, (), faces)
+            _replace_faces(half_edges, uses, visible, cone)
+            kept = [f for f in faces if f not in visible]
+            assert uses == Counter(v for f in kept + cone for v in f[:3])
+            assert 0 not in uses.values()
+
+    def test_removed_half_edge_must_lose_its_reverse(self):
+        # A flat hexagon triangulated around the triangle of its corners
+        # 1, 3 and 5, closed by a cone from below, and a point above that
+        # sees the four top triangles.  Leaving the middle one out of the
+        # faces replaced keeps its half-edges without their reverses while
+        # every count agrees: only the check on removed half-edges sees it.
+        h = [(2, 0, 0), (1, 2, 0), (-1, 2, 0), (-2, 0, 0), (-1, -2, 0), (1, -2, 0)]
+        top = [_face(h[i], h[j], h[k]) for i, j, k in ((0, 1, 2), (2, 3, 4), (4, 5, 0), (0, 2, 4))]
+        bottom = [_face(h[(i + 1) % 6], h[i], (0, 0, -1)) for i in range(6)]
+        cone = [_face(h[i], h[(i + 1) % 6], (0, 0, 1)) for i in range(6)]
+        for old, faulty in ((top, False), (top[:3], True)):
+            half_edges, uses = set(), Counter()
+            _replace_faces(half_edges, uses, (), top + bottom)
+            kept = [f for f in top + bottom if f not in old]
+            assert raises_assertion(_surface_checks, kept + cone) == faulty
+            assert raises_assertion(_replace_faces, half_edges, uses, old, cone) == faulty
+
+
+def beneath_scalar(points, faces):
+    """Every point beneath or on every face plane, one dot product at a time."""
+    return all(sum(map(math.prod, zip(normal, q))) <= offset for *_c, normal, offset in faces for q in points)
+
+
+def _egcd(a, b):
+    """(g, x, y) with a x + b y = g = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, x0, x1, y0, y1 = b, r, x1, x0 - q * x1, y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def unit_step(normal):
+    """An integer t with normal . t = gcd(normal), the least positive value
+    that normal . q - offset takes on integer points q (1 when the normal
+    is primitive)."""
+    g, x, y = _egcd(normal[0], normal[1])
+    _g, s, z = _egcd(g, normal[2])
+    return (x * s, y * s, z)
+
+
+wide_vectors = st.sampled_from([3, 10**6, 10**40]).flatmap(
+    lambda s: st.tuples(*[st.integers(-s, s)] * 3)
+)
+
+
+class TestBulkBeneathCheck:
+    """The packed check `_beneath` against the scalar loop, with points on
+    a face plane (allowed) and one step beyond it (refused), and the one
+    fault that only the final check of the hull can catch."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        corner=wide_vectors,
+        u=wide_vectors,
+        v=wide_vectors,
+        extra=st.lists(wide_vectors, max_size=6),
+        triples=st.lists(st.tuples(*[st.integers(0, 8)] * 3), max_size=4),
+        shift=st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_matches_the_scalar_loop(self, corner, u, v, extra, triples, shift):
+        a, b, c = corner, tuple(map(add, corner, u)), tuple(map(add, corner, v))
+        face = _face(a, b, c)
+        normal, offset = face[3:]
+        assume(any(normal))
+        i, j = shift
+        on = tuple(x + i * y + j * z for x, y, z in zip(a, u, v))
+        t = unit_step(normal)
+        beyond = tuple(map(add, on, t))
+        below = _sub(on, t)
+        assert sum(map(math.prod, zip(normal, beyond))) - offset == math.gcd(*normal)
+        corners = [a, b, c]
+        assert _beneath(corners + [on, below], [face])
+        assert not _beneath(corners + [beyond], [face])
+        flipped = _face(a, c, b)
+        assert _beneath(corners + [on, beyond], [flipped])
+        assert not _beneath(corners + [below], [flipped])
+        points = corners + [on, beyond, below] + extra
+        faces = [face, flipped] + [
+            _face(*(points[k % len(points)] for k in triple)) for triple in triples
+        ]
+        for subset in (points, points[:4] + points[6:], [q for q in points if q != beyond]):
+            for chosen in (faces, faces[:1], faces[2:]):
+                if all(x in subset for f in chosen for x in f[:3]):
+                    assert _beneath(subset, chosen) == beneath_scalar(subset, chosen)
+
+    def test_huge_coordinates_one_unit_apart(self):
+        big = 10**40
+        a, b, c = (-big, big, 3), (big, -big + 1, -big), (big + 3, big, big - 7)
+        face = _face(a, b, c)
+        normal, offset = face[3:]
+        assert math.gcd(*normal) == 1
+        t = unit_step(normal)
+        on = tuple(map(add, a, _sub(c, b)))
+        beyond, below = tuple(map(add, on, t)), _sub(on, t)
+        assert _beneath([a, b, c, on, below], [face])
+        assert not _beneath([a, b, c, on, beyond], [face])
+
+    def test_flipped_plane_is_caught_only_by_the_final_check(self, monkeypatch):
+        # The last point of the insertion order lies outside the hull of
+        # the others, so the last cone is built and nothing is inserted
+        # after it.  One of its faces keeps its corners, which is all the
+        # surface check reads, but stores the reversed plane.  Every point
+        # strictly inside lies beyond that plane.
+        rng = random.Random(97531)
+        real_face, real_beneath = mixedvol._face, mixedvol._beneath
+        caught = 0
+        for _ in range(200):
+            pts = random_configuration(rng)
+            order = sorted(set(pts))
+            random.Random(0).shuffle(order)
+            *rest, last = order
+            if not full_dimensional(rest):
+                continue
+            planes = [f[3:] for f in _hull_3d_incremental(rest)]
+            if not any(sum(map(math.prod, zip(n, last))) > offset for n, offset in planes):
+                continue
+            flipped = []
+
+            def faulty(a, b, c, last=last, flipped=flipped):
+                face = real_face(a, b, c)
+                if c != last or flipped:
+                    return face
+                flipped.append(face)
+                return (a, b, c, tuple(-x for x in face[3]), -face[4])
+
+            monkeypatch.setattr(mixedvol, "_face", faulty)
+            monkeypatch.setattr(mixedvol, "_beneath", lambda points, faces: True)
+            try:
+                _hull_3d_incremental(pts)
+            except AssertionError:
+                continue  # the volume check caught it too
+            assert len(flipped) == 1
+            flipped.clear()
+            monkeypatch.setattr(mixedvol, "_beneath", real_beneath)
+            with pytest.raises(AssertionError, match="beyond a hull face plane"):
+                _hull_3d_incremental(pts)
+            caught += 1
+            monkeypatch.setattr(mixedvol, "_face", real_face)
+            if caught == 12:
+                break
+        assert caught == 12
+
+
+@st.composite
+def normal_lists(draw):
+    """0 to 7 vectors in Z^3: free ones, and multiples of u, -u, combinations
+    of u and v, and zero vectors, so parallel, antiparallel and coplanar
+    lists are common."""
+    small = st.tuples(*[st.integers(-3, 3)] * 3)
+    u, v = draw(small), draw(small)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["free", "parallel", "antiparallel", "coplanar", "zero"]), max_size=7)):
+        k, i, j = draw(st.integers(1, 4)), draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        if kind == "free":
+            rows.append(draw(small))
+        elif kind == "parallel":
+            rows.append(tuple(k * x for x in u))
+        elif kind == "antiparallel":
+            rows.append(tuple(-k * x for x in u))
+        elif kind == "coplanar":
+            rows.append(tuple(i * x + j * y for x, y in zip(u, v)))
+        else:
+            rows.append((0, 0, 0))
+    return rows
+
+
+def grid_or_prism(rng, kind):
+    """A sheared box grid of 3 x 3 x 2 to 4 points, the sides in random
+    order, or a sheared prism over a square's corners, edge midpoints and
+    centre on 2 to 4 levels, both with points inside edges and facets."""
+    if kind == "grid":
+        sizes = rng.sample([3, 3, rng.randint(2, 4)], 3)
+        return sheared(list(product(*(range(k) for k in sizes))), rng)
+    base = [(x, y) for x in (0, 1, 2) for y in (0, 1, 2)]
+    levels = sorted(rng.sample(range(-2, 3), rng.randint(2, 4)))
+    return sheared([(x, y, z) for x, y in base for z in levels], rng)
+
+
+class TestCornerTest:
+    """The integer rank-3 test on face normals against elimination, and
+    the corners it selects against the exhaustive oracle."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(normal_lists())
+    def test_matches_extend_basis(self, rows):
+        assert _spans_space(rows) == (len(extend_basis([], rows)) == 3)
+
+    @pytest.mark.parametrize("kind", ["grid", "prism"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_extreme_points_on_grids_and_prisms(self, kind, seed):
+        pts = grid_or_prism(random.Random(seed), kind)
+        expected = hull_vertices(pts)
+        assert len(expected) < len(set(pts))
+        assert extreme_points(3, pts) == expected
+        halves = [tuple(Fraction(x, 2) for x in q) for q in pts]
+        assert extreme_points(3, halves) == [tuple(Fraction(x, 2) for x in q) for q in expected]
+
 
 class TestMixedVolumeOracle:
     """The whole table against polarization in Fraction arithmetic over
@@ -751,3 +971,46 @@ class TestCriteria:
                 positive = positivity_criterion(ks, n)
                 assert (value > 0) == positive
                 assert segments_criterion(ks, n) == positive
+
+
+class TestPositivityOracle:
+    """The criterion on scaled integer directions against the Fraction
+    route through `SubspaceFamily` and `linear_rank` (positivity_oracle.py)."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_fraction_route(self, d, p, data):
+        polytopes = [LatticePolytope(d, verts) for verts in data.draw(vertex_lists(d, p))]
+        n = data.draw(
+            st.sampled_from(list(compositions(d, p)))
+            | st.lists(st.integers(0, d), min_size=p, max_size=p)
+        )
+        assert positivity_criterion(polytopes, n) == positivity_oracle(polytopes, n)
+
+    def test_past_the_ground_set_cap(self):
+        p = MAX_GROUND_SET + 1
+        with pytest.raises(UnsupportedSizeError, match=f"ground set size {p} exceeds"):
+            positivity_criterion([point((k,)) for k in range(p)], [1] + [0] * (p - 1))
+
+
+def test_integer_routes_build_no_fraction():
+    """From the scaled vertices on, the hull, its surface update and final
+    check, the corner test and the positivity criterion name nothing that
+    builds a Fraction."""
+    routes = {
+        "_hull_3d_incremental", "_replace_faces", "_beneath", "_corners",
+        "_spans_space", "positivity_criterion",
+    }
+    builders = {"Fraction", "_rational", "integer_row", "rank_rational", "SubspaceFamily", "linear_rank"}
+    path = Path(mixedvol.__file__)
+    found = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and node.name in routes:
+            found[node.name] = [
+                f"{name.lineno} {name.id}"
+                for name in ast.walk(node)
+                if isinstance(name, ast.Name) and name.id in builders
+            ]
+    assert found == dict.fromkeys(routes, [])
