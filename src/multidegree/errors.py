@@ -102,3 +102,18 @@ def _rational(x: object, where: str) -> Fraction:
         raise ValidationError(f"{where}: {exc}") from exc
     except ZeroDivisionError as exc:
         raise ValidationError(f"{where}: {x!r} has a zero denominator") from exc
+
+
+def _rationals(entries: list) -> dict | None:
+    """Each distinct entry mapped to its Fraction, built once however
+    often the entry recurs; None when an entry is not exactly an int, a
+    Fraction or a str, or a string is no rational, so that the caller's
+    walk with `_rational` names the first fault.  The types are read
+    from every entry before any two are merged as keys: True == 1 and
+    1.0 == 1 would merge."""
+    if not set(map(type, entries)) <= {int, Fraction, str}:
+        return None
+    try:
+        return {x: Fraction(x) for x in set(entries)}
+    except (ValueError, ZeroDivisionError):
+        return None

@@ -52,9 +52,9 @@ that expansion as the oracle for the additivity route.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, compress, product
+from itertools import chain, compress, product
 from math import comb, prod
-from operator import and_, le, lt, mul, or_, sub
+from operator import and_, getitem, le, lt, mul, or_, sub, xor
 from typing import Iterable, Sequence
 
 from . import errors
@@ -75,14 +75,17 @@ class Grading(Value):
             raise ValidationError(
                 f"grading lists {len(degree_of)} degrees for {nvars} variables"
             )
-        degrees = tuple(tuple(x if type(x) is int else _integer(x) for x in d) for d in degree_of)
-        for v, d in enumerate(degrees):
-            if len(d) != p:
-                raise ValidationError(f"degree of variable {v + 1} has length {len(d)}")
-            if any(x < 0 for x in d):
-                raise ValidationError(f"negative degree entry for variable {v + 1}")
-            if all(x == 0 for x in d):
-                raise ValidationError(f"variable {v + 1} has zero degree vector")
+        degrees = tuple(map(tuple, degree_of))
+        if not (_natural_rows(degrees, p) and all(map(any, degrees))):
+            # convert or name the first fault
+            degrees = tuple(tuple(x if type(x) is int else _integer(x) for x in d) for d in degrees)
+            for v, d in enumerate(degrees):
+                if len(d) != p:
+                    raise ValidationError(f"degree of variable {v + 1} has length {len(d)}")
+                if any(x < 0 for x in d):
+                    raise ValidationError(f"negative degree entry for variable {v + 1}")
+                if all(x == 0 for x in d):
+                    raise ValidationError(f"variable {v + 1} has zero degree vector")
         self._set(nvars=nvars, p=p, degree_of=degrees)
 
     @classmethod
@@ -106,35 +109,85 @@ def _monus(x: int, y: int) -> int:
     return x - y if x > y else 0
 
 
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _natural_rows(rows: Sequence[tuple], length: int) -> bool:
+    """Whether every row has this length and every entry is an int >= 0
+    (never a bool), decided in a few passes over all entries at once."""
+    entries = list(chain.from_iterable(rows))
+    return (
+        set(map(len, rows)) <= {length}
+        and set(map(type, entries)) <= {int}
+        and min(entries, default=0) >= 0
+    )
+
+
+def _at_least(rows: Sequence[tuple[int, ...]]) -> list[int]:
+    """above[i]: the rows j with rows[j] >= rows[i] in every coordinate,
+    bit j for rows[j], for rows of ints >= 0 of one length.  Per column
+    and per nonzero value t in it, the rows at least t are one mask, read
+    by `int(..., 2)` from the column's comparisons with t as bytes; an
+    entry 0 asks nothing of the others.  So above[i] is the AND of the
+    masks at row i's nonzero entries, one pass per row and no step per
+    pair of rows."""
+    full = (1 << len(rows)) - 1
+    masks = [  # rows[0] last, so it is bit 0
+        {t: int(bytes(map(t.__le__, column)).translate(_BITS), 2) for t in set(column) if t}
+        for column in zip(*reversed(rows))
+    ]
+    return [
+        reduce(and_, map(getitem, compress(masks, row), filter(None, row)), full) for row in rows
+    ]
+
+
+def _first_pair(above: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, in the order of `combinations`, with
+    bit j of above[i] or bit i of above[j] set, each above[k] holding its
+    own bit k; None when there is none.  The best pair that row k is in
+    is k with the lowest other bit of above[k], so one step per row
+    finds it."""
+    others = map(xor, above, map((1).__lshift__, range(len(above))))
+    pairs = [tuple(sorted((k, (m & -m).bit_length() - 1))) for k, m in enumerate(others) if m]
+    return min(pairs, default=None)
+
+
 class MonomialIdeal(Value):
-    """Monomial ideal given by its minimal generators' exponent vectors."""
+    """Monomial ideal given by its minimal generators' exponent vectors.
+
+    The generators are read in a few passes over all entries, and only
+    an input with a fault is walked entry by entry, to name it.  They
+    are minimal when no generator is at least another in every
+    coordinate, which `_at_least` decides with one bitmask per row.
+    """
 
     __slots__ = ("grading", "generators", "_supports")
 
     def __init__(self, grading: Grading, generators: Iterable[Iterable[int]]):
-        gens = sorted({tuple(x if type(x) is int else _integer(x) for x in g) for g in generators})
-        for g in gens:
-            if len(g) != grading.nvars:
-                raise ValidationError(
-                    f"generator {g} has length {len(g)}, expected {grading.nvars}"
-                )
-            if any(x < 0 for x in g):
-                raise ValidationError(f"negative exponent in generator {g}")
-            if all(x == 0 for x in g):
-                raise ValidationError("the unit monomial cannot be a generator")
+        gens = list(map(tuple, generators))
+        if _natural_rows(gens, grading.nvars) and all(map(any, gens)):
+            gens = sorted(set(gens))
+        else:  # convert or name the first fault
+            gens = sorted({tuple(x if type(x) is int else _integer(x) for x in g) for g in gens})
+            for g in gens:
+                if len(g) != grading.nvars:
+                    raise ValidationError(
+                        f"generator {g} has length {len(g)}, expected {grading.nvars}"
+                    )
+                if any(x < 0 for x in g):
+                    raise ValidationError(f"negative exponent in generator {g}")
+                if all(x == 0 for x in g):
+                    raise ValidationError("the unit monomial cannot be a generator")
         check_budget(comb(len(gens), 2), "minimality check over generator pairs")
         self._fill(grading, gens)
-        # a divisor's support lies inside the multiple's support
-        for (a, sa), (b, sb) in combinations(zip(gens, self._supports), 2):
-            common = sa & sb
-            if (common == sa and _divides(a, b)) or (common == sb and _divides(b, a)):
-                raise ValidationError(
-                    f"generator list is not minimal: {a} and {b} are comparable"
-                )
+        pair = _first_pair(_at_least(gens))
+        if pair is not None:
+            a, b = gens[pair[0]], gens[pair[1]]
+            raise ValidationError(f"generator list is not minimal: {a} and {b} are comparable")
 
     def _fill(self, grading: Grading, gens: list[tuple[int, ...]]) -> None:
-        # variable v is bit v
-        supports = tuple(sum(1 << v for v, e in enumerate(g) if e) for g in gens)
+        powers = [1 << v for v in range(grading.nvars)]  # variable v is bit v
+        supports = tuple(sum(compress(powers, g)) for g in gens)
         self._set(grading=grading, generators=tuple(gens), _supports=supports)
 
     @classmethod
@@ -505,25 +558,43 @@ def multidegree_polynomial(ideal: MonomialIdeal) -> IntPolynomial:
 
 
 class SimplicialComplex(Value):
-    """Abstract simplicial complex on vertices 1..nverts, given by facets."""
+    """Abstract simplicial complex on vertices 1..nverts, given by facets.
+
+    The facets are read in a few passes over all vertices, and only an
+    input with a fault is walked entry by entry, to name it.  No facet
+    lies in another: the facets holding all of a facet's vertices are
+    the AND of one bitmask of facets per vertex.
+    """
 
     __slots__ = ("nverts", "facets", "_masks")
 
     def __init__(self, nverts: int, facets: Iterable[Iterable[int]]):
         nverts = _integer(nverts)
-        cleaned = sorted({tuple(sorted(set(map(_integer, f)))) for f in facets})
-        if not cleaned:
-            raise ValidationError("a complex needs at least one facet")
-        for f in cleaned:
-            if not f:
-                raise ValidationError("empty facet")
-            if any(not 1 <= v <= nverts for v in f):
-                raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
+        rows = list(map(tuple, facets))
+        entries = list(chain.from_iterable(rows))
+        # every facet nonempty and every vertex an int in 1..nverts
+        vertices = rows and all(rows) and set(map(type, entries)) <= {int}
+        if vertices and 1 <= min(entries) and max(entries) <= nverts:
+            cleaned = sorted({tuple(sorted(set(f))) for f in rows})
+        else:  # convert or name the first fault
+            cleaned = sorted({tuple(sorted(set(map(_integer, f)))) for f in rows})
+            if not cleaned:
+                raise ValidationError("a complex needs at least one facet")
+            for f in cleaned:
+                if not f:
+                    raise ValidationError("empty facet")
+                if any(not 1 <= v <= nverts for v in f):
+                    raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
         check_budget(comb(len(cleaned), 2), "nested-facet check over facet pairs")
-        masks = [sum(1 << v for v in f) for f in cleaned]  # vertex v is bit v
-        for (a, ma), (b, mb) in combinations(zip(cleaned, masks), 2):
-            if ma & mb in (ma, mb):
-                raise ValidationError(f"facets {a} and {b} are nested")
+        masks = [sum(map((1).__lshift__, f)) for f in cleaned]  # vertex v is bit v
+        # containing[v]: the facets that hold vertex v, bit k for cleaned[k]
+        containing: dict[int, int] = {}
+        for k, f in enumerate(cleaned):
+            for v in f:
+                containing[v] = containing.get(v, 0) | 1 << k
+        pair = _first_pair([reduce(and_, map(containing.__getitem__, f)) for f in cleaned])
+        if pair is not None:
+            raise ValidationError(f"facets {cleaned[pair[0]]} and {cleaned[pair[1]]} are nested")
         self._set(nverts=nverts, facets=tuple(cleaned), _masks=tuple(masks))
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:

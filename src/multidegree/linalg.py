@@ -29,7 +29,7 @@ def integer_row(row: Sequence, prime: int | None = None) -> list[int]:
             (x.numerator if type(x) is Fraction and x.denominator == 1 else _integer(x)) % prime
             for x in row
         ]
-    entries = [Fraction(x) for x in row]
+    entries = [x if type(x) is Fraction else Fraction(x) for x in row]
     scale = lcm(*(x.denominator for x in entries))
     vec = [x.numerator * (scale // x.denominator) for x in entries]
     g = gcd(*vec)

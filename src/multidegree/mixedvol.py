@@ -50,11 +50,18 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import add, mul, sub
 from typing import Collection, Iterable, Sequence
 
-from .errors import UnsupportedSizeError, ValidationError, Value, _rational, check_budget
+from .errors import (
+    UnsupportedSizeError,
+    ValidationError,
+    Value,
+    _rational,
+    _rationals,
+    check_budget,
+)
 from .linalg import extend_basis, rank_rational
 from .polymatroid import _integer, _rank_table, check_ground_set, compositions
 from .schemas import check
@@ -69,10 +76,16 @@ class LatticePolytope(Value):
     """Convex hull of finitely many rational points in R^d, d <= 3.
 
     The stored vertex list may contain redundant (non-extreme) points;
-    canonicalize() reduces to the extreme points.
+    canonicalize() reduces to the extreme points.  The vertices are read
+    in a few passes over all coordinates, and only an input with a fault
+    is walked entry by entry, to name it.  A polytope whose vertices are
+    all integral keeps them as sorted int tuples, which the hulls and the
+    rank test read, and builds the Fraction tuples of `vertices` on
+    their first read, each distinct entry once.  Equality, hashing and
+    `repr` go by d and `vertices`.
     """
 
-    __slots__ = ("d", "vertices")
+    __slots__ = ("d", "_vertices", "_ints")
 
     def __init__(self, d: int, vertices: Iterable[Iterable[Fraction | int | str]]):
         d = _integer(d)
@@ -82,13 +95,40 @@ class LatticePolytope(Value):
             raise UnsupportedSizeError(
                 f"ambient dimension {d} exceeds the supported maximum {MAX_AMBIENT_DIM}"
             )
-        pts = sorted({tuple(_rational(x, "vertex") for x in v) for v in vertices})
-        if not pts:
-            raise ValidationError("polytope needs at least one vertex")
-        for pt in pts:
-            if len(pt) != d:
-                raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
-        self._set(d=d, vertices=tuple(pts))
+        rows = list(map(tuple, vertices))
+        entries = list(chain.from_iterable(rows))
+        clean = set(map(len, rows)) == {d}
+        if clean and set(map(type, entries)) <= {int}:
+            self._set(d=d, _vertices=None, _ints=tuple(sorted(set(rows))))
+            return
+        fractions = _rationals(entries) if clean else None
+        if fractions is not None:
+            pts = sorted({tuple(map(fractions.__getitem__, v)) for v in rows})
+        else:  # convert or name the first fault
+            pts = sorted({tuple(_rational(x, "vertex") for x in v) for v in rows})
+            if not pts:
+                raise ValidationError("polytope needs at least one vertex")
+            for pt in pts:
+                if len(pt) != d:
+                    raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
+        ints = None
+        if all(x.denominator == 1 for x in chain.from_iterable(pts)):
+            ints = tuple(tuple(x.numerator for x in pt) for pt in pts)
+        self._set(d=d, _vertices=tuple(pts), _ints=ints)
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        """The vertices as Fraction tuples, in lexicographic order."""
+        if self._vertices is None:
+            fractions = {x: Fraction(x) for x in set(chain.from_iterable(self._ints))}
+            self._set(_vertices=tuple(tuple(map(fractions.__getitem__, pt)) for pt in self._ints))
+        return self._vertices
+
+    def _fields(self) -> tuple:
+        return self.d, self.vertices
+
+    def __repr__(self) -> str:
+        return f"LatticePolytope(d={self.d!r}, vertices={self.vertices!r})"
 
     def canonicalize(self) -> "LatticePolytope":
         return LatticePolytope(self.d, extreme_points(self.d, self.vertices))
@@ -113,6 +153,17 @@ def _scale_to_int(points: Sequence[Point]) -> tuple[list[IntPoint], int]:
     """The points times the lcm L of their denominators, and L."""
     scale = math.lcm(*(x.denominator for pt in points for x in pt))
     return [tuple(x.numerator * (scale // x.denominator) for x in pt) for pt in points], scale
+
+
+def _integer_vertices(polytopes: Sequence[LatticePolytope]) -> tuple[list[list[IntPoint]], int]:
+    """The vertices of each polytope times the lcm L of all their
+    denominators, and L: the polytopes' own int vertices, L = 1, when
+    every one keeps them."""
+    if all(k._ints is not None for k in polytopes):
+        return [list(k._ints) for k in polytopes], 1
+    flat, scale = _scale_to_int([v for k in polytopes for v in k.vertices])
+    rest = iter(flat)
+    return [[next(rest) for _v in k.vertices] for k in polytopes], scale
 
 
 def _sub(a: IntPoint, b: IntPoint) -> IntPoint:
@@ -446,12 +497,9 @@ def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     p = len(polytopes)
     terms_of = "determinant terms of the volume polynomial"
     check_budget(p**d, terms_of)  # the p^d index tuples are folded even when the sum is flat
-    flat, scale = _scale_to_int([v for k in polytopes for v in k.vertices])
-    if p == 1:
-        lattice = [flat]
-    else:
-        rest = iter(flat)
-        lattice = [_corners(d, [next(rest) for _v in k.vertices]) for k in polytopes]
+    lattice, scale = _integer_vertices(polytopes)
+    if p > 1:
+        lattice = [_corners(d, pts) for pts in lattice]
     sums = {v: (v,) for v in lattice[0]}  # point -> one vertex per summand
     for k in range(1, p):
         check_budget(len(sums) * len(lattice[k]), "points of a partial Minkowski sum")
@@ -525,11 +573,8 @@ def positivity_criterion(
     if sum(counts) != d:
         return False
     check_ground_set(p)
-    rest = iter(_scale_to_int([v for k in polytopes for v in k.vertices])[0])
-    directions = []
-    for k in polytopes:
-        base, *others = [next(rest) for _v in k.vertices]
-        directions.append([_sub(v, base) for v in others])
+    vertices, _scale = _integer_vertices(polytopes)
+    directions = [[_sub(v, base) for v in others] for base, *others in vertices]
     r = _rank_table(p, d, directions, None)
     return all(
         sum(counts[j] for j in range(p) if mask >> j & 1) <= r[mask]

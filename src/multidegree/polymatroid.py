@@ -50,6 +50,7 @@ from .errors import (
     Value,
     _integer,
     _rational,
+    _rationals,
     check_budget,
 )
 from .linalg import extend_basis, integer_row, is_prime
@@ -762,11 +763,14 @@ def rank_from_support(s: Support) -> RankFunction:
 class SubspaceFamily(Value):
     """Spanning sets for subspaces V_1, ..., V_p of k^ambient_dim.
 
-    The field k is the rationals ("Q") or a prime field ("Fp:<prime>").
-    Empty generator lists give the zero subspace.
+    The field k is the rationals ("Q") or a prime field ("Fp:<prime>"),
+    whose prime is kept.  Empty generator lists give the zero subspace.
+    The generators are read in a few passes over all entries, each
+    distinct entry made a Fraction once; only an input with a fault is
+    walked entry by entry, to name it.
     """
 
-    __slots__ = ("ambient_dim", "field", "generators")
+    __slots__ = ("ambient_dim", "field", "generators", "_prime")
 
     def __init__(
         self,
@@ -778,24 +782,36 @@ class SubspaceFamily(Value):
         if ambient_dim < 0:
             raise ValidationError("ambient dimension must be nonnegative")
         prime = _parse_field(field)
-        parsed = []
-        for idx, gens in enumerate(generators):
-            vecs = []
-            where = f"subspace {idx + 1}"
-            for vec in gens:
-                entries = tuple(_rational(x, where) for x in vec)
-                if len(entries) != ambient_dim:
-                    raise ValidationError(
-                        f"subspace {idx + 1} has a vector of length "
-                        f"{len(entries)}, expected {ambient_dim}"
-                    )
-                if prime is not None and any(e.denominator != 1 for e in entries):
-                    raise ValidationError(
-                        f"field {field} requires integer vector entries"
-                    )
-                vecs.append(entries)
-            parsed.append(tuple(vecs))
-        self._set(ambient_dim=ambient_dim, field=field, generators=tuple(parsed))
+        rows = [list(map(tuple, gens)) for gens in generators]
+        vectors = list(chain.from_iterable(rows))
+        fractions = _rationals(list(chain.from_iterable(vectors)))
+        clean = (
+            fractions is not None
+            and set(map(len, vectors)) <= {ambient_dim}
+            and (prime is None or all(x.denominator == 1 for x in fractions.values()))
+        )
+        if clean:
+            read = fractions.__getitem__
+            parsed = [tuple(tuple(map(read, vec)) for vec in gens) for gens in rows]
+        else:  # convert or name the first fault, vector by vector
+            parsed = []
+            for idx, gens in enumerate(rows):
+                vecs = []
+                where = f"subspace {idx + 1}"
+                for vec in gens:
+                    entries = tuple(_rational(x, where) for x in vec)
+                    if len(entries) != ambient_dim:
+                        raise ValidationError(
+                            f"subspace {idx + 1} has a vector of length "
+                            f"{len(entries)}, expected {ambient_dim}"
+                        )
+                    if prime is not None and any(e.denominator != 1 for e in entries):
+                        raise ValidationError(
+                            f"field {field} requires integer vector entries"
+                        )
+                    vecs.append(entries)
+                parsed.append(tuple(vecs))
+        self._set(ambient_dim=ambient_dim, field=field, generators=tuple(parsed), _prime=prime)
 
     @property
     def p(self) -> int:
@@ -836,16 +852,16 @@ def linear_rank(fam: SubspaceFamily) -> RankFunction:
     """Rank function r(J) = dim of the sum of the subspaces V_j, j in J.
 
     Ranks come from exact elimination in integers, over Q or over the
-    tagged prime field.  Each generator is read once, by `integer_row`,
-    before the walk of `_rank_table`.
+    tagged prime field, whose prime the family kept when it read its
+    tag.  Each generator is read once, by `integer_row`, before the walk
+    of `_rank_table`.
     """
     p = fam.p
     check_ground_set(p)
     if p < 1:
         raise ValidationError("subspace family must be nonempty")
-    prime = _parse_field(fam.field)
-    rows = [[integer_row(vec, prime) for vec in gens] for gens in fam.generators]
-    return RankFunction(p, _rank_table(p, fam.ambient_dim, rows, prime))
+    rows = [[integer_row(vec, fam._prime) for vec in gens] for gens in fam.generators]
+    return RankFunction(p, _rank_table(p, fam.ambient_dim, rows, fam._prime))
 
 
 def _rank_table(p: int, d: int, rows: Sequence[Sequence[Sequence[int]]], prime: int | None) -> list[int]:

@@ -5,6 +5,20 @@
 exactly when it satisfies its schema and the constructor's semantic
 checks (ragged rows, primes, nested facets, minimality, sizes).
 
+`check` decides an array in a few passes over all its entries at once
+when its items are one of these shapes, and walks the entries one by one
+only to name the first fault:
+- integers, with or without a minimum;
+- strings, with or without a pattern;
+- a `oneOf` of those, such as a rational (an integer or a string of the
+  rational pattern): each entry's type picks its alternative;
+- arrays of any of these shapes, to any depth, with or without
+  `minItems` and `maxItems`;
+- objects whose properties are all required, each of any of these
+  shapes, such as the polytopes of a `polytope_tuple`.
+So checking a clean document costs one `_error` call for the document
+and one per property of it, however long its arrays are.
+
 `check` interprets the draft-07 subset these schemas use: `type`,
 `required`, `properties`, `items`, `minimum`, `minItems`, `maxItems`,
 `pattern`, `oneOf` and `$ref` into `definitions`.  Only `oneOf` and
@@ -21,7 +35,9 @@ than `check` does:
 from __future__ import annotations
 
 import re
+from functools import cache
 from itertools import chain
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -134,7 +150,7 @@ def _error(schema: dict, value: object, definitions: dict | None) -> tuple[str, 
         return "", f"must be {_a(kind)}, not {type(value).__name__}"
     if kind == "integer" and value < schema.get("minimum", value):
         return "", f"must be at least {schema['minimum']}"
-    if kind == "string" and "pattern" in schema and not re.fullmatch(schema["pattern"], value):
+    if kind == "string" and "pattern" in schema and not _fullmatch(schema["pattern"])(value):
         return "", f"must match {schema['pattern']}"
     if kind == "object":
         missing = [key for key in schema["required"] if key not in value]
@@ -149,7 +165,7 @@ def _error(schema: dict, value: object, definitions: dict | None) -> tuple[str, 
         if not low <= len(value) <= high:
             return "", f"has {len(value)} entries, not {low}" + (f" to {high}" if high > low else "")
         option = schema["items"]
-        if _meet_at_once(option, value):
+        if _meet_at_once(option, value, definitions):
             return None
         for i, entry in enumerate(value):
             error = _error(option, entry, definitions)
@@ -158,19 +174,53 @@ def _error(schema: dict, value: object, definitions: dict | None) -> tuple[str, 
     return None
 
 
-def _meet_at_once(option: dict, entries: list) -> bool:
-    """True when every entry meets `option`, an integer schema or an array
-    of integers, as decided in a few passes over all the entries at
-    once; False when they must be checked one by one, to name a fault.
-    Any other schema costs two dict lookups."""
-    if option.get("type") == "array" and option["items"].get("type") == "integer":
+@cache
+def _fullmatch(pattern: str):
+    """The `fullmatch` of the compiled pattern, compiled once per process."""
+    return re.compile(pattern).fullmatch
+
+
+def _meet_at_once(option: dict, entries: list, definitions: dict | None) -> bool:
+    """True when every entry meets `option`, as decided in a few passes
+    over all the entries at once; False when they must be checked one by
+    one, to name a fault.  Decided at once: integers (types and the
+    minimum), strings (types and one `fullmatch` of the pattern each), a
+    `oneOf` of them, whose alternatives differ in type, each entry meeting
+    the alternative of its type, and, to any depth, arrays of these
+    (types, lengths where they are bounded, then the entries of all of
+    them as one list) and
+    objects whose properties are all required (types and keys, then the
+    values of each property as one list).  Any other shape is left to
+    the walk, for the cost of a few lookups."""
+    if "$ref" in option:
+        option = definitions[option["$ref"].rpartition("/")[2]]
+    kind = option.get("type")
+    if kind == "array":
         if not set(map(type, entries)) <= {list}:
             return False
-        lengths = set(map(len, entries))
-        short, long = min(lengths, default=0), max(lengths, default=0)
-        if short < option.get("minItems", 0) or long > option.get("maxItems", long):
+        if "minItems" in option or "maxItems" in option:
+            lengths = set(map(len, entries)) or {0}
+            low, high = min(lengths), max(lengths)
+            if low < option.get("minItems", 0) or high > option.get("maxItems", high):
+                return False
+        return _meet_at_once(option["items"], list(chain.from_iterable(entries)), definitions)
+    if kind == "object":
+        required = set(option["required"])
+        if not (set(map(type, entries)) <= {dict} and option["properties"].keys() <= required):
             return False
-        option, entries = option["items"], list(chain.from_iterable(entries))
-    if option.get("type") != "integer" or not set(map(type, entries)) <= {int}:
-        return False
-    return "minimum" not in option or not entries or min(entries) >= option["minimum"]
+        return all(map(required.issubset, entries)) and all(
+            _meet_at_once(value, list(map(itemgetter(key), entries)), definitions)
+            for key, value in option["properties"].items()
+        )
+    kinds = set(map(type, entries))
+    mixed = len(kinds) > 1
+    for alternative in option.get("oneOf", (option,)):
+        kind = _TYPES.get(alternative.get("type"))
+        if kind in kinds and kind in (int, str):
+            kinds.remove(kind)
+            same = [x for x in entries if type(x) is kind] if mixed else entries
+            if "minimum" in alternative and min(same) < alternative["minimum"]:
+                return False
+            if "pattern" in alternative and not all(map(_fullmatch(alternative["pattern"]), same)):
+                return False
+    return not kinds  # every type met its alternative

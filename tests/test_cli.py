@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidegree import Permutation, Support, errors, hilbert, poly, polymatroid, schubert_polynomial
+from multidegree import Permutation, Support, cli, errors, hilbert, poly, polymatroid, schubert_polynomial
 from multidegree.cli import build_parser, main
 from multidegree.flagmoduli import flag_comparator_report, flag_msupp
 
@@ -868,6 +868,31 @@ class TestDeterminismAndErrors:
         assert code == 3
         assert out == ""
         assert f"ground set size {p}" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "document, flags, message",
+        [
+            # a bad polytope is named before a bad n, as the schema lists them
+            ({"polytopes": [{"d": 1, "vertices": [["x"]]}], "n": ["y"]}, [],
+             "polytopes[0].vertices[0][0] must match ^-?[0-9]+(/0*[1-9][0-9]*)?$"),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [-1]}, [], "n[0] must be at least 0"),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}]}, [],
+             "positivity needs --n or an 'n' field in the input"),
+            # --n wins, and the document's n is not read
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": ["y"]}, ["--n", "1"], None),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [1]}, [], None),
+        ],
+    )
+    def test_positivity_checks_its_document_once(self, capsys, monkeypatch, document, flags, message):
+        checked = []
+        check = cli.check
+        monkeypatch.setattr(cli, "check", lambda name, doc: checked.append(name) or check(name, doc))
+        code, out, err = run_cli(["positivity", "--json", json.dumps(document), *flags], capsys)
+        assert checked == ["polytope_tuple"]
+        if message is None:
+            assert code == 0 and json.loads(out)["positive"] is True
+        else:
+            assert code == 2 and json.loads(err)["error"] == message
 
     def test_prime_below_the_trial_division_budget(self, capsys):
         document = '{"ambient":1,"field":"Fp:2147483647","subspaces":[[["1"]]]}'
