@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 from . import flagmoduli, hilbert, mixedvol, polymatroid, schubert
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
 from .poly import IntPolynomial
-from .schemas import SCHEMAS, check
+from .schemas import SCHEMAS, check, check_property
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -252,11 +252,10 @@ def _cmd_facet_support(args: argparse.Namespace) -> int:
     return _emit({"support": support, "count": len(support)}, args)
 
 
-def _parse_polytopes(document: dict, with_n: bool = False) -> list[mixedvol.LatticePolytope]:
-    """The polytopes of a `polytope_tuple` document, checked against the
-    schema once, its n with them if `with_n`.  Otherwise n is not read:
-    `mixedvol` and `positivity --n` ignore it."""
-    if not with_n and isinstance(document, dict) and "n" in document:
+def _parse_polytopes(document: dict) -> list[mixedvol.LatticePolytope]:
+    """The polytopes of a `polytope_tuple` document.  Its n is not read
+    here: `mixedvol` and `positivity --n` ignore it."""
+    if isinstance(document, dict) and "n" in document:
         document = {key: value for key, value in document.items() if key != "n"}
     check("polytope_tuple", document)
     return [mixedvol.LatticePolytope(k["d"], k["vertices"]) for k in document["polytopes"]]
@@ -269,10 +268,11 @@ def _cmd_mixedvol(args: argparse.Namespace) -> int:
 
 def _cmd_positivity(args: argparse.Namespace) -> int:
     document = _load_document(args)
-    polytopes = _parse_polytopes(document, with_n=args.n is None)
+    polytopes = _parse_polytopes(document)
     if args.n is not None:
         n = _parse_int_list(args.n, "type vector")
     elif "n" in document:
+        check_property("polytope_tuple", document, "n")
         n = document["n"]
     else:
         raise ValidationError("positivity needs --n or an 'n' field in the input")

@@ -52,9 +52,9 @@ that expansion as the oracle for the additivity route.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain, compress, product
+from itertools import chain, combinations, compress, product
 from math import comb, prod
-from operator import and_, getitem, le, lt, mul, or_, sub, xor
+from operator import and_, le, lt, mul, or_, sub
 from typing import Iterable, Sequence
 
 from . import errors
@@ -109,9 +109,6 @@ def _monus(x: int, y: int) -> int:
     return x - y if x > y else 0
 
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
 def _natural_rows(rows: Sequence[tuple], length: int) -> bool:
     """Whether every row has this length and every entry is an int >= 0
     (never a bool), decided in a few passes over all entries at once."""
@@ -123,42 +120,11 @@ def _natural_rows(rows: Sequence[tuple], length: int) -> bool:
     )
 
 
-def _at_least(rows: Sequence[tuple[int, ...]]) -> list[int]:
-    """above[i]: the rows j with rows[j] >= rows[i] in every coordinate,
-    bit j for rows[j], for rows of ints >= 0 of one length.  Per column
-    and per nonzero value t in it, the rows at least t are one mask, read
-    by `int(..., 2)` from the column's comparisons with t as bytes; an
-    entry 0 asks nothing of the others.  So above[i] is the AND of the
-    masks at row i's nonzero entries, one pass per row and no step per
-    pair of rows."""
-    full = (1 << len(rows)) - 1
-    masks = [  # rows[0] last, so it is bit 0
-        {t: int(bytes(map(t.__le__, column)).translate(_BITS), 2) for t in set(column) if t}
-        for column in zip(*reversed(rows))
-    ]
-    return [
-        reduce(and_, map(getitem, compress(masks, row), filter(None, row)), full) for row in rows
-    ]
-
-
-def _first_pair(above: Sequence[int]) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j, in the order of `combinations`, with
-    bit j of above[i] or bit i of above[j] set, each above[k] holding its
-    own bit k; None when there is none.  The best pair that row k is in
-    is k with the lowest other bit of above[k], so one step per row
-    finds it."""
-    others = map(xor, above, map((1).__lshift__, range(len(above))))
-    pairs = [tuple(sorted((k, (m & -m).bit_length() - 1))) for k, m in enumerate(others) if m]
-    return min(pairs, default=None)
-
-
 class MonomialIdeal(Value):
     """Monomial ideal given by its minimal generators' exponent vectors.
 
     The generators are read in a few passes over all entries, and only
-    an input with a fault is walked entry by entry, to name it.  They
-    are minimal when no generator is at least another in every
-    coordinate, which `_at_least` decides with one bitmask per row.
+    an input with a fault is walked entry by entry, to name it.
     """
 
     __slots__ = ("grading", "generators", "_supports")
@@ -180,10 +146,13 @@ class MonomialIdeal(Value):
                     raise ValidationError("the unit monomial cannot be a generator")
         check_budget(comb(len(gens), 2), "minimality check over generator pairs")
         self._fill(grading, gens)
-        pair = _first_pair(_at_least(gens))
-        if pair is not None:
-            a, b = gens[pair[0]], gens[pair[1]]
-            raise ValidationError(f"generator list is not minimal: {a} and {b} are comparable")
+        # a divisor's support lies inside the multiple's support
+        for (a, sa), (b, sb) in combinations(zip(gens, self._supports), 2):
+            common = sa & sb
+            if (common == sa and _divides(a, b)) or (common == sb and _divides(b, a)):
+                raise ValidationError(
+                    f"generator list is not minimal: {a} and {b} are comparable"
+                )
 
     def _fill(self, grading: Grading, gens: list[tuple[int, ...]]) -> None:
         powers = [1 << v for v in range(grading.nvars)]  # variable v is bit v
@@ -561,9 +530,7 @@ class SimplicialComplex(Value):
     """Abstract simplicial complex on vertices 1..nverts, given by facets.
 
     The facets are read in a few passes over all vertices, and only an
-    input with a fault is walked entry by entry, to name it.  No facet
-    lies in another: the facets holding all of a facet's vertices are
-    the AND of one bitmask of facets per vertex.
+    input with a fault is walked entry by entry, to name it.
     """
 
     __slots__ = ("nverts", "facets", "_masks")
@@ -586,15 +553,10 @@ class SimplicialComplex(Value):
                 if any(not 1 <= v <= nverts for v in f):
                     raise ValidationError(f"facet {f} has a vertex outside 1..{nverts}")
         check_budget(comb(len(cleaned), 2), "nested-facet check over facet pairs")
-        masks = [sum(map((1).__lshift__, f)) for f in cleaned]  # vertex v is bit v
-        # containing[v]: the facets that hold vertex v, bit k for cleaned[k]
-        containing: dict[int, int] = {}
-        for k, f in enumerate(cleaned):
-            for v in f:
-                containing[v] = containing.get(v, 0) | 1 << k
-        pair = _first_pair([reduce(and_, map(containing.__getitem__, f)) for f in cleaned])
-        if pair is not None:
-            raise ValidationError(f"facets {cleaned[pair[0]]} and {cleaned[pair[1]]} are nested")
+        masks = [sum(1 << v for v in f) for f in cleaned]  # vertex v is bit v
+        for (a, ma), (b, mb) in combinations(zip(cleaned, masks), 2):
+            if ma & mb in (ma, mb):
+                raise ValidationError(f"facets {a} and {b} are nested")
         self._set(nverts=nverts, facets=tuple(cleaned), _masks=tuple(masks))
 
     def minimal_nonfaces(self) -> list[tuple[int, ...]]:

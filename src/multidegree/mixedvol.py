@@ -54,14 +54,7 @@ from itertools import chain, product
 from operator import add, mul, sub
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    UnsupportedSizeError,
-    ValidationError,
-    Value,
-    _rational,
-    _rationals,
-    check_budget,
-)
+from .errors import UnsupportedSizeError, ValidationError, Value, _rational, check_budget
 from .linalg import extend_basis, rank_rational
 from .polymatroid import _integer, _rank_table, check_ground_set, compositions
 from .schemas import check
@@ -78,8 +71,8 @@ class LatticePolytope(Value):
     The stored vertex list may contain redundant (non-extreme) points;
     canonicalize() reduces to the extreme points.  The vertices are read
     in a few passes over all coordinates, and only an input with a fault
-    is walked entry by entry, to name it.  A polytope whose vertices are
-    all integral keeps them as sorted int tuples, which the hulls and the
+    is walked entry by entry, to name it.  A polytope given by int
+    vertices keeps them as sorted int tuples, which the hulls and the
     rank test read, and builds the Fraction tuples of `vertices` on
     their first read, each distinct entry once.  Equality, hashing and
     `repr` go by d and `vertices`.
@@ -96,25 +89,17 @@ class LatticePolytope(Value):
                 f"ambient dimension {d} exceeds the supported maximum {MAX_AMBIENT_DIM}"
             )
         rows = list(map(tuple, vertices))
-        entries = list(chain.from_iterable(rows))
-        clean = set(map(len, rows)) == {d}
-        if clean and set(map(type, entries)) <= {int}:
+        if set(map(len, rows)) == {d} and set(map(type, chain.from_iterable(rows))) <= {int}:
             self._set(d=d, _vertices=None, _ints=tuple(sorted(set(rows))))
             return
-        fractions = _rationals(entries) if clean else None
-        if fractions is not None:
-            pts = sorted({tuple(map(fractions.__getitem__, v)) for v in rows})
-        else:  # convert or name the first fault
-            pts = sorted({tuple(_rational(x, "vertex") for x in v) for v in rows})
-            if not pts:
-                raise ValidationError("polytope needs at least one vertex")
-            for pt in pts:
-                if len(pt) != d:
-                    raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
-        ints = None
-        if all(x.denominator == 1 for x in chain.from_iterable(pts)):
-            ints = tuple(tuple(x.numerator for x in pt) for pt in pts)
-        self._set(d=d, _vertices=tuple(pts), _ints=ints)
+        # convert or name the first fault
+        pts = sorted({tuple(_rational(x, "vertex") for x in v) for v in rows})
+        if not pts:
+            raise ValidationError("polytope needs at least one vertex")
+        for pt in pts:
+            if len(pt) != d:
+                raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
+        self._set(d=d, _vertices=tuple(pts), _ints=None)
 
     @property
     def vertices(self) -> tuple[Point, ...]:

@@ -4,6 +4,8 @@
 `check(name, document)` before its constructor.  So a document is read
 exactly when it satisfies its schema and the constructor's semantic
 checks (ragged rows, primes, nested facets, minimality, sizes).
+`check_property` checks one property of a document alone, as
+`positivity` does for the `n` it reads after building the polytopes.
 
 `check` decides an array in a few passes over all its entries at once
 when its items are one of these shapes, and walks the entries one by one
@@ -124,6 +126,17 @@ def check(name: str, document: object) -> None:
     if error is not None:
         path, message = error
         raise ValidationError(f"{path.lstrip('.') or name + ' document'} {message}")
+
+
+def check_property(name: str, document: dict, key: str) -> None:
+    """`check` of the property `key` of a document alone, with the
+    message `check` of the whole document gives when its other
+    properties meet SCHEMAS[name]."""
+    schema = SCHEMAS[name]
+    error = _error(schema["properties"][key], document[key], schema.get("definitions"))
+    if error is not None:
+        path, message = error
+        raise ValidationError(f"{key}{path} {message}")
 
 
 def _is(value: object, kind: str) -> bool:

@@ -80,7 +80,7 @@ def _build(cls, **fields):
 def lattice_polytope_oracle(d, vertices):
     """Convert every entry in the order given, then check the vertex
     count and the lengths in sorted order; keep the int vertices when
-    every coordinate is integral."""
+    every entry is an int."""
     d = _integer(d)
     if d < 1:
         raise ValidationError("ambient dimension must be at least 1")
@@ -95,7 +95,7 @@ def lattice_polytope_oracle(d, vertices):
         if len(pt) != d:
             raise ValidationError(f"vertex {pt} has length {len(pt)}, expected {d}")
     ints = None
-    if all(x.denominator == 1 for pt in pts for x in pt):
+    if all(type(x) is int for v in vertices for x in v):
         ints = tuple(tuple(x.numerator for x in pt) for pt in pts)
     return _build(LatticePolytope, d=d, _vertices=tuple(pts), _ints=ints)
 

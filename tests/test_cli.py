@@ -870,25 +870,38 @@ class TestDeterminismAndErrors:
         assert f"ground set size {p}" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
-        "document, flags, message",
+        "document, flags, message, checks",
         [
             # a bad polytope is named before a bad n, as the schema lists them
             ({"polytopes": [{"d": 1, "vertices": [["x"]]}], "n": ["y"]}, [],
-             "polytopes[0].vertices[0][0] must match ^-?[0-9]+(/0*[1-9][0-9]*)?$"),
-            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [-1]}, [], "n[0] must be at least 0"),
+             "polytopes[0].vertices[0][0] must match ^-?[0-9]+(/0*[1-9][0-9]*)?$", ["polytope_tuple"]),
+            # and so is a polytope the schema passes but its constructor refuses
+            ({"polytopes": [{"d": 2, "vertices": [[0, 0], [1]]}], "n": [-1]}, [],
+             "vertex (Fraction(1, 1),) has length 1, expected 2", ["polytope_tuple"]),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [-1]}, [], "n[0] must be at least 0",
+             ["polytope_tuple", "polytope_tuple.n"]),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": "x"}, [], "n must be an array, not str",
+             ["polytope_tuple", "polytope_tuple.n"]),
             ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}]}, [],
-             "positivity needs --n or an 'n' field in the input"),
+             "positivity needs --n or an 'n' field in the input", ["polytope_tuple"]),
             # --n wins, and the document's n is not read
-            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": ["y"]}, ["--n", "1"], None),
-            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [1]}, [], None),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": ["y"]}, ["--n", "1"], None, ["polytope_tuple"]),
+            ({"polytopes": [{"d": 1, "vertices": [[0], [1]]}], "n": [1]}, [], None,
+             ["polytope_tuple", "polytope_tuple.n"]),
         ],
     )
-    def test_positivity_checks_its_document_once(self, capsys, monkeypatch, document, flags, message):
+    def test_positivity_checks_its_document_once(self, capsys, monkeypatch, document, flags, message, checks):
+        # the polytopes are checked once, and n alone after them
         checked = []
-        check = cli.check
+        check, check_property = cli.check, cli.check_property
         monkeypatch.setattr(cli, "check", lambda name, doc: checked.append(name) or check(name, doc))
+        monkeypatch.setattr(
+            cli,
+            "check_property",
+            lambda name, doc, key: checked.append(f"{name}.{key}") or check_property(name, doc, key),
+        )
         code, out, err = run_cli(["positivity", "--json", json.dumps(document), *flags], capsys)
-        assert checked == ["polytope_tuple"]
+        assert checked == checks
         if message is None:
             assert code == 0 and json.loads(out)["positive"] is True
         else:

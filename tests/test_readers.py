@@ -132,11 +132,13 @@ def test_polytope_document(case):
     assert read == expected
 
 
-def test_integral_polytopes_keep_their_int_vertices():
-    k = LatticePolytope(2, [(2, "4/2"), (Fraction(1), -1), (2, 2)])
+def test_int_polytopes_keep_their_int_vertices():
+    k = LatticePolytope(2, [(2, 2), (1, -1), (2, 2)])
     assert k.vertices == ((Fraction(1), Fraction(-1)), (Fraction(2), Fraction(2)))
     assert k._ints == ((1, -1), (2, 2))
     assert all(type(x) is int for pt in k._ints for x in pt)
+    # any other entry, integral or not, is read by the walk
+    assert LatticePolytope(2, [(2, "4/2"), (Fraction(1), -1)])._ints is None
     assert LatticePolytope(1, [("1/2",), (0,)])._ints is None
 
 
@@ -157,12 +159,6 @@ def test_int_polytopes_build_fractions_on_the_first_read_only():
         assert copied.vertices == tuple((Fraction(x), Fraction(y)) for x, y in [(0, 0), (0, 1), (1, 0), (1, 1)])
         assert len({id(x) for pt in copied.vertices for x in pt}) == 2  # 0 and 1, built once each
         assert repr(copied) == repr(LatticePolytope(2, [("0", 0), (0, 1), (1, 0), (1, "1")]))
-
-
-def test_polytope_entries_are_built_once():
-    k = LatticePolytope(2, [("1/3", 0), ("1/3", "1/3"), (0, "1/3")])
-    thirds = {id(x) for pt in k.vertices for x in pt if x == Fraction(1, 3)}
-    assert len(thirds) == 1
 
 
 # -- subspace families ---------------------------------------------------------
