@@ -20,22 +20,30 @@ renders it once into its "polynomial" JSON text, written as it stands,
 and its "pretty" text, with no dict per term.  Every other value goes
 through json.dumps with sorted keys and no spaces.
 
-One table, `_COMMANDS`, lists the subcommands.  The parser is built once
-per process, on first use, and every call parses with it.
+One table, `_COMMANDS`, lists the subcommands and their options.
+`_read_argv` reads from it, without argparse, `--schema NAME` and a
+subcommand followed only by whole option strings of its own.  Every other
+argv (`[]`, help, abbreviations, `--opt=value`, `-vv`, `--`, values that
+start with "-" or do not convert, unknown tokens) goes to the argparse
+parser that `build_parser` builds from it once, which writes every help,
+usage and error text.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import flagmoduli, hilbert, mixedvol, polymatroid, schubert
 from .errors import BudgetExceededError, UnsupportedSizeError, ValidationError
 from .poly import IntPolynomial
 from .schemas import SCHEMAS, check, check_property
+
+if TYPE_CHECKING:  # handlers read both readers' namespaces by attribute
+    import argparse
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -75,6 +83,8 @@ def _load_document(args: argparse.Namespace) -> dict:
         ) from exc
     except ValueError as exc:  # e.g. an integer of more digits than int() reads
         raise ValidationError(f"unreadable JSON from {origin}: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"JSON from {origin} is nested too deeply") from exc
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -315,16 +325,33 @@ def _cmd_m0n(args: argparse.Namespace) -> int:
     return _emit({"support": support, "count": len(support)}, args)
 
 
+# options that subcommands share, as (option strings, add_argument keywords)
+_OUTPUT = ("--output", {"help": "also write the JSON result to this path"})
+_VERBOSE = ("-v --verbose", {"action": "count", "default": 0})
+_INPUT = ("--input", {"help": "path of the input JSON document ('-' for stdin)"})
+_JSON = ("--json", {"help": "inline input JSON document"})
+
+
 class _Command:
-    """A subcommand: its help text, its handler, its own arguments as
-    (option string, add_argument keywords) pairs, and whether it takes
-    --input and --json."""
+    """A subcommand: its help text, its handler and its arguments as
+    (option strings, add_argument keywords) pairs, shared ones first.
+    For `_read_argv`: `defaults`, the namespace before any option, and
+    `options`, each option string's dest and action (store_true, count)
+    or value type (str, int)."""
 
     # a plain class: a NamedTuple would double this module's import time
     def __init__(self, help: str, handler: Callable[[argparse.Namespace], int],
                  arguments: tuple = (), takes_input: bool = True):
-        self.help, self.handler, self.arguments = help, handler, arguments
-        self.takes_input = takes_input
+        self.help, self.handler = help, handler
+        self.arguments = (_OUTPUT, _VERBOSE, *((_INPUT, _JSON) if takes_input else ()), *arguments)
+        self.defaults, self.options = {"schema": None}, {}
+        for names, keywords in self.arguments:
+            names = names.split()
+            # argparse's dest: the first long option string, else the first
+            dest = ([n for n in names if n[:2] == "--"] or names)[0].lstrip("-").replace("-", "_")
+            kind = keywords.get("action") or keywords.get("type", str)
+            self.defaults[dest] = keywords.get("default", False if kind == "store_true" else None)
+            self.options.update(dict.fromkeys(names, (dest, kind)))
 
 
 _P = ("--p", {"type": int, "help": "number of projective factors"})
@@ -369,7 +396,11 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by every later one."""
+    """The argparse parser of the CLI, built from `_COMMANDS` on the first
+    call and shared by every later one.  `main` uses it for the argvs that
+    `_read_argv` does not read, and for the usage text of a bare call."""
+    import argparse  # only here: the usual calls never need it
+
     parser = argparse.ArgumentParser(
         prog="multidegree",
         description="Exact multidegree supports from combinatorial data.",
@@ -384,24 +415,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand")
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        p.add_argument("--output", help="also write the JSON result to this path")
-        p.add_argument("-v", "--verbose", action="count", default=0)
-        if command.takes_input:
-            p.add_argument("--input", help="path of the input JSON document ('-' for stdin)")
-            p.add_argument("--json", help="inline input JSON document")
-        for option, keywords in command.arguments:
-            p.add_argument(option, **keywords)
+        for names, keywords in command.arguments:
+            p.add_argument(*names.split(), **keywords)
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The fields that `build_parser().parse_args(argv)` gives when argv is
+    `--schema NAME` or a subcommand followed only by whole option strings
+    of its own, each value the next token and not starting with "-" unless
+    it is "-"; None for every other argv."""
+    if len(argv) == 2 and argv[0] == "--schema" and argv[1] in SCHEMAS:
+        return SimpleNamespace(schema=argv[1], subcommand=None)
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    fields = dict(command.defaults, subcommand=argv[0])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        dest, kind = command.options.get(token, (None, None))
+        if kind == "store_true":
+            fields[dest] = True
+        elif kind == "count":
+            fields[dest] += 1
+        elif kind is None:
+            return None
+        else:
+            value = next(tokens, None)
+            if value is None or (value[:1] == "-" and value != "-"):
+                return None
+            try:
+                fields[dest] = kind(value)
+            except ValueError:
+                return None
+    return SimpleNamespace(**fields)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     if args.schema is not None:
         sys.stdout.write(_dumps(SCHEMAS[args.schema]) + "\n")
         return EXIT_OK
     if args.subcommand is None:
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return EXIT_VALIDATION
     try:
         return _COMMANDS[args.subcommand].handler(args)

@@ -436,6 +436,24 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "line 1" in err
 
+    @pytest.mark.parametrize("via", ["--json", "--input"])
+    @pytest.mark.parametrize(
+        "command", [name for name, command in cli._COMMANDS.items() if "--json" in command.options]
+    )
+    def test_deeply_nested_input_exit_2(self, capsys, monkeypatch, command, via):
+        depth = 50_000  # arrays and objects in turn, 100,000 deep
+        text = '[{"a":' * depth + "1" + "}]" * depth
+        argv = [command, "--subset", "1"] if command == "theta" else [command]
+        if via == "--json":
+            argv += ["--json", text]
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            argv += ["--input", "-"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        origin = "--json" if via == "--json" else "stdin"
+        assert err == json.dumps({"error": f"JSON from {origin} is nested too deeply"}) + "\n"
+
     def test_non_utf8_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "support.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -1303,19 +1321,98 @@ def fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+# values for the reader's options: ones argparse reads as options,
+# converts or refuses, and a JSON document
+READER_VALUES = [
+    "-", "-1", "-1,2", "", " 5", "+5", "5_0", "\u0665", "x", "-x y", "3", "2,3",
+    '{"p": 2, "values": [0, 1, 1, 2]}',
+]
+# every token of argvs for `cli._read_argv` and argparse: the values,
+# every subcommand, option string and schema name, prefixes and forms
+# that only argparse reads
+READER_TOKENS = sorted(
+    {name for command in cli._COMMANDS.values() for name in command.options}
+    | set(COMMANDS) | set(cli.SCHEMAS)
+) + ["--js", "--count", "--json={}", "-vv", "--", "-h", "--schema", *READER_VALUES]
+
+
+@st.composite
+def reader_argvs(draw):
+    """An argv of tokens from READER_TOKENS, most often a subcommand or
+    --schema followed by runs of its own: an option string of the
+    subcommand with a value if it takes one, or a schema name."""
+    head = draw(st.sampled_from([*COMMANDS, "--schema"]) | st.sampled_from(READER_TOKENS))
+    options = cli._COMMANDS[head].options if head in cli._COMMANDS else {}
+    argv = [head]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(READER_TOKENS)))
+        elif not options:
+            argv.append(draw(st.sampled_from(sorted(cli.SCHEMAS))))
+        else:
+            name = draw(st.sampled_from(sorted(options)))
+            argv.append(name)
+            if options[name][1] not in ("store_true", "count"):
+                argv.append(draw(st.sampled_from(READER_VALUES)))
+    return argv
+
+
+def typed_vars(namespace):
+    """The fields of a namespace with their types, so that True and 1 differ."""
+    return {key: (type(value), value) for key, value in vars(namespace).items()}
+
+
 class TestSharedParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_every_call_parses_with_the_one_parser(self, capsys, monkeypatch):
+    def test_unusual_calls_parse_with_the_one_parser(self, capsys, monkeypatch):
         parser = build_parser()
         seen = []
         parse = parser.parse_args
         monkeypatch.setattr(parser, "parse_args", lambda argv: seen.append(argv) or parse(argv))
-        calls = [["m0n", "--p", "3"], ["--schema", "support"], [], ["flag", "--p", "3"]]
+        calls = [[], ["flag", "--p", "x"], ["m0n", "--p=3"], ["m0n", "-vv", "--p", "3"]]
         for argv in calls:
-            run_cli(argv, capsys)
+            run_argparse(argv, capsys, monkeypatch)
         assert seen == calls
+
+    def test_pool_shaped_calls_build_no_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert all(cli._read_argv(argv) is not None for argv in POOL_CALLS)
+        # one pool call of each shape, option strings in order, run whole
+        shapes = {}
+        for argv in POOL_CALLS:
+            shapes.setdefault(tuple(a for a in argv if a.startswith("--")), argv)
+        for argv in [*shapes.values(), ["--schema", "support"], ["m0n", "-v", "--p", "4"]]:
+            assert run_cli(argv, capsys)[0] == 0
+
+    def test_usual_calls_never_import_argparse(self):
+        calls = [
+            ["--schema", "rank_function"],
+            ["m0n", "--p", "5", "--count-only"],
+            ["positivity", "--json", json.dumps(MUTATION_BASES[-1][0]), "--n", "2,0"],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from multidegree.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'argparse' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)], capture_output=True, text=True
+        )
+        assert json.loads(proc.stdout) == [[0, 0, 0], False], proc.stderr
+
+    @settings(max_examples=2000, deadline=None, derandomize=True)
+    @given(reader_argvs())
+    def test_reader_gives_what_argparse_gives(self, argv):
+        fields = cli._read_argv(argv)
+        if fields is not None:
+            assert typed_vars(fields) == typed_vars(build_parser().parse_args(argv))
 
     @pytest.mark.parametrize("good", [["flag", "--p", "3"], ["m0n", "--p", "5", "--count-only"]])
     def test_a_rejected_call_leaves_no_trace(self, capsys, monkeypatch, good):
