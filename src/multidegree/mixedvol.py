@@ -1,5 +1,5 @@
 """Lattice polytopes in dimension at most 3, exact volumes, Minkowski
-sums, and mixed volumes read off one hull.
+sums, and mixed volumes from support functions summed over hull cells.
 
 All geometry is exact: coordinates are rationals, scaled to integers
 once, and the hulls, the corner test and the positivity criterion work
@@ -27,21 +27,24 @@ Mixed volumes are the coefficients of the volume polynomial (Schneider,
 
     vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} (d!/n!) V(K; n) l^n.
 
-The face of a Minkowski sum with outer normal u is the sum of the
-u-faces of its summands (Ziegler, *Lectures on Polytopes*, section
-7.1).  So a boundary point W = a_1 + ... + a_p of K_1 + ... + K_p on
-that face, written in any way as a sum of points a_i of K_i, has every
-a_i on the u-face of K_i, and W(l) = l_1 a_1 + ... + l_p a_p lies on
-the u-face of l_1 K_1 + ... + l_p K_p.  For l > 0 that sum has the same
-normal fan whatever l is, and a vertex is such a sum in exactly one
-way, so it goes to the matching vertex.  The triangles of one hull of
-K_1 + ... + K_p, their corners moved to W(l), therefore lie in the
-facet planes of the scaled sum, and each facet's triangles have the
-facet's boundary, up to points moved along its edges: the surface
-still encloses signed volume vol(l_1 K_1 + ... + l_p K_p), and the
-determinants of its cells expand multilinearly into the polynomial.
-All vertices are scaled once, by the lcm L of their denominators, so
-V(K; n) is an integer coefficient over d!^2 L^d.
+The same section reads the mixed volume of a body K with d - 1 copies of
+a polytope Q off the facets F of Q, with h_K(u) = max_{x in K} u . x the
+support function of K and u_F the outer unit normal of F:
+
+    V(K, Q, ..., Q) = (1/d) sum_F h_K(u_F) vol_{d-1}(F).
+
+A cell of the boundary of Q given by an outer normal n of length
+(d - 1)! vol_{d-1} of the cell (a 2D hull edge turned clockwise, a 3D
+hull triangle's (b - a) x (c - a)) adds h_K(n) to d! V(K, Q, ..., Q);
+cells that split one facet add up to it, as their normals point the same
+way.  The formula holds for flat Q too, as a limit of thin bodies: a
+segment in 2D and a polygon in 3D count once with each orientation, and
+a set of dimension d - 2 or less has no cells.  h_K is a maximum over
+the corners of K, and h_Q(n) is the cell's offset n . a, so d! vol Q is
+the sum of Q's offsets.  In 3D the entries of three distinct members
+follow by multilinearity from the hull of one pair sum.  All vertices
+are scaled once, by the lcm L of their denominators, so V(K; n) is an
+integer over d! L^d, or over 2 d! L^d for three distinct members.
 """
 
 from __future__ import annotations
@@ -50,13 +53,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, permutations
 from operator import add, mul, sub
 from typing import Collection, Iterable, Sequence
 
 from .errors import UnsupportedSizeError, ValidationError, Value, _rational, check_budget
 from .linalg import extend_basis, rank_rational
-from .polymatroid import _integer, _rank_table, check_ground_set, compositions
+from .polymatroid import _integer, _rank_table, check_ground_set
 from .schemas import check
 
 MAX_AMBIENT_DIM = 3
@@ -384,32 +387,52 @@ def _spans_space(vectors: Iterable[IntPoint]) -> bool:
     return normal is not None and any(_dot(normal, w) for w in rest)
 
 
-def _corners(d: int, points: Collection[IntPoint]) -> list[IntPoint]:
-    """The extreme points among the integer points, in no fixed order.
+# A boundary cell of a hull: its outer normal n and offset n . a, a in the cell
+Cell = tuple[IntPoint, int]
 
-    In 3D a hull point is a corner exactly when the normals of its faces
-    have rank 3 (`_spans_space`, a cross and a dot product in integers):
-    a point inside an edge or a facet lies on at most two facet planes.
-    A flat set is projected onto the pivot coordinates of its affine
-    span, which is one-to-one on the span, and its corners are taken
-    there; a single point is its own corner."""
+
+def _corners(d: int, points: Collection[IntPoint]) -> tuple[list[IntPoint], list[Cell]]:
+    """The extreme points among the integer points, in no fixed order,
+    and the boundary cells of their hull, each normal of length (d - 1)!
+    times the cell's (d - 1)-volume.
+
+    The cells are the two ends of the range in 1D, the edges of the
+    counterclockwise ring in 2D (a segment's twice, once each way), and
+    the hull's triangles in 3D.  In 3D a hull point is a corner exactly
+    when the normals of its faces have rank 3 (`_spans_space`, a cross
+    and a dot product in integers): a point inside an edge or a facet
+    lies on at most two facet planes.  A flat set is projected onto the
+    pivot coordinates of its affine span, which is one-to-one on the
+    span, and its corners are taken there; a polygon's fan, summed into
+    one normal, is its cell once with each orientation, and a segment or
+    a single point has no cell."""
     if d == 1:
-        return sorted({min(points), max(points)})
+        lo, hi = min(points), max(points)
+        return sorted({lo, hi}), [((-1,), -lo[0]), ((1,), hi[0])]
     if d == 2:
-        return _hull_2d(points)
+        ring = _hull_2d(points)
+        edges = zip(ring, ring[1:] + ring[:1]) if len(ring) > 1 else ()
+        return ring, [((by - ay, ax - bx), ax * by - ay * bx) for (ax, ay), (bx, by) in edges]
     faces = _hull_3d_incremental(points)
     if faces is not None:
         normals: dict[IntPoint, list[IntPoint]] = {}
         for a, b, c, normal, _offset in faces:
             for q in (a, b, c):
                 normals.setdefault(q, []).append(normal)
-        return [q for q, rows in normals.items() if _spans_space(rows)]
+        return [q for q, rows in normals.items() if _spans_space(rows)], [f[3:] for f in faces]
     pts = list(points)
     pivots = [col for col, _row in extend_basis([], [_sub(q, pts[0]) for q in pts])]
     if not pivots:
-        return pts[:1]
+        return pts[:1], []
     flat = {tuple(q[k] for k in pivots): q for q in pts}
-    return [flat[x] for x in _corners(len(pivots), flat)]
+    ring = [flat[x] for x in _corners(len(pivots), flat)[0]]
+    if len(ring) < 3:
+        return ring, []
+    a = ring[0]
+    fan = [_cross3(_sub(b, a), _sub(c, a)) for b, c in zip(ring[1:], ring[2:])]
+    normal = tuple(map(sum, zip(*fan)))
+    offset = _dot(normal, a)
+    return ring, [(normal, offset), (tuple(-x for x in normal), -offset)]
 
 
 def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
@@ -417,7 +440,7 @@ def extreme_points(d: int, vertices: Sequence[Point]) -> list[Point]:
     pts = sorted(set(vertices))
     ints, _scale = _scale_to_int(pts)
     back = dict(zip(ints, pts))
-    return sorted(back[q] for q in _corners(d, ints))
+    return sorted(back[q] for q in _corners(d, ints)[0])
 
 
 # -- mixed volumes -----------------------------------------------------------
@@ -448,89 +471,62 @@ class MixedVolumeTable(Value):
 
 def mixed_volumes(polytopes: Sequence[LatticePolytope]) -> MixedVolumeTable:
     """Mixed volumes of the tuple, the coefficients of its volume
-    polynomial (Schneider, *Convex Bodies*, section 5.1), read off the
-    boundary of the one Minkowski sum K_1 + ... + K_p.
+    polynomial, by the facet formula (Schneider, *Convex Bodies*,
+    section 5.1) over the cells of the members' hulls and, in 3D, of
+    pair sums (see the module docstring).
 
     The vertices are scaled once by the lcm L of their denominators, and
-    each K_i of a tuple of two or more is cut to its corners (one K alone
-    is its own sum, whose hull is built once, below).  The sum is built
-    one summand at a time, each point with one vertex of each summand
-    that it is the sum of; the vertices of S + K_k are sums of vertices
-    of S and of K_k, so each partial sum but the last is cut to its
-    corners too.  A point W = a_1 + ... + a_p of the whole sum on its
-    face with outer normal u has every a_i on the u-face of K_i, whatever
-    decomposition was kept, so W(l) = l_1 a_1 + ... + l_p a_p lies on the
-    u-face of l_1 K_1 + ... + l_p K_p for every l > 0, and a vertex goes
-    to the matching vertex.  So the integer polynomial
+    `_corners` gives each member K_i its corners C_i and its cells.
+    With S(i, Q) the sum over the cells (n, offset) of Q of max n . v
+    over v in C_i, d! L^d V(K_i, K_j, ..., K_j) = S(i, K_j) for i != j,
+    and d! L^d vol K_i is the sum of K_i's offsets.  In 3D, for
+    i < j < k, multilinearity in V(K_i, K_j + K_k, K_j + K_k) gives
 
-        D(l) = d! L^d vol(l_1 K_1 + ... + l_p K_p) = sum_{|n| = d} c_n l^n
+        12 L^3 V(K_i, K_j, K_k) = S(i, K_j + K_k) - S(i, K_j) - S(i, K_k),
 
-    is expanded by multilinearity from the lengths of the summands in 1D,
-    sum_k det(W_k(l), W_{k+1}(l)) over the counterclockwise hull ring in
-    2D, and sum det(A(l), B(l), C(l)) over the triangles of the hull in
-    3D, whose corners may lie inside edges and facets: their images stay
-    on the matching faces, so the surface still encloses the volume.
-    Then V(K; n) = c_n n! / (d!^2 L^d).  A sum of lower dimension has no
-    cells and gives 0 everywhere.
+    and the hull of each pair sum j < k, built once from the |C_j| |C_k|
+    sums of corners, serves every i < j.
 
-    A partial sum of more than DEFAULT_ENUMERATION_BUDGET points is
-    refused by `check_budget` before it is built, and so are more
-    determinant terms (cells times p^d, and p^d before any cell is known)
-    before they are summed.
+    `check_budget` refuses, before the work starts, the table's
+    C(p + d - 1, d) entries, the support evaluations (corners times
+    cells of the members and, in 3D, |C_i| 2 |C_j| |C_k| over i < j < k,
+    as a pair sum has fewer than 2 |C_j| |C_k| triangles) and each pair
+    sum's points past DEFAULT_ENUMERATION_BUDGET.
     """
     d = _common_dim(polytopes)
     p = len(polytopes)
-    terms_of = "determinant terms of the volume polynomial"
-    check_budget(p**d, terms_of)  # the p^d index tuples are folded even when the sum is flat
+    check_budget(math.comb(p + d - 1, d), "entries of the mixed volume table")
     lattice, scale = _integer_vertices(polytopes)
-    if p > 1:
-        lattice = [_corners(d, pts) for pts in lattice]
-    sums = {v: (v,) for v in lattice[0]}  # point -> one vertex per summand
-    for k in range(1, p):
-        check_budget(len(sums) * len(lattice[k]), "points of a partial Minkowski sum")
-        sums = {tuple(map(add, w, v)): parts + (v,) for w, parts in sums.items() for v in lattice[k]}
-        if k < p - 1:
-            sums = {w: sums[w] for w in _corners(d, sums)}
-    # terms[t]: the coefficient sum for the ordered index tuple t in [p]^d,
-    # the tuples in the order of product(range(p), repeat=d)
-    if d == 1:
-        lo, hi = sums[min(sums)], sums[max(sums)]
-        terms = [b[0] - a[0] for a, b in zip(lo, hi)]
-    elif d == 2:
-        ring = [sums[w] for w in _hull_2d(sums)]
-        edges = list(zip(ring, ring[1:] + ring[:1])) if len(ring) > 2 else []
-        check_budget(len(edges) * p**2, terms_of)
-        terms = [0] * p**2
-        for a, b in edges:
-            t = 0
-            for x1, y1 in a:
-                for x2, y2 in b:
-                    terms[t] += x1 * y2 - x2 * y1
-                    t += 1
-    else:
-        faces = _hull_3d_incremental(sums) or []
-        check_budget(len(faces) * p**3, terms_of)
-        terms = [0] * p**3
-        for a, b, c, *_plane in faces:
-            crosses = [_cross3(v, w) for v in sums[b] for w in sums[c]]
-            t = 0
-            for x, y, z in sums[a]:
-                for u, v, w in crosses:
-                    terms[t] += x * u + y * v + z * w
-                    t += 1
-    coefficients = dict.fromkeys(compositions(d, p), 0)
-    for index_tuple, term in zip(product(range(p), repeat=d), terms):
-        if term:
-            n = [0] * p
-            for i in index_tuple:
-                n[i] += 1
-            coefficients[tuple(n)] += term
-    denominator = math.factorial(d) ** 2 * scale**d
-    entries: dict[tuple[int, ...], Fraction] = {}
-    for n, c in coefficients.items():
-        entries[n] = Fraction(c * math.prod(map(math.factorial, n)), denominator)
-        if c < 0:
-            raise AssertionError(f"negative mixed volume at {n}: {entries[n]}")
+    corners, cells = zip(*(_corners(d, pts) for pts in lattice))
+    sizes = list(map(len, corners))
+    e1 = e2 = e3 = 0  # elementary symmetric sums of the sizes
+    for size in sizes:
+        e1, e2, e3 = e1 + size, e2 + e1 * size, e3 + e2 * size
+    check_budget(e1 * sum(map(len, cells)) + (2 * e3 if d == 3 else 0), "support function evaluations")
+
+    def support(i: int, cells_of_q: Sequence[Cell]) -> int:  # S(i, Q)
+        return sum(max(sum(map(mul, n, v)) for v in corners[i]) for n, _offset in cells_of_q)
+
+    def key(*members: int) -> tuple[int, ...]:  # n with n_i the times i is named
+        return tuple(map(members.count, range(p)))
+
+    unit = math.factorial(d) * scale**d
+    entries = {key(*[i] * d): Fraction(sum(offset for _n, offset in cells[i]), unit) for i in range(p)}
+    pairs = {}
+    if d > 1:  # S(i, K_j) and S(j, K_i) are both 2 L^2 V(K_i, K_j) in 2D
+        for i, j in (permutations if d == 3 else combinations)(range(p), 2):
+            pairs[i, j] = support(i, cells[j])
+            entries[key(i, *[j] * (d - 1))] = Fraction(pairs[i, j], unit)
+    if d == 3:
+        for j, k in combinations(range(1, p), 2):
+            check_budget(sizes[j] * sizes[k], "points of a partial Minkowski sum")
+            _sum_corners, sum_cells = _corners(3, {tuple(map(add, a, b)) for a in corners[j] for b in corners[k]})
+            for i in range(j):
+                c = support(i, sum_cells) - pairs[i, j] - pairs[i, k]
+                entries[key(i, j, k)] = Fraction(c, 2 * unit)
+    for n, value in entries.items():
+        if value < 0:
+            raise AssertionError(f"negative mixed volume at {n}: {value}")
     return MixedVolumeTable(p, d, entries)
 
 

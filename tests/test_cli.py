@@ -837,17 +837,29 @@ class TestDeterminismAndErrors:
         assert "budget" in json.loads(err)["error"]
 
     def test_mixed_volume_budget_exit_3(self, capsys):
-        # 120 unit segments in R^3: the sum is a box, built from its last
-        # 16 points; its hull keeps the 8 of them inside vertical edges as
-        # corners, and its 26 triangles expand into 26 * 120^3
-        # determinant terms
+        # 120 unit segments in R^3 have no cells; each of the C(120, 3)
+        # triples i < j < k charges |C_i| 2 |C_j| |C_k| = 16 evaluations
+        # against the cells of a pair sum, 4,493,440 in all
         segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(120)]
         start = time.perf_counter()
         code, out, err = run_cli(["mixedvol", "--json", json.dumps({"polytopes": segments})], capsys)
         assert time.perf_counter() - start < 2.0
         assert code == 3
         assert out == ""
-        assert "determinant terms of the volume polynomial: 44928000 exceeds" in json.loads(err)["error"]
+        assert "support function evaluations: 4493440 exceeds" in json.loads(err)["error"]
+
+    def test_mixed_volumes_of_45_segments(self, capsys):
+        # 45 unit segments along the axes in turn: by the determinant law
+        # each of the C(47, 3) entries is 1/6 when its three segments
+        # span the three axes, and 0 otherwise
+        segments = [{"d": 3, "vertices": [[0, 0, 0], [int(j == i % 3) for j in range(3)]]} for i in range(45)]
+        start = time.perf_counter()
+        doc = run_json(["mixedvol", "--json", json.dumps({"polytopes": segments})], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert len(doc["entries"]) == 16215
+        for entry in doc["entries"]:
+            axes = sorted(i % 3 for i, k in enumerate(entry["n"]) for _ in range(k))
+            assert entry["v"] == ("1/6" if axes == [0, 1, 2] else "0")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -10,12 +10,13 @@ are compared on degeneracy-rich random configurations of 4 to 40 points
 (clouds on a small grid, Minkowski sums of two random 3-polytopes,
 sheared grids and prisms, with many collinear and coplanar points).
 The hull's triangles may keep points inside edges and facets as
-corners; mixed volumes are read off them anyway, and the corner test
-drops them.  Flat sets get their corners in their affine span, checked
+corners; mixed volumes sum support functions over them anyway, and the
+corner test drops them.  Flat sets get their corners in their affine span, checked
 against the same oracle.  The hull's seed search is the only dimension
 test `volume` makes; the rank computation `polytope_dim` is its oracle
 on flat and full-dimensional input.  Whole mixed-volume tables are
-compared with mixedvol_oracle.py, and the hull's surface update, on the
+compared with mixedvol_oracle.py and with the one-hull route of
+sum_hull_oracle.py, and the hull's surface update, on the
 seed and on each insertion, with the full surface check of
 hull_oracle.py.  The packed final check `_beneath` is held to the scalar
 loop over every point and face, on and one step beyond the planes and
@@ -71,6 +72,7 @@ from hull_oracle import (
     supporting_planes,
 )
 from mixedvol_oracle import mixed_volumes_oracle
+from sum_hull_oracle import sum_hull_oracle
 from positivity_oracle import positivity_oracle
 
 
@@ -229,6 +231,19 @@ def vertex_lists(d, p):
     3D when p >= 3, to keep the brute-force oracle fast), so points,
     segments, flat members and mixed lattices are common."""
     return st.lists(member(d, 3 if d == 3 and p >= 3 else 4), min_size=p, max_size=p)
+
+
+@st.composite
+def tuples(draw, d, p):
+    """`vertex_lists(d, p)`, with the first two members moved, half the
+    time, into parallel hyperplanes x_d = c of their own, so that their
+    sum is flat."""
+    polytopes = draw(vertex_lists(d, p))
+    if d > 1 and draw(st.booleans()):
+        for j in range(min(p, 2)):
+            c = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 3)))
+            polytopes[j] = [v[:-1] + (c,) for v in polytopes[j]]
+    return polytopes
 
 
 class TestDim:
@@ -741,17 +756,18 @@ class TestCornerTest:
 
 class TestMixedVolumeOracle:
     """The whole table against polarization in Fraction arithmetic over
-    brute-force volumes (tests/mixedvol_oracle.py), and the work the one
-    Minkowski sum takes."""
+    brute-force volumes (tests/mixedvol_oracle.py) and against the one
+    hull of the whole sum (tests/sum_hull_oracle.py), and the hulls the
+    members and pair sums take."""
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 4])
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3) for p in range(1, 5 if d == 3 else 6)])
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_whole_table_matches_oracle(self, d, p, data):
-        polytopes = data.draw(vertex_lists(d, p))
-        table = mixed_volumes([LatticePolytope(d, verts) for verts in polytopes])
-        assert dict(table.entries) == mixed_volumes_oracle(d, polytopes)
+        polytopes = [LatticePolytope(d, verts) for verts in data.draw(tuples(d, p))]
+        table = dict(mixed_volumes(polytopes).entries)
+        assert table == sum_hull_oracle(polytopes)
+        assert table == mixed_volumes_oracle(d, [k.vertices for k in polytopes])
 
     def test_denominators_differ_between_polytopes(self):
         f = Fraction
@@ -766,16 +782,43 @@ class TestMixedVolumeOracle:
         assert expected[(1, 1, 1)] > 0 and expected[(0, 0, 3)] == 0
 
     def test_hulls_per_triple(self, monkeypatch):
-        # p hulls cut the members to their corners and p - 1 hulls build
-        # the sum; polarization took 3 + 19 hulls, one per weight vector
+        # one hull per member and one of the sum of the last two, from the
+        # 4 x 6 sums of their corners (scaled by 4); the whole sum's hull
+        # took 5, and polarization 3 + 19, one per weight vector
         calls = []
         hull = mixedvol._hull_3d_incremental
-        monkeypatch.setattr(mixedvol, "_hull_3d_incremental", lambda pts: calls.append(pts) or hull(pts))
-        octahedron = LatticePolytope(3, [tuple(s * (j == k) for j in range(3)) for k in range(3) for s in (1, -1)])
+        monkeypatch.setattr(mixedvol, "_hull_3d_incremental", lambda pts: calls.append(set(pts)) or hull(pts))
+        unit = [tuple(s * (j == k) for j in range(3)) for k in range(3) for s in (1, -1)]
+        octahedron = LatticePolytope(3, unit)
         simplex = LatticePolytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), ("1/4", "1/4", "1/4")])
         table = mixed_volumes([cube(3), simplex, octahedron])
-        assert len(calls) <= 2 * 3 - 1
+        corners = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+        assert len(calls) == 4 and list(map(len, calls[:3])) == [8, 5, 6]
+        assert calls[3] == {tuple(x + 4 * y for x, y in zip(v, u)) for v in corners for u in unit}
         assert table.value((3, 0, 0)) == 1 and table.value((0, 3, 0)) == Fraction(1, 6)
+
+    def test_hulls_per_pair(self, monkeypatch):
+        # a 3D pair needs no sum at all: one hull per member
+        calls = []
+        hull = mixedvol._hull_3d_incremental
+        monkeypatch.setattr(mixedvol, "_hull_3d_incremental", lambda pts: calls.append(len(pts)) or hull(pts))
+        octahedron = LatticePolytope(3, [tuple(s * (j == k) for j in range(3)) for k in range(3) for s in (1, -1)])
+        table = mixed_volumes([cube(3), octahedron])
+        assert calls == [8, 6]
+        assert dict(table.entries) == mixed_volumes_oracle(3, [cube(3).vertices, octahedron.vertices])
+
+    def test_one_ring_per_member_in_2d(self, monkeypatch):
+        calls = []
+        ring = mixedvol._hull_2d
+        monkeypatch.setattr(mixedvol, "_hull_2d", lambda pts: calls.append(len(pts)) or ring(pts))
+        polygons = [
+            [(0, 0), (2, 0), (0, 2), (1, 1)],
+            [(0, 0), (1, 0), (0, 1), (1, 1), ("1/2", "1/2")],
+            [(0, 0), (3, 1)],
+        ]
+        table = mixed_volumes([LatticePolytope(2, verts) for verts in polygons])
+        assert calls == [4, 5, 2]
+        assert dict(table.entries) == mixed_volumes_oracle(2, polygons)
 
 
 class TestCanonicalize:
